@@ -163,15 +163,8 @@ class FunctionExpr:
         """Coefficient map of the |x|*x^k part; empty iff the function is smooth."""
         return {a.degree: c for a, c in self._terms if a.is_abs}
 
-    def polynomial_part(self) -> dict[int, Fraction]:
-        return {a.degree: c for a, c in self._terms if not a.is_abs}
-
     def is_smooth(self) -> bool:
         return not self.singular_residue()
-
-    def max_degree(self) -> int:
-        """Largest atom degree present (0 for the zero expression)."""
-        return max((a.degree for a, _ in self._terms), default=0)
 
     def __repr__(self) -> str:
         from .exprparse import format_expr

@@ -88,12 +88,6 @@ class BilinearForm:
         )
         return BilinearForm(self.right, self.left, self.codomain, coeffs)
 
-    def flatten(self) -> Vector:
-        """Row-major (i, j, k) coordinates over n*m*q slots."""
-        return tuple(
-            x for row in self.coefficients for value in row for x in value
-        )
-
 
 def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
                    flat: Sequence) -> BilinearForm:
@@ -169,18 +163,6 @@ class CurriedMap:
             for row in block:
                 if len(row) != self.space.dim:
                     raise DimensionMismatchError("block columns != domain dimension")
-
-    def map_at(self, u: Sequence) -> tuple[Vector, ...]:
-        """Matrix of the image linear map at the vector u."""
-        q, n = self.codomain.dim, self.space.dim
-        out = [[Fraction(0)] * n for _ in range(q)]
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for r in range(q):
-                for c in range(n):
-                    out[r][c] += Fraction(ui) * self.blocks[i][r][c]
-        return tuple(tuple(row) for row in out)
 
 
 def curry(b: BilinearForm) -> CurriedMap:

@@ -2,18 +2,15 @@
 
 Subcommands expose the library computations over a space-definition file and
 print human-readable summaries, or a stable JSON document with ``--json``.
-Exit codes: 0 on success (Unknown verdicts included, rendered distinctly),
-1 on a failed verification, 2 on input errors.
-
-The environment variable DIFFEOLIN_SLACK_DEGREE overrides the slack bound of
-the plot-membership search.
+Every plot and map verdict is definite: Plot or NotPlot, Smooth or
+NotSmooth.  Exit codes: 0 on success, 1 on a failed verification, 2 on
+input errors, each error reported on one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -62,16 +59,6 @@ def _default_space_file() -> str:
 
 def _load(args) -> SpaceFile:
     return load_space_file(args.file or _default_space_file())
-
-
-def _slack_degree() -> int | None:
-    raw = os.environ.get("DIFFEOLIN_SLACK_DEGREE")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"DIFFEOLIN_SLACK_DEGREE must be an integer, got {raw!r}") from exc
 
 
 def _parse_matrix_text(text: str):
@@ -184,10 +171,9 @@ def _cmd_tensor(args, out):
 def _cmd_check_map(args, out):
     spaces = _load(args)
     f = spaces.map(args.map)
-    report = check_smooth_linear(f, _slack_degree())
-    marker = report.verdict.value.upper() if report.verdict is Verdict.UNKNOWN else report.verdict.value
+    report = check_smooth_linear(f)
     out.human(f"map {args.map}: {f.domain.describe()} -> {f.codomain.describe()}")
-    out.human(f"verdict: {marker}")
+    out.human(f"verdict: {report.verdict.value}")
     if report.witness is not None:
         out.human("witness plot: (" + ", ".join(format_expr(c) for c in report.witness.components) + ")")
     out.payload(
@@ -209,9 +195,8 @@ def _cmd_check_plot(args, out):
         plot = Plot([parse_expr(text) for text in args.expr])
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    verdict = is_plot(space, plot, _slack_degree())
-    label = verdict.plot_label()
-    out.human(f"candidate in {space.describe()}: {label.upper() if verdict is Verdict.UNKNOWN else label}")
+    label = is_plot(space, plot).plot_label()
+    out.human(f"candidate in {space.describe()}: {label}")
     out.payload(
         inputs={"space": args.space, "expressions": list(args.expr)},
         result={},
@@ -224,7 +209,10 @@ def _cmd_hat_dual(args, out):
     spaces = _load(args)
     space = spaces.space(args.space)
     iso = _parse_matrix_text(args.iso)
-    hat = hat_dual(space, iso)
+    try:
+        hat = hat_dual(space, iso)
+    except DiffeolinError as exc:
+        raise InputError(f"--iso: {exc}") from exc
     span = singular_span(hat)
     out.human(f"hat dual of {space.describe()}: {hat.describe()}")
     out.human(f"singular span dim = {span.dim}, annihilator dim = {space.dim - span.dim}")
@@ -240,7 +228,10 @@ def _cmd_oracle(args, out):
         expr = parse_expr(args.expr)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    cfg = OracleConfig(max_order=args.max_order) if args.max_order else OracleConfig()
+    try:
+        cfg = OracleConfig() if args.max_order is None else OracleConfig(max_order=args.max_order)
+    except ValueError as exc:
+        raise InputError(f"--max-order: {exc}") from exc
     result = classify(expr, cfg)
     record = {
         "expression": format_expr(expr),
@@ -258,6 +249,8 @@ def _cmd_cross_validate(args, out):
     spaces = _load(args)
     space = spaces.space(args.space)
     functional = _parse_functional(args.functional)
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     try:
         report = cross_validate(space, functional, trials=args.trials, seed=args.seed)
     except ValueError as exc:
@@ -416,7 +409,7 @@ def main(argv=None) -> int:
     except (InputError, SpaceFileError, ParseError, UnsupportedDescriptorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiffeolinError as exc:

@@ -2,19 +2,17 @@
 
 The dual V* is computed as the annihilator of the singular span: a linear
 functional is smooth exactly when it kills every reachable singular
-direction.  The functional diffeology on a dual is never expanded into
-generators; smoothness questions into a dual are reduced to bilinear
-questions (a map U -> C^inf(X, Y) is a plot iff the induced map
-U x X -> Y is smooth), and smoothness questions out of a dual use only a
-necessary property of functional-diffeology plots: composing with constant
-plots of the base shows every plot of a dual is classically smooth in
-annihilator coordinates, so linear maps out of a dual are always smooth.
+direction.  A curve in V* is a plot of the functional diffeology exactly
+when it is classically smooth in annihilator coordinates: composing with
+constant plots of the base shows that plots are smooth there, and a smooth
+combination of smooth functionals pairs smoothly with every plot of the
+base.  So V* is fine R^(dim V*) in those coordinates (``represent_dual``),
+and every smoothness question about duals is a question about fine spaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 from .linalg import (
@@ -22,13 +20,11 @@ from .linalg import (
     Subspace,
     Vector,
     identity,
-    invert,
     matmul,
     matvec,
     matrix as make_matrix,
     solve,
     transpose,
-    unit_vector,
     zero_vector,
 )
 from .spaces import (
@@ -37,14 +33,10 @@ from .spaces import (
     DiffeolinError,
     DimensionMismatchError,
     Fine,
-    Generated,
     Plot,
     Pushforward,
-    SumOf,
-    TensorOf,
     UnsupportedDescriptorError,
     Verdict,
-    combine_verdicts,
     is_plot,
     make_fine,
     presentation,
@@ -80,18 +72,10 @@ def diffeological_dual(v: DiffSpace) -> DualSpace:
     return DualSpace(v, singular_span(v).annihilator())
 
 
-def represent_dual(d: DualSpace) -> DiffSpace | None:
-    """Concrete model of a dual where one is known.
-
-    The dual of a fine space is fine of full dimension; the dual of a coarse
-    space is the zero space.  Everything else stays abstract.
-    """
-    desc = d.base.diffeology
-    if isinstance(desc, Fine):
-        return make_fine(d.dim)
-    if isinstance(desc, Coarse):
-        return make_fine(0)
-    return None
+def represent_dual(d: DualSpace) -> DiffSpace:
+    """The dual as a concrete space: fine R^(dim V*) in annihilator
+    coordinates."""
+    return make_fine(d.dim)
 
 
 @dataclass(frozen=True)
@@ -117,17 +101,11 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         return matvec(self.matrix, v)
 
-    def apply_plot(self, p: Plot) -> Plot:
-        return p.transform(self.matrix)
-
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain.dim != self.domain.dim:
             raise DimensionMismatchError("composition dimension mismatch")
         return LinearMap(other.domain, self.codomain, matmul(self.matrix, other.matrix))
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.matrix for x in row)
 
 
 def identity_map(space: Space) -> LinearMap:
@@ -141,123 +119,42 @@ class SmoothnessReport:
     reason: str = ""
 
 
-def is_smooth_linear(f: LinearMap, slack_degree: int | None = None) -> Verdict:
-    return check_smooth_linear(f, slack_degree).verdict
+def is_smooth_linear(f: LinearMap) -> Verdict:
+    return check_smooth_linear(f).verdict
 
 
-def check_smooth_linear(f: LinearMap, slack_degree: int | None = None) -> SmoothnessReport:
-    """Three-valued smoothness of a linear map, with a witness plot whenever
-    the verdict is NotSmooth and the domain has a generator presentation."""
-    dom, cod = f.domain, f.codomain
+def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
+    """Smoothness of a linear map, with a witness plot of the domain whenever
+    the verdict is NotSmooth.
 
-    if isinstance(dom, DualSpace):
-        concrete = represent_dual(dom)
-        if concrete is not None:
-            return check_smooth_linear(LinearMap(concrete, cod, f.matrix), slack_degree)
-        # Plots of any functional diffeology are classically smooth in
-        # annihilator coordinates (compose the evaluation map with constant
-        # plots of the base), so linear images are plots of any vector space
-        # diffeology, and of any dual: pairing with a plot of the dual's base
-        # splits into annihilator rows applied to plots, which are smooth.
-        return SmoothnessReport(Verdict.SMOOTH, reason="domain is a functional dual")
-
-    if isinstance(cod, DualSpace):
-        concrete = represent_dual(cod)
-        if concrete is not None:
-            return check_smooth_linear(LinearMap(dom, concrete, f.matrix), slack_degree)
-        return _dual_codomain_report(f)
-
-    desc = cod.diffeology
-    if isinstance(desc, Coarse):
-        return SmoothnessReport(Verdict.SMOOTH, reason="coarse codomain")
-    if isinstance(desc, Pushforward):
-        inv = invert(desc.matrix)
-        if inv is None:
-            raise DiffeolinError("pushforward matrix is singular")
-        reduced = LinearMap(dom, desc.base, matmul(inv, f.matrix))
-        inner = check_smooth_linear(reduced, slack_degree)
-        return SmoothnessReport(inner.verdict, inner.witness, inner.reason)
-    if isinstance(desc, Fine):
-        return _fine_codomain_report(f)
-    if isinstance(desc, SumOf):
-        nl = desc.left.dim
-        top = LinearMap(dom, desc.left, f.matrix[:nl])
-        bottom = LinearMap(dom, desc.right, f.matrix[nl:])
-        reports = [check_smooth_linear(top, slack_degree),
-                   check_smooth_linear(bottom, slack_degree)]
-        verdict = combine_verdicts(r.verdict for r in reports)
-        witness = next((r.witness for r in reports if r.witness is not None), None)
-        return SmoothnessReport(verdict, witness, "componentwise on sum codomain")
-    if isinstance(desc, (Generated, TensorOf)):
-        return _generated_codomain_report(f, slack_degree)
-    raise UnsupportedDescriptorError(f"smoothness unsupported for {type(desc).__name__}")
-
-
-def _fine_codomain_report(f: LinearMap) -> SmoothnessReport:
-    span = singular_span(f.domain)
-    for s in span.basis:
-        if any(f.apply(s)):
-            return SmoothnessReport(
-                Verdict.NOT_SMOOTH,
-                witness=row_plot(s),
-                reason="singular direction survives into a fine codomain",
-            )
-    return SmoothnessReport(Verdict.SMOOTH, reason="matrix kills the singular span")
-
-
-def _generated_codomain_report(f: LinearMap, slack_degree: int | None) -> SmoothnessReport:
-    pres = presentation(f.domain)
-    cod_pres = presentation(f.codomain)
+    Duals are replaced by their fine models.  The presentation of the domain
+    spans its plots (see ``is_plot``): arbitrary maps into the coarse part,
+    and |x|*x^d * r for each row r presented at degree d.  The map is smooth
+    iff it sends the coarse part into the coarse part of the codomain and
+    each |x|*x^d * f(r) is a plot of the codomain, i.e. f(r) lies in F_d.
+    """
+    dom, cod = (represent_dual(s) if isinstance(s, DualSpace) else s
+                for s in (f.domain, f.codomain))
+    pres = presentation(dom)
+    cod_pres = presentation(cod)
     # Arbitrary set maps land in coarse directions of the domain; their
     # images are plots only when they stay inside the coarse directions of
     # the codomain.
     for c in pres.coarse.basis:
-        image = f.apply(c)
-        if any(image) and not cod_pres.coarse.contains(image):
+        if not cod_pres.coarse.contains(f.apply(c)):
             return SmoothnessReport(
                 Verdict.NOT_SMOOTH,
                 witness=row_plot(c),
                 reason="image of a coarse direction leaves the coarse part",
             )
-    unknown = None
     for degree, r in pres.rows:
-        candidate = row_plot(r, degree)
-        verdict = is_plot(f.codomain, candidate.transform(f.matrix), slack_degree)
-        if verdict is Verdict.NOT_SMOOTH:
+        if not cod_pres.in_filtration(degree, f.apply(r)):
             return SmoothnessReport(
                 Verdict.NOT_SMOOTH,
-                witness=candidate,
+                witness=row_plot(r, degree),
                 reason="image of a singular direction is not a plot",
             )
-        if verdict is Verdict.UNKNOWN and unknown is None:
-            unknown = candidate
-    if unknown is not None:
-        return SmoothnessReport(Verdict.UNKNOWN, reason="membership unknown for some image")
     return SmoothnessReport(Verdict.SMOOTH, reason="all singular images are plots")
-
-
-def _dual_codomain_report(f: LinearMap) -> SmoothnessReport:
-    """Reduce smoothness into a dual to smoothness of the uncurried bilinear
-    pairing (v, z) -> f(v)(z) into the standard line."""
-    from .bilinear import BilinearForm, is_smooth_bilinear
-
-    cod: DualSpace = f.codomain  # type: ignore[assignment]
-    base = cod.base
-    ann = cod.annihilator_basis.basis
-    n, m = f.domain.dim, base.dim
-    coeffs = []
-    for i in range(n):
-        fi = f.apply(unit_vector(n, i))
-        row = []
-        for j in range(m):
-            value = sum(
-                (fi[k] * ann[k][j] for k in range(len(ann))), Fraction(0)
-            )
-            row.append((value,))
-        coeffs.append(tuple(row))
-    pairing = BilinearForm(f.domain, base, make_fine(1), tuple(coeffs))
-    verdict = is_smooth_bilinear(pairing)
-    return SmoothnessReport(verdict, reason="uncurried pairing into the line")
 
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
@@ -318,8 +215,6 @@ def hat_dual(v: DiffSpace, iso: Matrix) -> DiffSpace:
     chosen isomorphism v -> v^dual (the coordinate matrix of the iso)."""
     if len(iso) != v.dim or any(len(r) != v.dim for r in iso):
         raise DimensionMismatchError("iso must be a square matrix of the space dimension")
-    if invert(iso) is None:
-        raise DiffeolinError("hat dual requires an invertible matrix")
     return DiffSpace(v.dim, Pushforward(v, iso))
 
 
@@ -338,16 +233,15 @@ def hat_dual_wellposed(
     iso1: Matrix,
     iso2: Matrix,
     samples: Sequence[Plot],
-    slack_degree: int | None = None,
 ) -> WellPosednessReport:
     """Compare membership verdicts of the sample plots under the pushforward
-    structures along two isomorphisms.  Unknown only matches Unknown."""
+    structures along two isomorphisms."""
     space1 = hat_dual(v, iso1)
     space2 = hat_dual(v, iso2)
     verdicts = []
     mismatches = []
     for k, sample in enumerate(samples):
-        pair = (is_plot(space1, sample, slack_degree), is_plot(space2, sample, slack_degree))
+        pair = (is_plot(space1, sample), is_plot(space2, sample))
         verdicts.append(pair)
         if pair[0] is not pair[1]:
             mismatches.append(k)

@@ -35,22 +35,10 @@ def identity(n: int) -> Matrix:
     return tuple(unit_vector(n, i) for i in range(n))
 
 
-def zeros(n_rows: int, n_cols: int) -> Matrix:
-    return tuple(zero_vector(n_cols) for _ in range(n_rows))
-
-
 def transpose(m: Matrix) -> Matrix:
     if not m:
         return ()
     return tuple(zip(*m))
-
-
-def add_vectors(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def scale_vector(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * x for x in v)
 
 
 def dot(a: Vector, b: Vector) -> Fraction:
@@ -58,7 +46,10 @@ def dot(a: Vector, b: Vector) -> Fraction:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    return tuple(dot(row, v) for row in m)
+    # Presentation rows are sparse; skipping their zeros keeps images of
+    # rows under large maps cheap.
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:

@@ -219,11 +219,7 @@ class AgreementReport:
         if self.skipped:
             return True
         nonsmooth_seen = any(not r.symbolic_smooth for r in self.records)
-        if self.map_verdict == "Smooth":
-            return not nonsmooth_seen
-        if self.map_verdict == "NotSmooth":
-            return nonsmooth_seen
-        return True
+        return nonsmooth_seen == (self.map_verdict == "NotSmooth")
 
 
 def cross_validate(

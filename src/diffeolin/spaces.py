@@ -15,8 +15,9 @@ drive every decision procedure:
   because smooth multipliers and reparametrisations x -> c*x can only move
   residue content to higher degrees, never lower.
 
-Plot membership is three-valued and conservative: Plot and NotPlot answers
-carry exact certificates, everything else is Unknown.
+Plot membership is decided exactly on the degree filtration of the
+presentation (see ``is_plot``): every answer is Plot or NotPlot, and every
+NotPlot comes with a separating functional.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    dot,
     in_row_span,
     invert,
     matvec,
@@ -52,29 +54,22 @@ class UnsupportedDescriptorError(DiffeolinError):
 
 
 class Verdict(enum.Enum):
-    """Three-valued answer of the conservative decision procedures.
+    """Answer of the decision procedures.
 
     SMOOTH doubles as "is a plot" and NOT_SMOOTH as "is not a plot" in
-    membership contexts; UNKNOWN is never silently coerced to either.
+    membership contexts.
     """
 
     SMOOTH = "Smooth"
     NOT_SMOOTH = "NotSmooth"
-    UNKNOWN = "Unknown"
 
     def plot_label(self) -> str:
-        return {"Smooth": "Plot", "NotSmooth": "NotPlot", "Unknown": "Unknown"}[self.value]
+        return "Plot" if self is Verdict.SMOOTH else "NotPlot"
 
 
 def combine_verdicts(verdicts) -> Verdict:
-    """Conservative conjunction: any NotSmooth wins, then any Unknown."""
-    result = Verdict.SMOOTH
-    for v in verdicts:
-        if v is Verdict.NOT_SMOOTH:
-            return Verdict.NOT_SMOOTH
-        if v is Verdict.UNKNOWN:
-            result = Verdict.UNKNOWN
-    return result
+    """Conjunction: any NotSmooth wins."""
+    return Verdict.NOT_SMOOTH if Verdict.NOT_SMOOTH in verdicts else Verdict.SMOOTH
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,6 @@ class Plot:
             for d in sorted(degrees)
         }
 
-    def is_classically_smooth(self) -> bool:
-        return all(c.is_smooth() for c in self.components)
-
     def slice(self, start: int, stop: int) -> "Plot":
         return Plot(self.components[start:stop])
 
@@ -117,9 +109,6 @@ class Plot:
                     acc = acc + comp.scale(coeff)
             out.append(acc)
         return Plot(out)
-
-    def max_degree(self) -> int:
-        return max((c.max_degree() for c in self.components), default=0)
 
 
 def kink_plot(n: int, index: int, degree: int = 0, coeff=1) -> Plot:
@@ -171,6 +160,10 @@ class TensorOf:
 class Pushforward:
     base: "DiffSpace"
     matrix: Matrix
+
+    def __post_init__(self) -> None:
+        if invert(self.matrix) is None:
+            raise DiffeolinError("pushforward matrix is singular")
 
 
 Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]
@@ -243,11 +236,16 @@ class Presentation:
             self.ambient_dim, list(self.coarse.basis) + [r for _, r in self.rows]
         )
 
-    def rows_up_to(self, degree: int, slack: int) -> list[Vector]:
-        """Directions reachable at exactly ``degree`` with multiplier degree <= slack."""
+    def rows_up_to(self, degree: int) -> list[Vector]:
+        """Spanning rows of the filtration step F_degree: the coarse part plus
+        every direction presented at a degree <= ``degree``."""
         out = list(self.coarse.basis)
-        out.extend(r for d, r in self.rows if d <= degree and degree - d <= slack)
+        out.extend(r for d, r in self.rows if d <= degree)
         return out
+
+    def in_filtration(self, degree: int, row: Vector) -> bool:
+        """Whether |x|*x^degree * row is a plot: row lies in F_degree."""
+        return in_row_span(tuple(self.rows_up_to(degree)), row)
 
 
 def _embed_row(row: Vector, offset: int, total: int) -> Vector:
@@ -348,76 +346,57 @@ def singular_span(space: DiffSpace) -> Subspace:
 
 # --- plot membership -----------------------------------------------------
 
-DEFAULT_SLACK_MARGIN = 8
-
-
+# Nothing calls this; perfbench/tracer.py looks the name up and needs it.
 def default_slack_degree(pres: Presentation, plot: Plot) -> int:
-    degrees = [deg for deg, _ in pres.rows]
-    degrees.extend(plot.residue_rows().keys())
-    return max(degrees, default=0) + DEFAULT_SLACK_MARGIN
+    return 0
 
 
-def is_plot(space: DiffSpace, candidate: Plot, slack_degree: int | None = None) -> Verdict:
+def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
     """Decide membership of ``candidate`` in the diffeology of ``space``.
 
-    For generated-style spaces the residue of the candidate is tested degree
-    by degree: the degree-e residue direction must lie in the rational span
-    of the singular directions reachable at degree e (reachable = presented
-    at degree d <= e with multiplier degree e - d at most ``slack_degree``).
-    If some residue direction falls outside the full singular span, a linear
-    functional separating it certifies NotPlot.  Anything in between is
-    Unknown: the conservative fragment only searches polynomial multipliers
-    and linear reparametrisations.
+    Let F_e = coarse + span{rows of degree <= e} be the degree filtration of
+    the presentation and rho_e the |x|*x^e residue row of the candidate.  The
+    candidate is a plot iff rho_e lies in F_e for every e.
+
+    Sufficiency: a generator g with rows r_d at degrees d has, after the
+    reparametrisation x -> c*x (c > 0), residues c^(d+1) * r_d.  Combining
+    g(c*x) over distinct scales c is a Vandermonde system that isolates
+    |x|*x^d * r_d plus smooth terms, and a multiplier x^k lifts it to degree
+    d + k.  Coarse directions take any coefficient.  So every rho_e in F_e is
+    the residue of a plot, and the candidate differs from their sum by a
+    smooth curve.
+
+    Necessity: residue content only moves up in degree, so a functional psi
+    that kills F_e kills the degree <= e residues of every plot, and psi o
+    (every plot) is C^(e+1).  At the least e with rho_e outside F_e, a psi
+    with psi(rho_e) != 0 makes psi o candidate equal to a multiple of
+    |x|*x^e plus higher terms, which is only C^e: the oracle sees it fail at
+    order e + 2.  ``separating_functional`` returns that psi.
     """
+    return Verdict.SMOOTH if _first_failure(space, candidate) is None else Verdict.NOT_SMOOTH
+
+
+def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, list[Vector]] | None:
+    """(e, rho_e, spanning rows of F_e) at the least degree e where the
+    candidate leaves the filtration, or None for a plot."""
     if candidate.target_dim != space.dim:
         raise DimensionMismatchError(
             f"plot has {candidate.target_dim} coordinates, space has dimension {space.dim}"
         )
-    d = space.diffeology
-    if isinstance(d, Coarse):
-        return Verdict.SMOOTH
-    if isinstance(d, Fine):
-        return Verdict.SMOOTH if candidate.is_classically_smooth() else Verdict.NOT_SMOOTH
-    if isinstance(d, Pushforward):
-        inv = invert(d.matrix)
-        if inv is None:
-            raise DiffeolinError("pushforward matrix is singular")
-        return is_plot(d.base, candidate.transform(inv), slack_degree)
-    if isinstance(d, SumOf):
-        nl = d.left.dim
-        return combine_verdicts([
-            is_plot(d.left, candidate.slice(0, nl), slack_degree),
-            is_plot(d.right, candidate.slice(nl, space.dim), slack_degree),
-        ])
-    if isinstance(d, (Generated, TensorOf)):
-        pres = presentation(space)
-        return _membership_verdict(pres, candidate, slack_degree)
-    raise UnsupportedDescriptorError(f"membership unsupported for {type(d).__name__}")
-
-
-def _membership_verdict(pres: Presentation, candidate: Plot, slack_degree: int | None) -> Verdict:
-    if pres.coarse.dim == pres.ambient_dim:
-        return Verdict.SMOOTH
-    slack = default_slack_degree(pres, candidate) if slack_degree is None else slack_degree
-    full = pres.singular_span()
-    unknown = False
+    pres = presentation(space)
     for degree, rho in candidate.residue_rows().items():
-        if in_row_span(tuple(pres.rows_up_to(degree, slack)), rho):
-            continue
-        if not full.contains(rho):
-            return Verdict.NOT_SMOOTH
-        unknown = True
-    return Verdict.UNKNOWN if unknown else Verdict.SMOOTH
+        if not pres.in_filtration(degree, rho):
+            return degree, rho, pres.rows_up_to(degree)
+    return None
 
 
 def separating_functional(space: DiffSpace, candidate: Plot) -> Vector | None:
-    """A functional annihilating all singular directions of the space but not
-    some residue direction of the candidate.  Exists iff membership is
-    certifiably NotPlot for generated-style spaces."""
-    pres = presentation(space)
-    ann = pres.singular_span().annihilator()
-    for _, rho in candidate.residue_rows().items():
-        for phi in ann.basis:
-            if sum((a * b for a, b in zip(phi, rho)), Fraction(0)):
-                return phi
-    return None
+    """The NotPlot certificate of ``is_plot``: a functional that kills F_e but
+    not rho_e at the least degree e where the candidate leaves the
+    filtration.  None exactly when the candidate is a plot."""
+    failure = _first_failure(space, candidate)
+    if failure is None:
+        return None
+    _, rho, rows = failure
+    ann = Subspace.from_rows(space.dim, rows).annihilator()
+    return next(phi for phi in ann.basis if dot(phi, rho))

@@ -22,6 +22,7 @@ from .hom import (
     LinearMap,
     diffeological_dual,
     is_smooth_linear,
+    represent_dual,
     smooth_hom_basis,
 )
 from .linalg import (
@@ -213,34 +214,15 @@ def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
 
 @dataclass(frozen=True)
 class FunctionSpaceComparison:
-    """Dimension comparison between a tensor product and a smooth hom space.
-
-    ``hom_dim`` is None when the smooth hom side is not computable in the
-    conservative fragment (then ``isomorphic`` is None as well: Unknown).
-    """
+    """Dimension comparison between a tensor product and a smooth hom space."""
 
     tensor_dim: int
-    hom_dim: int | None
-    matrix: Matrix | None
+    hom_dim: int
+    matrix: Matrix
 
     @property
-    def isomorphic(self) -> bool | None:
-        if self.hom_dim is None:
-            return None
+    def isomorphic(self) -> bool:
         return self.tensor_dim == self.hom_dim
-
-
-def _dual_hom_dim(dual: DualSpace, target: DiffSpace) -> int | None:
-    """dim L^inf(dual, target) for a fine or coarse target.
-
-    Every plot of a functional dual is classically smooth in annihilator
-    coordinates, so into a fine target all linear maps are smooth; into a
-    coarse target everything is smooth anyway.
-    """
-    desc = target.diffeology
-    if isinstance(desc, (Fine, Coarse)):
-        return dual.dim * target.dim
-    return None
 
 
 def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
@@ -262,7 +244,8 @@ def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
                 for j in range(m):
                     row.append(basis[col][i] if j == r else Fraction(0))
             rows.append(tuple(row))
-    return FunctionSpaceComparison(t.dim, _dual_hom_dim(dual_v, w), tuple(rows))
+    hom_dim = smooth_hom_basis(represent_dual(dual_v), w).dim
+    return FunctionSpaceComparison(t.dim, hom_dim, tuple(rows))
 
 
 def hat_g(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
@@ -282,7 +265,8 @@ def hat_g(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
                 for j in range(m):
                     row.append(basis[col][j] if i == r else Fraction(0))
             rows.append(tuple(row))
-    return FunctionSpaceComparison(t.dim, _dual_hom_dim(dual_w, v), tuple(rows))
+    hom_dim = smooth_hom_basis(represent_dual(dual_w), v).dim
+    return FunctionSpaceComparison(t.dim, hom_dim, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ budget.  All expected values are exact; the only tolerances are the time
 budgets and the 99% oracle agreement floor.
 """
 
+import json
+import os
 import time
 
 from diffeolin.cli import main as cli_main
@@ -19,6 +21,8 @@ from diffeolin.verify import (
     check_oracle_agreement,
     check_tensor_dual_multiplicativity,
 )
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "verify_golden.json")
 
 
 def run_criterion(name, budget_seconds, fn):
@@ -82,10 +86,11 @@ def test_criterion_9_hat_dual_wellposedness():
 
 
 def test_criterion_10_verify_subcommand(capsys):
-    """the verify subcommand replays everything from the bundled file and
-    exits 0 inside the total budget."""
+    """the verify subcommand replays everything from the bundled file, exits 0
+    inside the total budget, and its JSON document (without timings and the
+    file path) matches the golden copy."""
     start = time.perf_counter()
-    code = cli_main(["verify"])
+    code = cli_main(["--json", "verify"])
     elapsed = time.perf_counter() - start
     out = capsys.readouterr().out
     with capsys.disabled():
@@ -93,3 +98,9 @@ def test_criterion_10_verify_subcommand(capsys):
         print(f"\n{tag}  verify subcommand: exit {code}  [{elapsed:.2f}s / budget 60s]")
     assert code == 0, f"verify failed:\n{out}"
     assert elapsed < 60.0
+    doc = json.loads(out)
+    for check in doc["result"]["checks"]:
+        del check["elapsed"]
+    del doc["inputs"]["file"]
+    with open(GOLDEN) as fh:
+        assert doc == json.load(fh)

@@ -1,6 +1,7 @@
 """Command-line behaviour: output, JSON schema, exit codes, environment."""
 
 import json
+import os
 
 import pytest
 
@@ -67,14 +68,10 @@ def test_check_plot_subcommand(run):
     assert "NotPlot" in out
 
 
-def test_check_plot_unknown_marker(run, monkeypatch):
-    monkeypatch.setenv("DIFFEOLIN_SLACK_DEGREE", "2")
+def test_check_plot_high_degree_kink(run):
     code, out, _ = run("check-plot", "kink2_1", "x^6*abs(x)", "0")
     assert code == 0
-    assert "UNKNOWN" in out
-    monkeypatch.delenv("DIFFEOLIN_SLACK_DEGREE")
-    code, out, _ = run("check-plot", "kink2_1", "x^6*abs(x)", "0")
-    assert "Plot" in out
+    assert "Plot" in out and "NotPlot" not in out
 
 
 def test_hat_dual_subcommand(run):
@@ -108,6 +105,22 @@ def test_input_errors_exit_2(run):
     assert run("check-plot", "kink2_1", "abs(", "0")[0] == 2
     assert run("hom", "fine2", "kink2_1")[0] == 2
     assert run("-f", "/nonexistent.json", "dual", "x")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "abs(x)", "--max-order", "1"),
+    ("oracle", "abs(x)", "--max-order", "-1"),
+    ("oracle", "abs(x)", "--max-order", "0"),
+    ("-f", os.path.dirname(os.path.abspath(__file__)), "dual", "fine2"),
+    ("hat-dual", "kink2_1", "--iso", '[["1","1"],["1","1"]]'),
+    ("cross-validate", "kink3_1", "0,1,1", "--trials", "0"),
+    ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
+])
+def test_bad_input_exits_2_with_one_error_line(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_degree_cap_is_input_error(run):

@@ -69,14 +69,17 @@ def test_generated_codomain_uses_membership():
 
 
 def test_witness_plot_accompanies_not_smooth():
-    v = kink_space(2, 1)
-    report = check_smooth_linear(LinearMap(v, make_fine(1), frac_matrix([[1, 0]])))
-    assert report.verdict is Verdict.NOT_SMOOTH
-    witness = report.witness
-    assert witness is not None
-    assert is_plot(v, witness) is Verdict.SMOOTH
-    image = witness.transform(frac_matrix([[1, 0]]))
-    assert not image.components[0].is_smooth()
+    # The second domain is kinked only at degree 2, so the witness must be
+    # |x|*x^2 along e1, not the degree-0 kink |x|.
+    late_kink = Plot([FunctionExpr.abs_monomial(2), FunctionExpr.zero()])
+    for v in (kink_space(2, 1), make_generated(2, [late_kink])):
+        report = check_smooth_linear(LinearMap(v, make_fine(1), frac_matrix([[1, 0]])))
+        assert report.verdict is Verdict.NOT_SMOOTH
+        witness = report.witness
+        assert witness is not None
+        assert is_plot(v, witness) is Verdict.SMOOTH
+        image = witness.transform(frac_matrix([[1, 0]]))
+        assert not image.components[0].is_smooth()
 
 
 # --- duals -----------------------------------------------------------------
@@ -105,7 +108,7 @@ def test_dual_of_dual_is_rejected():
 def test_represent_dual():
     assert represent_dual(diffeological_dual(make_fine(3))).dim == 3
     assert represent_dual(diffeological_dual(make_coarse(3))).dim == 0
-    assert represent_dual(diffeological_dual(kink_space(2, 1))) is None
+    assert represent_dual(diffeological_dual(kink_space(2, 1))) == make_fine(1)
 
 
 def test_fine_self_duality():
@@ -211,7 +214,7 @@ def test_maps_out_of_functional_duals_are_smooth():
     # coordinates, so linear maps out of one are smooth into anything.
     w = kink_space(3, 1)
     dual_w = diffeological_dual(w)
-    assert represent_dual(dual_w) is None
+    assert represent_dual(dual_w) == make_fine(2)
     into_fine = LinearMap(dual_w, make_fine(2), frac_matrix([[1, 0], [0, 1]]))
     assert is_smooth_linear(into_fine) is Verdict.SMOOTH
     into_dual = LinearMap(dual_w, diffeological_dual(kink_space(2, 1)),

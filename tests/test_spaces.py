@@ -1,4 +1,4 @@
-"""Singular spans and conservative plot membership."""
+"""Singular spans and plot membership with certificates."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,9 @@ from diffeolin import (
     singular_span,
 )
 from diffeolin.atoms import mono
-from diffeolin.linalg import Subspace
+from diffeolin.hom import hat_dual
+from diffeolin.linalg import Subspace, invert
+from diffeolin.oracle import classify
 from diffeolin.spaces import Pushforward, DiffSpace
 
 A = FunctionExpr.abs_monomial
@@ -106,21 +108,118 @@ def test_membership_certificates():
         sum(a * b for a, b in zip(phi, row)) == 0
         for row in singular_span(v).basis
     )
+    assert separating_functional(v, plot_of("abs(x)", "x")) is None
+
+    # Inside the singular span but below the degree of the generator: the
+    # certificate kills F_0, which is smaller than the whole span.
+    for space, candidate in [
+        (make_generated(1, [Plot([A(1)])]), Plot([A(0)])),
+        (make_generated(2, [plot_of("abs(x)*x", "abs(x)")]), plot_of("abs(x)", "0")),
+    ]:
+        assert singular_span(space).dim == space.dim
+        assert is_plot(space, candidate) is Verdict.NOT_SMOOTH
+        phi = separating_functional(space, candidate)
+        assert phi is not None
+        rho = candidate.residue_rows()[0]
+        assert sum(a * b for a, b in zip(phi, rho)) != 0
+        assert classify(_compose(phi, candidate)).failing_order == 2
 
 
-def test_membership_unknown_when_degree_cannot_drop():
-    # A generator kinked only at degree 5 cannot produce a degree-0 kink, but
-    # the certificate framework cannot separate them: Unknown.
+def test_membership_not_plot_when_degree_cannot_drop():
+    # A generator kinked only at degree 5 cannot produce a degree-0 kink.
     v = make_generated(1, [Plot([A(5)])])
-    assert is_plot(v, Plot([A(0)])) is Verdict.UNKNOWN
+    assert is_plot(v, Plot([A(0)])) is Verdict.NOT_SMOOTH
     assert is_plot(v, Plot([A(6, 3)])) is Verdict.SMOOTH
+    # A multiplier lifts a kink to any higher degree.
+    assert is_plot(make_generated(1, [Plot([A(0)])]), Plot([A(4)])) is Verdict.SMOOTH
 
 
-def test_slack_degree_bounds_the_search():
-    v = make_generated(1, [Plot([A(0)])])
-    candidate = Plot([A(4)])
-    assert is_plot(v, candidate) is Verdict.SMOOTH
-    assert is_plot(v, candidate, slack_degree=2) is Verdict.UNKNOWN
+def _random_direction(rng, n):
+    while True:
+        row = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        if any(row):
+            return row
+
+
+def _random_generated(rng, n):
+    """A generated space on R^n and its generators; each generator carries
+    kinks along one or two random directions at degrees 0..5."""
+    gens = []
+    for _ in range(rng.randint(1, n)):
+        comps = [M(rng.randint(0, 2), rng.randint(-2, 2)) for _ in range(n)]
+        for degree in rng.sample(range(6), rng.randint(1, 2)):
+            row = _random_direction(rng, n)
+            comps = [c + A(degree, r) for c, r in zip(comps, row)]
+        gens.append(Plot(comps))
+    return make_generated(n, gens), gens
+
+
+def _random_hat_iso(rng, n):
+    while True:
+        m = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n))
+        if invert(m) is not None:
+            return m
+
+
+def _random_structured_space(rng):
+    """(space, generators of its plots as curves of the space)."""
+    kind = rng.choice(["generated", "sum", "hat"])
+    if kind == "sum":
+        (v, gv), (w, gw) = (_random_generated(rng, rng.randint(1, 2)) for _ in range(2))
+        zero_v, zero_w = [M(0, 0)] * v.dim, [M(0, 0)] * w.dim
+        gens = ([Plot(list(g.components) + zero_w) for g in gv]
+                + [Plot(zero_v + list(g.components)) for g in gw])
+        return direct_sum(v, w), gens
+    v, gens = _random_generated(rng, rng.randint(1, 3))
+    if kind == "hat":
+        iso = _random_hat_iso(rng, v.dim)
+        return hat_dual(v, iso), [g.transform(iso) for g in gens]
+    return v, gens
+
+
+def _sampled_plot(rng, space, gens):
+    """lambda * g(c*x) + s summed over some generators: a plot by construction."""
+    comps = [M(rng.randint(0, 2), rng.randint(-2, 2)) for _ in range(space.dim)]
+    for g in rng.sample(gens, rng.randint(1, len(gens))):
+        lam = FunctionExpr([(mono(d), rng.randint(-2, 2)) for d in range(2)])
+        c = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
+        comps = [a + lam * b.compose_scale(c) for a, b in zip(comps, g.components)]
+    return Plot(comps)
+
+
+def _compose(phi, plot):
+    return sum((c.scale(a) for a, c in zip(phi, plot.components) if a), FunctionExpr.zero())
+
+
+def test_not_plot_certificates_agree_with_the_oracle():
+    """Every NotPlot carries a functional psi with psi o candidate failing at
+    order exactly e + 2 (e its least residue degree), while psi o plot never
+    fails at an order <= e + 2 on sampled plots of the same space."""
+    rng = random.Random(20150430)
+    certified = 0
+    for _ in range(40):
+        space, gens = _random_structured_space(rng)
+        n = space.dim
+        candidates = [_sampled_plot(rng, space, gens)]
+        for _ in range(2):
+            degree = rng.randint(0, 5)
+            kink = Plot([A(degree, r) for r in _random_direction(rng, n)])
+            base = _sampled_plot(rng, space, gens)
+            candidates.append(Plot([a + b for a, b in zip(base.components, kink.components)]))
+        for candidate in candidates:
+            verdict = is_plot(space, candidate)
+            phi = separating_functional(space, candidate)
+            assert (phi is None) == (verdict is Verdict.SMOOTH)
+            if phi is None:
+                continue
+            composed = _compose(phi, candidate)
+            e = min(composed.singular_residue())
+            assert classify(composed).failing_order == e + 2
+            for _ in range(3):
+                order = classify(_compose(phi, _sampled_plot(rng, space, gens))).failing_order
+                assert order is None or order > e + 2
+            certified += 1
+    assert certified >= 20
 
 
 def test_singular_span_invariances():
