@@ -13,6 +13,7 @@ and every smoothness question about duals is a question about fine spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 from .linalg import (
@@ -22,9 +23,6 @@ from .linalg import (
     identity,
     matmul,
     matvec,
-    matrix as make_matrix,
-    solve,
-    transpose,
     zero_vector,
 )
 from .spaces import (
@@ -191,22 +189,21 @@ def dual_map(f: LinearMap) -> LinearMap:
         raise DiffeolinError("dual_map requires a map with a Smooth verdict")
     dual_w = diffeological_dual(f.codomain)
     dual_v = diffeological_dual(f.domain)
-    bw = dual_w.annihilator_basis.basis
-    bv = dual_v.annihilator_basis.basis
-    # Coordinates of each pulled-back functional over the annihilator basis
-    # of V*: solve bv^T x = (g o f)^T columnwise.
-    bv_t = transpose(make_matrix(bv)) if bv else tuple(() for _ in range(f.domain.dim))
+    bv = dual_v.annihilator_basis
     columns = []
-    for g in bw:
-        pulled = matvec(transpose(f.matrix), g)
-        coords = solve(bv_t, pulled) if bv else (None if any(pulled) else ())
+    for g in dual_w.annihilator_basis.basis:
+        # g o f = sum_i g_i * (row i of f), read off in the RREF basis of V*.
+        terms = [(c, row) for c, row in zip(g, f.matrix) if c]
+        pulled = tuple(sum((c * row[j] for c, row in terms), Fraction(0))
+                       for j in range(f.domain.dim))
+        coords = bv.coordinates(pulled)
         if coords is None:
             raise DiffeolinError(
                 "image containment failed: pulled-back functional leaves Ann S(V); "
                 "this signals a singular-span bug"
             )
         columns.append(coords)
-    rows = tuple(tuple(col[i] for col in columns) for i in range(len(bv)))
+    rows = tuple(tuple(col[i] for col in columns) for i in range(bv.dim))
     return LinearMap(dual_w, dual_v, rows)
 
 

@@ -3,16 +3,33 @@
 Matrices are tuples of row tuples.  Everything is immutable; reduced row
 echelon form (RREF) is the canonical representative for row spans, so
 subspace equality is plain structural equality.
+
+Fractions live only at the API boundary.  Elimination runs on Python ints:
+each input row is scaled by the lcm of its denominators, rows are combined
+fraction-free (a*r - b*p, with a and b the two entries in the pivot column
+divided by their gcd) and every new row is divided by its content, the gcd
+of its entries, so the integers stay small.  Only the finished rows turn
+back into Fractions, each divided by its pivot entry.
+
+Membership does no elimination.  A vector v lies in the span of RREF rows
+b_i with pivot columns p_i exactly when v = sum_i v[p_i] * b_i, so one pass
+of integer reduction against the pivot rows decides it, and the values
+v[p_i] are its coordinates.  A Subspace keeps the integer form of its basis
+from the first query on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+_ZERO = Fraction(0)
 
 
 def vector(entries: Sequence) -> Vector:
@@ -46,10 +63,10 @@ def dot(a: Vector, b: Vector) -> Fraction:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    # Presentation rows are sparse; skipping their zeros keeps images of
-    # rows under large maps cheap.
+    # Presentation rows and many maps are sparse; skipping the zeros of both
+    # keeps images of rows under large maps cheap.
     support = [(j, x) for j, x in enumerate(v) if x]
-    return tuple(sum((row[j] * x for j, x in support), Fraction(0)) for row in m)
+    return tuple(sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -72,32 +89,77 @@ def kron_vector(a: Vector, b: Vector) -> Vector:
     return tuple(x * y for x in a for y in b)
 
 
+def _integer_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*[x.denominator for x in q])
+    if den == 1:
+        return [x.numerator for x in q]
+    return [x.numerator * (den // x.denominator) for x in q]
+
+
+def _cancel(row: list[int], pivot: list[int], col: int) -> list[int]:
+    """a*row - b*pivot with row[col] = 0 afterwards, divided by its content."""
+    a, b = pivot[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = [a * x - b * y for x, y in zip(row, pivot)]
+    content = gcd(*out)
+    if content > 1:
+        out = [x // content for x in out]
+    return out
+
+
+def _eliminate(rows: list[list[int]], n_cols: int) -> list[tuple[int, list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns (pivot column, row) pairs in increasing pivot order.  Each row is
+    nonzero at its pivot column and zero at every other pivot column, so
+    row / row[pivot] is the matching row of the RREF.  The pivot row of a
+    column is the candidate whose entry there is smallest in absolute value;
+    the RREF is unique, so the choice only affects the size of the ints.
+    """
+    pending = [r for r in rows if any(r)]
+    done: list[tuple[int, list[int]]] = []
+    for col in range(n_cols):
+        hits = [r for r in pending if r[col]]
+        if not hits:
+            continue
+        pivot = min(hits, key=lambda r: abs(r[col]))
+        reduced = []
+        for r in pending:
+            if r is pivot:
+                continue
+            if r[col]:
+                r = _cancel(r, pivot, col)
+                if not any(r):
+                    continue
+            reduced.append(r)
+        pending = reduced
+        done = [(c, _cancel(r, pivot, col) if r[col] else r) for c, r in done]
+        done.append((col, pivot))
+        if not pending:
+            break
+    return done
+
+
+def _fraction_row(row: list[int], col: int) -> Vector:
+    """row / row[col] as Fractions: back across the API boundary."""
+    d = row[col]
+    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+
+
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped."""
-    work = [list(map(Fraction, r)) for r in rows]
+    work = [_integer_row(r) for r in rows]
     if not work:
         return ()
-    n_cols = len(work[0])
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
+    return tuple(_fraction_row(r, col) for col, r in _eliminate(work, len(work[0])))
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m))
+    work = [_integer_row(r) for r in m]
+    return len(_eliminate(work, len(work[0]))) if work else 0
 
 
 def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
@@ -106,19 +168,21 @@ def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
         if not m:
             raise ValueError("n_cols required for an empty matrix")
         n_cols = len(m[0])
-    reduced = rref(m)
-    pivots = []
-    for row in reduced:
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    free = [j for j in range(n_cols) if j not in pivots]
+    reduced = _eliminate([_integer_row(r) for r in m], n_cols)
+    pivots = {c for c, _ in reduced}
     basis = []
-    for j in free:
-        v = [Fraction(0)] * n_cols
-        v[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][j]
-        basis.append(tuple(v))
-    return rref(basis)
+    for j in range(n_cols):
+        if j in pivots:
+            continue
+        # v[j] = 1 and v[c] = -row[j] / row[c]; scaled to integers.
+        den = lcm(*[r[c] for c, r in reduced if r[j]])
+        v = [0] * n_cols
+        v[j] = den
+        for c, r in reduced:
+            if r[j]:
+                v[c] = -r[j] * (den // r[c])
+        basis.append(v)
+    return tuple(_fraction_row(r, col) for col, r in _eliminate(basis, n_cols))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -127,14 +191,12 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     n_cols = len(a[0]) if a else 0
     if n_rows == 0:
         return zero_vector(n_cols) if not any(b) else None
-    augmented = [list(row) + [bi] for row, bi in zip(a, b)]
-    reduced = rref(augmented)
-    x = [Fraction(0)] * n_cols
-    for row in reduced:
-        pivot = next(j for j, v in enumerate(row) if v)
-        if pivot == n_cols:
+    augmented = [_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)]
+    x = [_ZERO] * n_cols
+    for col, row in _eliminate(augmented, n_cols + 1):
+        if col == n_cols:
             return None
-        x[pivot] = row[n_cols]
+        x[col] = Fraction(row[n_cols], row[col])
     return tuple(x)
 
 
@@ -145,15 +207,15 @@ def invert(m: Matrix) -> Matrix | None:
         raise ValueError("matrix is not square")
     if n == 0:
         return ()
-    augmented = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    reduced = rref(augmented)
-    if len(reduced) < n or any(reduced[i][i] != 1 for i in range(n)):
+    augmented = [_integer_row(tuple(row) + unit_vector(n, i)) for i, row in enumerate(m)]
+    reduced = _eliminate(augmented, 2 * n)
+    if [col for col, _ in reduced] != list(range(n)):
         return None
-    return tuple(tuple(row[n:]) for row in reduced)
+    return tuple(_fraction_row(row, i)[n:] for i, (_, row) in enumerate(reduced))
 
 
 def in_row_span(rows: Matrix, v: Vector) -> bool:
-    """Exact membership of v in the rational row span of rows."""
+    """Exact membership of v in the rational row span of rows, by rank."""
     if not any(v):
         return True
     if not rows:
@@ -170,7 +232,7 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [vector(r) for r in rows]
+        rows = list(rows)
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError(f"row length {len(r)} != ambient dim {ambient_dim}")
@@ -188,8 +250,33 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivot_form(self) -> tuple[tuple[int, ...], int, tuple[list[int], ...]]:
+        """(pivot columns, common denominator L, integer rows S), basis = S / L."""
+        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        den = lcm(*[x.denominator for row in self.basis for x in row])
+        rows = tuple([x.numerator * (den // x.denominator) for x in row] for row in self.basis)
+        return pivots, den, rows
+
     def contains(self, v: Sequence) -> bool:
-        return in_row_span(self.basis, vector(v))
+        """Pivot reduction: v = sum_i v[p_i] * basis_i, checked on ints."""
+        if len(v) != self.ambient_dim:
+            raise ValueError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
+        pivots, den, rows = self._pivot_form
+        x = _integer_row(v)
+        rest = [den * t for t in x]
+        for p, row in zip(pivots, rows):
+            c = x[p]
+            if c:
+                rest = [a - c * b for a, b in zip(rest, row)]
+        return not any(rest)
+
+    def coordinates(self, v: Sequence) -> Vector | None:
+        """Coefficients of v over the basis, or None if v is outside.  In
+        RREF the coefficient of a basis row is v at that row's pivot."""
+        if not self.contains(v):
+            return None
+        return tuple(Fraction(v[p]) for p in self._pivot_form[0])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)

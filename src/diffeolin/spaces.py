@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .atoms import FunctionExpr
@@ -33,7 +34,6 @@ from .linalg import (
     Subspace,
     Vector,
     dot,
-    in_row_span,
     invert,
     matvec,
     vector,
@@ -194,6 +194,10 @@ class DiffSpace:
             return f"pushforward of {d.base.describe()}"
         return repr(d)
 
+    @cached_property
+    def _presentation(self) -> Presentation:
+        return _build_presentation(self)
+
 
 def make_fine(n: int) -> DiffSpace:
     return DiffSpace(n, Fine())
@@ -225,16 +229,19 @@ class Presentation:
     ``coarse`` collects the directions along which every set map is a plot;
     ``rows`` holds (degree, direction) pairs: the direction is reachable as
     an |x|*x^d residue for every d >= degree, but at no smaller degree.
+    The filtration steps F_e are built as subspaces on first use and kept.
     """
 
     ambient_dim: int
     coarse: Subspace
     rows: tuple[tuple[int, Vector], ...]
 
+    @cached_property
+    def _steps(self) -> dict[int, Subspace]:
+        return {}
+
     def singular_span(self) -> Subspace:
-        return Subspace.from_rows(
-            self.ambient_dim, list(self.coarse.basis) + [r for _, r in self.rows]
-        )
+        return self.filtration_step(max((d for d, _ in self.rows), default=-1))
 
     def rows_up_to(self, degree: int) -> list[Vector]:
         """Spanning rows of the filtration step F_degree: the coarse part plus
@@ -243,9 +250,20 @@ class Presentation:
         out.extend(r for d, r in self.rows if d <= degree)
         return out
 
+    def filtration_step(self, degree: int) -> Subspace:
+        """F_degree as a subspace.  Steps are keyed by the largest presented
+        degree <= ``degree``, so each distinct step is reduced once."""
+        key = max((d for d, _ in self.rows if d <= degree), default=-1)
+        if key < 0:
+            return self.coarse
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = Subspace.from_rows(self.ambient_dim, self.rows_up_to(key))
+        return step
+
     def in_filtration(self, degree: int, row: Vector) -> bool:
         """Whether |x|*x^degree * row is a plot: row lies in F_degree."""
-        return in_row_span(tuple(self.rows_up_to(degree)), row)
+        return self.filtration_step(degree).contains(row)
 
 
 def _embed_row(row: Vector, offset: int, total: int) -> Vector:
@@ -253,6 +271,12 @@ def _embed_row(row: Vector, offset: int, total: int) -> Vector:
 
 
 def presentation(space: DiffSpace) -> Presentation:
+    """The presentation of ``space``, built once and kept on the frozen space
+    object itself, so it lives exactly as long as the space does."""
+    return space._presentation
+
+
+def _build_presentation(space: DiffSpace) -> Presentation:
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
@@ -376,9 +400,9 @@ def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
     return Verdict.SMOOTH if _first_failure(space, candidate) is None else Verdict.NOT_SMOOTH
 
 
-def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, list[Vector]] | None:
-    """(e, rho_e, spanning rows of F_e) at the least degree e where the
-    candidate leaves the filtration, or None for a plot."""
+def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, Subspace] | None:
+    """(e, rho_e, F_e) at the least degree e where the candidate leaves the
+    filtration, or None for a plot."""
     if candidate.target_dim != space.dim:
         raise DimensionMismatchError(
             f"plot has {candidate.target_dim} coordinates, space has dimension {space.dim}"
@@ -386,7 +410,7 @@ def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, list
     pres = presentation(space)
     for degree, rho in candidate.residue_rows().items():
         if not pres.in_filtration(degree, rho):
-            return degree, rho, pres.rows_up_to(degree)
+            return degree, rho, pres.filtration_step(degree)
     return None
 
 
@@ -397,6 +421,6 @@ def separating_functional(space: DiffSpace, candidate: Plot) -> Vector | None:
     failure = _first_failure(space, candidate)
     if failure is None:
         return None
-    _, rho, rows = failure
-    ann = Subspace.from_rows(space.dim, rows).annihilator()
+    _, rho, step = failure
+    ann = step.annihilator()
     return next(phi for phi in ann.basis if dot(phi, rho))

@@ -29,10 +29,7 @@ from .linalg import (
     Matrix,
     kron,
     kron_vector,
-    matrix as make_matrix,
     rank,
-    solve,
-    transpose,
     unit_vector,
 )
 from .spaces import (
@@ -164,7 +161,7 @@ class TensorDualIso:
 
     @property
     def injective(self) -> bool:
-        return rank(transpose(self.matrix)) == self.domain_dim
+        return rank(self.matrix) == self.domain_dim
 
     @property
     def isomorphism(self) -> bool:
@@ -183,25 +180,22 @@ def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
     dual_w = diffeological_dual(w)
     t = tensor_product(v, w)
     dual_t = diffeological_dual(t)
-    bt = dual_t.annihilator_basis.basis
-    bt_t = transpose(make_matrix(bt)) if bt else tuple(() for _ in range(t.dim))
-    columns = []
+    bt = dual_t.annihilator_basis
     span_t = singular_span(t)
+    columns = []
     for phi in dual_v.annihilator_basis.basis:
         for psi in dual_w.annihilator_basis.basis:
             functional = kron_vector(phi, psi)
-            if any(
-                sum((a * b for a, b in zip(functional, s)), Fraction(0))
-                for s in span_t.basis
-            ):
+            support = [(j, x) for j, x in enumerate(functional) if x]
+            if any(sum(s[j] * x for j, x in support if s[j]) for s in span_t.basis):
                 raise DiffeolinError(
                     "product functional fails to annihilate the tensor singular span"
                 )
-            coords = solve(bt_t, functional) if bt else (None if any(functional) else ())
+            coords = bt.coordinates(functional)
             if coords is None:
                 raise DiffeolinError("product functional not expressible in the tensor dual")
             columns.append(coords)
-    rows = tuple(tuple(col[i] for col in columns) for i in range(len(bt)))
+    rows = tuple(tuple(col[i] for col in columns) for i in range(bt.dim))
     iso = TensorDualIso(dual_v, dual_w, dual_t, rows)
     if not iso.injective:
         raise DiffeolinError("tensor dual map is not injective")

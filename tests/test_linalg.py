@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from diffeolin.linalg import (
     Subspace,
     identity,
@@ -121,3 +123,151 @@ def test_in_row_span_edge_cases():
 def test_rank_of_zero_dimensional():
     assert rank(()) == 0
     assert Subspace.zero(0).dim == 0
+
+
+def test_contains_and_coordinates_reject_a_vector_of_the_wrong_length():
+    s = Subspace.from_rows(3, [(1, 0, 0)])
+    for v in [(1, 0, 0, 7), (1, 0)]:
+        with pytest.raises(ValueError, match=rf"vector length {len(v)} != ambient dim 3"):
+            s.contains(v)
+        with pytest.raises(ValueError, match=rf"vector length {len(v)} != ambient dim 3"):
+            s.coordinates(v)
+
+
+# --- the integer kernel against a Fraction reference -------------------------
+
+def reference_rref(rows):
+    """Fraction Gauss-Jordan elimination: the kernel before integer rows."""
+    work = [list(map(Fraction, r)) for r in rows]
+    if not work:
+        return ()
+    n_cols = len(work[0])
+    pivot_row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
+
+
+def _pivot(row):
+    return next(j for j, x in enumerate(row) if x)
+
+
+def reference_nullspace(m, n_cols):
+    reduced = reference_rref(m)
+    pivots = [_pivot(row) for row in reduced]
+    basis = []
+    for j in range(n_cols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[j] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[j]
+        basis.append(v)
+    return reference_rref(basis)
+
+
+def reference_solve(a, b):
+    n_cols = len(a[0]) if a else 0
+    if not a:
+        return None if any(b) else (Fraction(0),) * n_cols
+    x = [Fraction(0)] * n_cols
+    for row in reference_rref([list(r) + [bi] for r, bi in zip(a, b)]):
+        p = _pivot(row)
+        if p == n_cols:
+            return None
+        x[p] = row[n_cols]
+    return tuple(x)
+
+
+def reference_invert(m):
+    n = len(m)
+    reduced = reference_rref([list(r) + list(identity(n)[i]) for i, r in enumerate(m)])
+    if [_pivot(row) for row in reduced] != list(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
+
+
+def reference_contains(rows, v):
+    return len(reference_rref(list(rows) + [v])) == len(reference_rref(rows))
+
+
+def _random_matrix(rng, shape):
+    """(rows, n_cols) of the named shape; entries are sparse rationals."""
+    n_cols = rng.randint(1, 7)
+    big = shape == "large-denominators"
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def row():
+        return tuple(entry() for _ in range(n_cols))
+
+    if shape == "empty":
+        return (), n_cols
+    if shape == "zero-rows":
+        return tuple((Fraction(0),) * n_cols for _ in range(rng.randint(1, 4))), n_cols
+    if shape == "one-row":
+        return (row(),), n_cols
+    if shape == "tall":
+        return tuple(row() for _ in range(n_cols + rng.randint(1, 4))), n_cols
+    if shape == "wide":
+        n_cols += 3
+        return tuple(row() for _ in range(rng.randint(1, n_cols - 1))), n_cols
+    if shape == "rank-deficient":
+        base = [row() for _ in range(rng.randint(1, n_cols))]
+        combos = [tuple(sum((Fraction(rng.randint(-3, 3)) * b[j] for b in base), Fraction(0))
+                        for j in range(n_cols)) for _ in range(rng.randint(1, 3))]
+        rows = base + combos
+        rng.shuffle(rows)
+        return tuple(rows), n_cols
+    return tuple(row() for _ in range(rng.randint(1, n_cols + 2))), n_cols
+
+
+@pytest.mark.parametrize("shape", ["empty", "zero-rows", "one-row", "tall", "wide",
+                                   "rank-deficient", "large-denominators"])
+def test_integer_kernel_agrees_with_the_fraction_reference(shape):
+    rng = random.Random(f"linalg-kernel:{shape}")
+    for _ in range(60):
+        m, n_cols = _random_matrix(rng, shape)
+        reduced = rref(m)
+        assert reduced == reference_rref(m)
+        assert nullspace(m, n_cols) == reference_nullspace(m, n_cols)
+        x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n_cols))
+        for b in (matvec(m, x), tuple(Fraction(rng.randint(-5, 5)) for _ in m)):
+            assert solve(m, b) == reference_solve(m, b)
+        if m and len(m) == n_cols:
+            assert invert(m) == reference_invert(m)
+        s = Subspace.from_rows(n_cols, m)
+        inside = tuple(sum((Fraction(rng.randint(-4, 4)) * r[j] for r in m), Fraction(0))
+                       for j in range(n_cols))
+        outside = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n_cols))
+        for v in (inside, outside, (Fraction(0),) * n_cols):
+            member = reference_contains(m, v)
+            assert s.contains(v) is member
+            coords = s.coordinates(v)
+            if not member:
+                assert coords is None
+                continue
+            # The basis is independent, so the coordinates are the unique
+            # solution of basis^T c = v.
+            basis_t = tuple(zip(*reduced)) if reduced else ()
+            expected = reference_solve(basis_t, v) if reduced else ()
+            assert coords == expected
+            assert all(isinstance(c, Fraction) for c in coords)

@@ -1,6 +1,10 @@
 """Singular spans and plot membership with certificates."""
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,10 +25,11 @@ from diffeolin import (
     singular_span,
 )
 from diffeolin.atoms import mono
-from diffeolin.hom import hat_dual
-from diffeolin.linalg import Subspace, invert
+from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
+from diffeolin.linalg import Subspace, in_row_span, invert
 from diffeolin.oracle import classify
-from diffeolin.spaces import Pushforward, DiffSpace
+from diffeolin.spaces import Pushforward, DiffSpace, presentation
+from diffeolin.tensor import tensor_dual_iso, tensor_product
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
@@ -287,3 +292,86 @@ def test_pushforward_membership():
 def test_is_plot_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatchError):
         is_plot(make_fine(2), plot_of("x"))
+
+
+# --- scope of the presentation memos ------------------------------------------
+
+def test_presentation_is_built_once_per_space():
+    v = make_generated(3, [plot_of("abs(x)", "0", "abs(x)*x"), kink_plot(3, 1, 2)])
+    pres = presentation(v)
+    assert presentation(v) is pres
+    assert pres.filtration_step(2) is pres.filtration_step(9) is pres.singular_span()
+    assert presentation(tensor_product(v, make_fine(2))) is not presentation(
+        tensor_product(v, make_fine(2)))
+
+
+def test_in_filtration_matches_row_span_membership():
+    """The memoised filtration steps answer exactly as rank membership in the
+    spanning rows of F_e, on generated, sum, hat and tensor spaces."""
+    rng = random.Random(20150430)
+    for _ in range(30):
+        if rng.random() < 0.25:
+            (v, _), (w, _) = (_random_generated(rng, rng.randint(1, 2)) for _ in range(2))
+            space = tensor_product(v, w)
+        else:
+            space, _ = _random_structured_space(rng)
+        pres = presentation(space)
+        for degree in range(7):
+            rows = tuple(pres.rows_up_to(degree))
+            candidates = [r for _, r in pres.rows] + [
+                tuple(_random_direction(rng, space.dim)) for _ in range(3)]
+            if rows:
+                candidates.append(tuple(sum(c) for c in zip(*rows)))
+            for row in candidates:
+                assert pres.in_filtration(degree, row) is in_row_span(rows, row)
+
+
+def test_memos_do_not_keep_spaces_alive():
+    v = make_generated(2, [kink_plot(2, 0)])
+    w = make_generated(2, [plot_of("abs(x)*x", "abs(x)*x")])
+    t = tensor_product(v, w)
+    assert check_smooth_linear(identity_map(t)).verdict is Verdict.SMOOTH
+    assert check_smooth_linear(LinearMap(t, make_fine(1), ((0, 1, 0, 0),))).verdict is (
+        Verdict.NOT_SMOOTH)
+    assert is_plot(t, Plot([A(0, 1), M(0), M(0), M(0)])) is Verdict.SMOOTH
+    diffeological_dual(t)
+    tensor_dual_iso(v, w)
+    refs = [weakref.ref(s) for s in (v, w, t)]
+    del v, w, t
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_memos_under_concurrent_first_use():
+    """Threads racing to build the memos of one fresh space answer exactly as
+    a single thread does on an equal space."""
+
+    def build():
+        v = make_generated(3, [plot_of("abs(x)", "abs(x)*x", "0"), kink_plot(3, 2, 1)])
+        return tensor_product(v, make_generated(2, [kink_plot(2, 0, 2)]))
+
+    rng = random.Random(5)
+    candidates = [Plot([A(rng.randint(0, 3), rng.randint(-1, 1)) for _ in range(6)])
+                  for _ in range(12)]
+    reference = build()
+    expected = [is_plot(reference, c) for c in candidates]
+    assert {Verdict.SMOOTH, Verdict.NOT_SMOOTH} <= set(expected)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            space = build()
+            results = [None] * 4
+
+            def work(k, space=space):
+                results[k] = [is_plot(space, c) for c in candidates]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
