@@ -67,7 +67,7 @@ class FunctionExpr:
     are equal iff the tuples are equal.
     """
 
-    __slots__ = ("_terms", "_float_terms")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Atom, Rational] | Iterable[tuple[Atom, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -79,7 +79,6 @@ class FunctionExpr:
             elif atom in merged:
                 del merged[atom]
         object.__setattr__(self, "_terms", tuple(sorted(merged.items())))
-        object.__setattr__(self, "_float_terms", None)
 
     @property
     def terms(self) -> tuple[tuple[Atom, Fraction], ...]:
@@ -158,12 +157,7 @@ class FunctionExpr:
         return sum((c * a.evaluate(t) for a, c in self._terms), Fraction(0))
 
     def evaluate_float(self, x: float) -> float:
-        terms = self._float_terms
-        if terms is None:
-            # Converted once per expression; same terms, same summation order.
-            terms = tuple((a, float(c)) for a, c in self._terms)
-            object.__setattr__(self, "_float_terms", terms)
-        return sum(c * a.evaluate_float(x) for a, c in terms)
+        return sum(float(c) * a.evaluate_float(x) for a, c in self._terms)
 
     def singular_residue(self) -> dict[int, Fraction]:
         """Coefficient map of the |x|*x^k part; empty iff the function is smooth."""

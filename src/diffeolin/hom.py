@@ -21,16 +21,14 @@ from .linalg import (
     Subspace,
     Vector,
     identity,
+    kron_vector,
     matmul,
     matvec,
-    zero_vector,
 )
 from .spaces import (
-    Coarse,
     DiffSpace,
     DiffeolinError,
     DimensionMismatchError,
-    Fine,
     Plot,
     Pushforward,
     UnsupportedDescriptorError,
@@ -157,23 +155,22 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth linear maps v -> w, as a subspace of L(v, w) over
-    the row-major flattened matrix coordinates.  Only fine and coarse
-    codomains admit a certified basis."""
-    n, m = v.dim, w.dim
-    desc = w.diffeology
-    if isinstance(desc, Coarse):
-        return Subspace.full(n * m)
-    if isinstance(desc, Fine):
-        ann = singular_span(v).annihilator()
-        rows = []
-        for i in range(m):
-            for phi in ann.basis:
-                flat = zero_vector(i * n) + phi + zero_vector((m - i - 1) * n)
-                rows.append(flat)
-        return Subspace.from_rows(n * m, rows)
-    raise UnsupportedDescriptorError(
-        f"smooth hom basis requires a fine or coarse codomain, got {type(desc).__name__}"
-    )
+    the row-major flattened matrix coordinates.
+
+    ``check_smooth_linear``'s criterion, linear in the matrix M: psi(M c) = 0
+    for psi in Ann(coarse part of w) and c in the coarse part of v, and
+    psi(M r) = 0 for psi in Ann(F_d(w)) and each row r presented at degree d
+    in v.  psi(M c) is kron(psi, c) dotted with the flattened M, so the
+    smooth maps are the annihilator of those constraint rows.
+    """
+    pres, cod_pres = presentation(v), presentation(w)
+    constraints = [kron_vector(psi, c)
+                   for psi in cod_pres.coarse.annihilator().basis
+                   for c in pres.coarse.basis]
+    for degree, r in pres.rows:
+        for psi in cod_pres.filtration_step(degree).annihilator().basis:
+            constraints.append(kron_vector(psi, r))
+    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
 
 
 def dual_map(f: LinearMap) -> LinearMap:

@@ -1,21 +1,22 @@
-"""Floating-point smoothness classifier based on central divided differences.
+"""Numeric smoothness classifier based on central divided differences.
 
-Independent of the symbolic side: a function R -> R is probed at dyadic
-nodes around 0 with a geometric sweep of half-widths.  If the order-k
-divided differences grow steadily without bound as the scale shrinks, the
-function is declared non-smooth with failing order k (the smallest such k).
+Independent of the symbolic side: a function R -> R is probed by its values
+at the nodes (k/2 - j)*h around 0 for a geometric sweep of half-widths h.
+If the order-k divided differences grow steadily without bound as the scale
+shrinks, the function is declared non-smooth with failing order k (the
+smallest such k).  A kink |x|*x^d first shows up at order d + 2, where the
+divided differences grow like 1/h (ratio 2 per halving).
 
-A kink |x|*x^d first shows up at order d + 2, where the divided differences
-grow like 1/h (ratio 2 per halving).  Plain double precision cannot follow
-that growth at high orders: the k-th difference amplifies input rounding by
-2^k / h^k.  Two defences are used, both deterministic:
+Atom expressions are probed exactly.  Every atom is homogeneous,
+a(x*h) = h^D * a(x) with D = degree + is_abs, so the order-k difference at
+half-width h is sum_D s_D * h^(D - k), where s_D sums the unit-spacing
+stencil values of the atoms of total degree D.  The values are exact, so
+a value is usable iff it is nonzero and the growth test runs on exact
+numbers; only the reported value is rounded to float.
 
-* values below a worst-case rounding floor are ignored (the floor uses the
-  largest stencil value, the binomial weight sum and the machine epsilon);
-* for orders above ``exact_order_threshold`` the stencil is accumulated in
-  exact rational arithmetic whenever the probed object supports exact
-  evaluation (the nodes are dyadic rationals), so the growth ratios carry
-  no rounding noise at all.  Plain callables always take the float path.
+Plain callables are evaluated in floats, where the k-th difference
+amplifies input rounding by 2^k / h^k; values below a worst-case rounding
+floor times ``noise_guard`` are ignored.
 """
 
 from __future__ import annotations
@@ -26,10 +27,15 @@ from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from .atoms import FunctionExpr
+from .exprparse import MAX_DEGREE
 
 Probe = Union[FunctionExpr, Callable[[float], float]]
 
 _EPS = 2.0**-52
+
+# Enough for |x|*x^MAX_DEGREE, the highest kink one parsed factor writes,
+# which fails at order MAX_DEGREE + 2; bounds the work of one probe.
+MAX_ORDER = MAX_DEGREE + 2
 
 
 @dataclass(frozen=True)
@@ -42,11 +48,12 @@ class OracleConfig:
     # per halving, a converging one settles to ratio 1.
     step_growth: float = 1.5
     noise_guard: float = 64.0
-    exact_order_threshold: int = 5
 
     def __post_init__(self) -> None:
-        if self.max_order < 2:
-            raise ValueError("max_order must be >= 2")
+        if not 2 <= self.max_order <= MAX_ORDER:
+            raise ValueError(f"max_order must be between 2 and {MAX_ORDER}")
+        if any(h <= 0 for h in self.half_widths):
+            raise ValueError("half_widths must be positive")
         if self.growth_threshold <= 0 or self.step_growth <= 1:
             raise ValueError("growth thresholds must be positive")
         if self.agreement_policy < 1:
@@ -80,14 +87,6 @@ class Classification:
         return f"NonSmoothAt0(order {self.failing_order})"
 
 
-def _stencil(order: int, h: float) -> list[tuple[int, float]]:
-    # Central nodes (order/2 - j) * h, exact dyadics for dyadic h.
-    return [
-        ((-1) ** j * math.comb(order, j), (order / 2 - j) * h)
-        for j in range(order + 1)
-    ]
-
-
 class _Overflow(Exception):
     pass
 
@@ -96,15 +95,15 @@ def _float_difference(f: Callable[[float], float], order: int, h: float) -> tupl
     """(|divided difference|, rounding floor) for a float-only probe."""
     terms = []
     fmax = 0.0
-    for w, x in _stencil(order, h):
+    for j in range(order + 1):
         try:
-            value = f(x)
+            value = f((order / 2 - j) * h)
         except OverflowError as exc:
             raise _Overflow from exc
         if math.isinf(value) or math.isnan(value):
             raise _Overflow
         fmax = max(fmax, abs(value))
-        terms.append(w * value)
+        terms.append((-1) ** j * math.comb(order, j) * value)
     quotient = math.fsum(terms) / h**order
     if math.isinf(quotient) or math.isnan(quotient):
         raise _Overflow
@@ -112,26 +111,48 @@ def _float_difference(f: Callable[[float], float], order: int, h: float) -> tupl
     return abs(quotient), floor
 
 
-def _exact_difference(f: FunctionExpr, order: int, h: float) -> float:
-    acc = Fraction(0)
+def _stencil_sums(f: FunctionExpr, order: int) -> list[tuple[int, Fraction]]:
+    """Nonzero (D - order, s_D) pairs: s_D sums c * sum_j w_j * a(order/2 - j)
+    over the terms c*a of ``f`` whose atom a has total degree D."""
+    nodes = [((-1) ** j * math.comb(order, j), Fraction(order, 2) - j)
+             for j in range(order + 1)]
+    sums: dict[int, Fraction] = {}
+    for atom, coeff in f.terms:
+        unit = sum(w * atom.evaluate(x) for w, x in nodes)
+        if unit:
+            exponent = atom.degree + atom.is_abs - order
+            sums[exponent] = sums.get(exponent, 0) + coeff * unit
+    return [(e, s) for e, s in sums.items() if s]
+
+
+def _homogeneous_difference(sums: Sequence[tuple[int, Fraction]], h: float) -> Fraction:
+    """Exact |divided difference| at half-width h > 0."""
     step = Fraction(h)
-    for w, x in _stencil(order, 1.0):
-        acc += w * f.evaluate(Fraction(x) * step)
-    return abs(float(acc / step**order))
+    return abs(sum(s * step**e for e, s in sums))
 
 
-def _diverges(values: Sequence[tuple[float, bool]], cfg: OracleConfig) -> int | None:
+def _rounded(value: float | Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _diverges(values: Sequence[tuple[float | Fraction, bool]], cfg: OracleConfig) -> int | None:
     """Index where a sustained divergent run is confirmed, else None.
 
     A run is ``agreement_policy`` or more consecutive usable scale steps each
     growing by ``step_growth``, with total growth at least
     ``growth_threshold`` across the maximal run.
     """
+    # Fraction * float rounds like float * float: float values compare as
+    # with a float step, exact values compare exactly.
+    growth = Fraction(cfg.step_growth)
     run_start = None
     for i in range(1, len(values)):
         v_prev, ok_prev = values[i - 1]
         v_cur, ok_cur = values[i]
-        growing = ok_prev and ok_cur and v_cur >= cfg.step_growth * v_prev
+        growing = ok_prev and ok_cur and v_cur >= growth * v_prev
         if growing:
             if run_start is None:
                 run_start = i - 1
@@ -148,31 +169,26 @@ def classify(f: Probe, cfg: OracleConfig = DEFAULT_CONFIG) -> Classification:
     """Probe ``f`` for non-smooth behaviour at 0.
 
     Returns the smallest order whose divided differences diverge under the
-    sweep of half-widths; numerical overflow at some order counts as
-    divergence at that order.
+    sweep of half-widths.  For a plain callable, a difference that leaves
+    the float range at some order counts as divergence at that order.
     """
     exact = isinstance(f, FunctionExpr)
-    evaluator = f.evaluate_float if exact else f
     for order in range(1, cfg.max_order + 1):
-        use_exact = exact and order > cfg.exact_order_threshold
-        values: list[tuple[float, bool]] = []
-        overflow_at = None
+        sums = _stencil_sums(f, order) if exact else ()
+        values: list[tuple[float | Fraction, bool]] = []
         for h in cfg.half_widths:
-            if use_exact:
-                v = _exact_difference(f, order, h)  # type: ignore[arg-type]
-                values.append((v, v != 0.0))
+            if exact:
+                v = _homogeneous_difference(sums, h)
+                values.append((v, v != 0))
                 continue
             try:
-                v, floor = _float_difference(evaluator, order, h)
+                v, floor = _float_difference(f, order, h)
             except _Overflow:
-                overflow_at = h
-                break
+                return Classification(order, order, h, math.inf)
             values.append((v, v > cfg.noise_guard * floor))
-        if overflow_at is not None:
-            return Classification(order, order, overflow_at, math.inf)
         hit = _diverges(values, cfg)
         if hit is not None:
-            return Classification(order, order, cfg.half_widths[hit], values[hit][0])
+            return Classification(order, order, cfg.half_widths[hit], _rounded(values[hit][0]))
     return Classification(None, cfg.max_order)
 
 

@@ -222,9 +222,6 @@ class FunctionSpaceComparison:
 def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
     """The map V (x) W -> L(V*, W), v (x) w -> [f -> f(v) w], on annihilator
     coordinates; reports dimensions but never asserts an isomorphism."""
-    desc = w.diffeology
-    if not isinstance(desc, (Fine, Coarse)):
-        raise UnsupportedDescriptorError("hat_f requires a fine or coarse second factor")
     dual_v = diffeological_dual(v)
     n, m, a = v.dim, w.dim, dual_v.dim
     t = tensor_product(v, w)
@@ -244,9 +241,6 @@ def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
 
 def hat_g(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
     """Symmetric companion of hat_f: V (x) W -> L(W*, V)."""
-    desc = v.diffeology
-    if not isinstance(desc, (Fine, Coarse)):
-        raise UnsupportedDescriptorError("hat_g requires a fine or coarse first factor")
     dual_w = diffeological_dual(w)
     n, m, a = v.dim, w.dim, dual_w.dim
     t = tensor_product(v, w)
@@ -265,22 +259,15 @@ def hat_g(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
 
 @dataclass(frozen=True)
 class EndoComparison:
-    """dim(V* (x) V) against dim L^inf(V, V), where computable."""
+    """dim(V* (x) V) against dim L^inf(V, V)."""
 
     dual_tensor_dim: int
-    endo_hom_dim: int | None
+    endo_hom_dim: int
 
     @property
-    def equal(self) -> bool | None:
-        if self.endo_hom_dim is None:
-            return None
+    def equal(self) -> bool:
         return self.dual_tensor_dim == self.endo_hom_dim
 
 
 def endo_remark_check(v: DiffSpace) -> EndoComparison:
-    left = diffeological_dual(v).dim * v.dim
-    try:
-        right: int | None = smooth_hom_basis(v, v).dim
-    except UnsupportedDescriptorError:
-        right = None
-    return EndoComparison(left, right)
+    return EndoComparison(diffeological_dual(v).dim * v.dim, smooth_hom_basis(v, v).dim)

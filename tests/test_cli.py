@@ -89,6 +89,20 @@ def test_oracle_subcommand_record(run):
     assert set(doc["result"]) == {"expression", "order", "scale", "value", "verdict"}
 
 
+def test_oracle_finds_a_small_kink_under_a_large_constant(run):
+    # |x|*x^3 fails at order 5 however small its coefficient; a rounding
+    # floor scaled by the constant used to push the answer to order 7.
+    code, out, _ = run("--json", "oracle", "1000000 + 1/1000000*abs(x)*x^3")
+    assert code == 0
+    assert json.loads(out)["result"]["order"] == 5
+
+
+def test_hom_into_generated_codomain(run):
+    code, out, _ = run("hom", "fine2", "kink2_1")
+    assert code == 0
+    assert "dim L^inf(V, W) = 4" in out
+
+
 def test_cross_validate_subcommand(run):
     code, out, _ = run("--json", "cross-validate", "kink3_1", "0,1,1", "--trials", "5")
     assert code == 0
@@ -103,7 +117,7 @@ def test_input_errors_exit_2(run):
     assert run("dual", "nope")[0] == 2
     assert run("check-plot", "kink2_1", "abs(x)")[0] == 2
     assert run("check-plot", "kink2_1", "abs(", "0")[0] == 2
-    assert run("hom", "fine2", "kink2_1")[0] == 2
+    assert run("hom", "fine2", "nope")[0] == 2
     assert run("-f", "/nonexistent.json", "dual", "x")[0] == 2
 
 
@@ -115,6 +129,7 @@ def test_input_errors_exit_2(run):
     ("hat-dual", "kink2_1", "--iso", '[["1","1"],["1","1"]]'),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "0"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
+    ("oracle", "x", "--max-order", "100000"),
 ])
 def test_bad_input_exits_2_with_one_error_line(run, argv):
     code, out, err = run(*argv)

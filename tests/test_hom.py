@@ -28,8 +28,9 @@ from diffeolin import (
     represent_dual,
     singular_span,
     smooth_hom_basis,
+    tensor_product,
 )
-from diffeolin.linalg import identity, transpose
+from diffeolin.linalg import identity, invert, transpose
 
 
 def frac_matrix(rows):
@@ -136,9 +137,61 @@ def test_smooth_hom_members_are_smooth():
         assert is_smooth_linear(LinearMap(v, w, rows)) is Verdict.SMOOTH
 
 
-def test_smooth_hom_rejects_generated_codomain():
-    with pytest.raises(UnsupportedDescriptorError):
-        smooth_hom_basis(make_fine(2), kink_space(2, 1))
+def test_smooth_hom_generated_codomain():
+    # Every linear map out of a fine space is smooth, whatever the codomain.
+    assert smooth_hom_basis(make_fine(2), kink_space(2, 1)).dim == 4
+    # An endomorphism of <(|x|, 0)> must keep the kink direction e0 in place.
+    basis = smooth_hom_basis(kink_space(2, 1), kink_space(2, 1))
+    assert basis.dim == 3
+    assert not basis.contains([0, 0, 1, 0])
+
+
+def _random_hom_space(rng, depth=0):
+    kinds = ["fine", "coarse", "generated"] + (["sum", "hat", "tensor"] if depth == 0 else [])
+    kind = rng.choice(kinds)
+    n = rng.randint(1, 3)
+    if kind == "fine":
+        return make_fine(n)
+    if kind == "coarse":
+        return make_coarse(n)
+    if kind == "generated":
+        plots = []
+        for _ in range(rng.randint(1, 2)):
+            comps = [FunctionExpr.monomial(rng.randint(0, 2), rng.randint(-2, 2))
+                     + FunctionExpr.abs_monomial(rng.randint(0, 3), rng.randint(-2, 2))
+                     for _ in range(n)]
+            plots.append(Plot(comps))
+        return make_generated(n, plots)
+    if kind == "sum":
+        return direct_sum(_random_hom_space(rng, 1), _random_hom_space(rng, 1))
+    if kind == "tensor":
+        return tensor_product(_random_hom_space(rng, 1), _random_hom_space(rng, 1))
+    base = _random_hom_space(rng, 1)
+    while True:
+        iso = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(base.dim))
+                    for _ in range(base.dim))
+        if invert(iso) is not None:
+            return hat_dual(base, iso)
+
+
+def test_smooth_hom_basis_agrees_with_the_map_check():
+    """Membership in smooth_hom_basis(v, w) is is_smooth_linear, on random
+    pairs of fine, coarse, generated, sum, hat and tensor spaces; half of
+    the sampled matrices are drawn from the basis itself."""
+    rng = random.Random(20150430)
+    for _ in range(60):
+        v, w = _random_hom_space(rng), _random_hom_space(rng)
+        basis = smooth_hom_basis(v, w)
+        n, m = v.dim, w.dim
+        for _ in range(4):
+            if basis.dim and rng.random() < 0.5:
+                coeffs = [rng.randint(-2, 2) for _ in basis.basis]
+                flat = [sum(c * b[i] for c, b in zip(coeffs, basis.basis)) for i in range(n * m)]
+            else:
+                flat = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n * m)]
+            matrix = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(m))
+            smooth = is_smooth_linear(LinearMap(v, w, matrix)) is Verdict.SMOOTH
+            assert basis.contains(flat) == smooth, (v.describe(), w.describe(), matrix)
 
 
 # --- dual maps ---------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 from diffeolin import FunctionExpr, OracleConfig, classify, cross_validate
 from diffeolin.atoms import abs_mono, mono
+from diffeolin.exprparse import MAX_DEGREE
+from diffeolin.oracle import MAX_ORDER, _homogeneous_difference, _stencil_sums
 from diffeolin.spaces import kink_plot, make_coarse, make_fine, make_generated
 
 A = FunctionExpr.abs_monomial
@@ -62,11 +64,77 @@ def test_small_kink_amid_large_polynomial():
     assert classify(expr).failing_order == 8
 
 
+def test_small_kink_under_a_large_constant():
+    # A degree-3 kink fails at order 5 whatever its coefficient.
+    assert classify(M(0, 10**6) + A(3, Fraction(1, 10**6))).failing_order == 5
+
+
+def test_differences_beyond_the_float_range_are_not_divergence():
+    # The growth test runs on exact values: a huge constant slope is smooth,
+    # and only the reported value of a huge kink is rounded to infinity.
+    assert classify(M(1, 10**400)).smooth
+    assert classify(M(1, 10**400) + A(3)).failing_order == 5
+    huge_kink = classify(A(0, 10**400))
+    assert (huge_kink.failing_order, huge_kink.value) == (2, math.inf)
+
+
+def test_highest_parsable_kink_fails_at_the_order_bound():
+    assert MAX_ORDER == MAX_DEGREE + 2
+    cfg = OracleConfig(max_order=MAX_ORDER)
+    assert classify(M(MAX_DEGREE) + A(MAX_DEGREE), cfg).failing_order == MAX_ORDER
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(max_order=1)
     with pytest.raises(ValueError):
+        OracleConfig(max_order=MAX_ORDER + 1)
+    with pytest.raises(ValueError):
         OracleConfig(growth_threshold=-1)
+    with pytest.raises(ValueError):
+        OracleConfig(half_widths=(0.5, 0.0))
+
+
+def _reference_exact_difference(f, order, h):
+    """The direct exact stencil: sum_j w_j * f((order/2 - j) * h) / h^order,
+    every node evaluated in Fraction arithmetic."""
+    acc = Fraction(0)
+    step = Fraction(h)
+    for j in range(order + 1):
+        w = (-1) ** j * math.comb(order, j)
+        acc += w * f.evaluate(Fraction(order / 2 - j) * step)
+    return abs(float(acc / step**order))
+
+
+def _random_expression(rng):
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        kind = abs_mono if rng.random() < 0.5 else mono
+        terms.append((kind(rng.randint(0, 8)),
+                      Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))))
+    return FunctionExpr(terms)
+
+
+def test_homogeneous_sums_equal_the_direct_stencil_bit_for_bit():
+    rng = random.Random(20150430)
+    half_widths = OracleConfig().half_widths
+    for _ in range(40):
+        expr = _random_expression(rng)
+        for order in range(1, 9):
+            sums = _stencil_sums(expr, order)
+            for h in half_widths:
+                assert float(_homogeneous_difference(sums, h)) == \
+                    _reference_exact_difference(expr, order, h), (expr, order, h)
+
+
+def test_expressions_never_take_the_float_path(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("float evaluation of an atom expression")
+
+    monkeypatch.setattr(FunctionExpr, "evaluate_float", refuse)
+    expr = M(0, 3) + M(2, -1) + A(2, Fraction(1, 5))
+    assert classify(expr).failing_order == 4
+    assert classify(M(5)).smooth
 
 
 def test_agreement_rate_on_random_expressions():

@@ -203,6 +203,12 @@ def test_hat_f_and_hat_g_comparisons():
     assert fine_case.tensor_dim == fine_case.hom_dim == 4
     assert fine_case.isomorphic is True
 
+    # Generated factors: L^inf(V*, W) has V* fine, so every map counts.
+    kink = kink_space(2, 1)
+    gen_f, gen_g = hat_f(kink, kink), hat_g(kink, make_coarse(1))
+    assert (gen_f.tensor_dim, gen_f.hom_dim, gen_f.isomorphic) == (4, 2, False)
+    assert (gen_g.tensor_dim, gen_g.hom_dim, gen_g.isomorphic) == (2, 0, False)
+
 
 def test_endo_remark_examples():
     assert (endo_remark_check(make_coarse(2)).dual_tensor_dim,
@@ -210,7 +216,7 @@ def test_endo_remark_examples():
     fine3 = endo_remark_check(make_fine(3))
     assert (fine3.dual_tensor_dim, fine3.endo_hom_dim, fine3.equal) == (9, 9, True)
     gen = endo_remark_check(kink_space(2, 1))
-    assert (gen.dual_tensor_dim, gen.endo_hom_dim, gen.equal) == (2, None, None)
+    assert (gen.dual_tensor_dim, gen.endo_hom_dim, gen.equal) == (2, 3, False)
 
 
 def test_iterated_tensor_factors():
