@@ -48,7 +48,6 @@ from .spaces import (
     Pushforward,
     SumOf,
     TensorOf,
-    UnsupportedDescriptorError,
     Verdict,
     combine_verdicts,
     direct_sum,

@@ -1,29 +1,31 @@
 """Smooth bilinear maps and the curry/uncurry correspondence.
 
-A bilinear map into a fine space is smooth iff every coefficient slice with
-a singular direction on either side vanishes: pairing a singular generator
-with a constant plot produces |x| times a constant, which is smooth only if
-zero.  Diagonal generator pairs contribute |x|*|x| = x^2 terms and impose
-nothing, so the binding constraints come from the mixed pairs.
+By the universal property of the tensor product diffeology, a bilinear map
+b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
+is smooth.  Smoothness of b is therefore ``check_smooth_linear``'s
+criterion on the block presentation of V (x) W, for every codomain Z:
+pairing a singular or coarse direction of one factor with a constant plot
+of the other gives the block directions, and diagonal generator pairs only
+contribute |x|*|x| = x^2 terms, which impose nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Subspace, Vector, kron_vector
+from .hom import smooth_hom_basis
+from .linalg import Subspace, Vector
 from .spaces import (
-    Coarse,
     DiffSpace,
     DiffeolinError,
     DimensionMismatchError,
-    Fine,
-    UnsupportedDescriptorError,
     Verdict,
-    singular_span,
+    presentation,
 )
+from .tensor import tensor_product
 
 
 @dataclass(frozen=True)
@@ -61,24 +63,21 @@ class BilinearForm:
         return tuple(out)
 
     def left_slice(self, u: Sequence) -> tuple[Vector, ...]:
-        """The family b(u, v_j) for all j."""
+        """The family b(u, w_j) for all j."""
+        terms = [(Fraction(ui), row) for ui, row in zip(u, self.coefficients) if ui]
         return tuple(
-            tuple(
-                sum((Fraction(ui) * self.coefficients[i][j][k] for i, ui in enumerate(u)),
-                    Fraction(0))
-                for k in range(self.codomain.dim)
-            )
+            tuple(sum((c * row[j][k] for c, row in terms), Fraction(0))
+                  for k in range(self.codomain.dim))
             for j in range(self.right.dim)
         )
 
     def right_slice(self, w: Sequence) -> tuple[Vector, ...]:
+        """The family b(v_i, w) for all i."""
+        terms = [(j, Fraction(wj)) for j, wj in enumerate(w) if wj]
         return tuple(
-            tuple(
-                sum((Fraction(wj) * self.coefficients[i][j][k] for j, wj in enumerate(w)),
-                    Fraction(0))
-                for k in range(self.codomain.dim)
-            )
-            for i in range(self.left.dim)
+            tuple(sum((c * row[j][k] for j, c in terms), Fraction(0))
+                  for k in range(self.codomain.dim))
+            for row in self.coefficients
         )
 
     def transpose(self) -> "BilinearForm":
@@ -103,46 +102,40 @@ def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
 
 
 def is_smooth_bilinear(b: BilinearForm) -> Verdict:
-    desc = b.codomain.diffeology
-    if isinstance(desc, Coarse):
-        return Verdict.SMOOTH
-    if not isinstance(desc, Fine):
-        raise UnsupportedDescriptorError(
-            "bilinear smoothness requires a fine or coarse codomain"
-        )
-    for s in singular_span(b.left).basis:
-        if any(any(v) for v in b.left_slice(s)):
-            return Verdict.NOT_SMOOTH
-    for t in singular_span(b.right).basis:
-        if any(any(v) for v in b.right_slice(t)):
+    """``check_smooth_linear``'s criterion for the induced map V (x) W -> Z,
+    read off the factor presentations without building V (x) W.
+
+    The block presentation of V (x) W has the directions c (x) e_j and
+    e_i (x) c for coarse directions c of either factor, and r (x) e_j and
+    e_i (x) r at degree d for each row r presented at degree d.  The induced
+    map sends them to the slices b(c, e_j), b(e_i, c), b(r, e_j) and
+    b(e_i, r); the first two must lie in the coarse part of Z, the others in
+    its filtration step F_d.
+    """
+    left, right, cod = presentation(b.left), presentation(b.right), presentation(b.codomain)
+    blocks = itertools.chain(
+        ((cod.coarse, b.left_slice(c)) for c in left.coarse.basis),
+        ((cod.coarse, b.right_slice(c)) for c in right.coarse.basis),
+        ((cod.filtration_step(d), b.left_slice(r)) for d, r in left.rows),
+        ((cod.filtration_step(d), b.right_slice(r)) for d, r in right.rows),
+    )
+    for target, images in blocks:
+        if not all(target.contains(y) for y in images):
             return Verdict.NOT_SMOOTH
     return Verdict.SMOOTH
 
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth bilinear maps v x v -> w over the n*n*q flattened
-    coordinates.  For a fine codomain these are exactly the forms vanishing
-    whenever either argument meets the singular span."""
+    coordinates (i, j, k) of ``form_from_flat``: the smooth linear maps
+    v (x) v -> w, whose matrix entry (k, i*n + j) is reindexed to
+    (i*n + j)*q + k."""
     n, q = v.dim, w.dim
-    total = n * n * q
-    desc = w.diffeology
-    if isinstance(desc, Coarse):
-        return Subspace.full(total)
-    if not isinstance(desc, Fine):
-        raise UnsupportedDescriptorError(
-            "smooth bilinear basis requires a fine or coarse codomain"
-        )
-    ann = singular_span(v).annihilator()
-    rows = []
-    for phi in ann.basis:
-        for psi in ann.basis:
-            pair = kron_vector(phi, psi)
-            for k in range(q):
-                rows.append(tuple(
-                    pair[idx // q] if idx % q == k else Fraction(0)
-                    for idx in range(total)
-                ))
-    return Subspace.from_rows(total, rows)
+    hom = smooth_hom_basis(tensor_product(v, v), w)
+    return Subspace.from_rows(n * n * q, [
+        tuple(row[k * n * n + p] for p in range(n * n) for k in range(q))
+        for row in hom.basis
+    ])
 
 
 @dataclass(frozen=True)
@@ -177,10 +170,6 @@ def curry(b: BilinearForm) -> CurriedMap:
         raise DiffeolinError("curry requires matching left and right spaces")
     if is_smooth_bilinear(b) is not Verdict.SMOOTH:
         raise DiffeolinError("curry requires a Smooth bilinear form")
-    return _curry_unchecked(b)
-
-
-def _curry_unchecked(b: BilinearForm) -> CurriedMap:
     q = b.codomain.dim
     blocks = tuple(
         tuple(

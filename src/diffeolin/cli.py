@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -28,7 +29,6 @@ from .spacefile import SpaceFile, SpaceFileError, load_space_file, parse_rationa
 from .spaces import (
     DiffeolinError,
     Plot,
-    UnsupportedDescriptorError,
     Verdict,
     is_plot,
     singular_span,
@@ -44,6 +44,8 @@ class InputError(ValueError):
 def _jsonify(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "inf" / "-inf": JSON has no literal for them
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
@@ -332,7 +334,7 @@ class _Output:
 
     def emit(self) -> None:
         if self.as_json:
-            print(json.dumps(self.document, indent=2))
+            print(json.dumps(self.document, indent=2, allow_nan=False))
         else:
             for line in self.lines:
                 print(line)
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
     out = _Output(args.command, args.json)
     try:
         code = args.handler(args, out)
-    except (InputError, SpaceFileError, ParseError, UnsupportedDescriptorError) as exc:
+    except (InputError, SpaceFileError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -9,7 +9,8 @@ Grammar (whitespace insignificant, no float literals):
 
 Examples: ``3*x^2``, ``abs(x)``, ``abs(x)*x^3``, ``-1/2*abs(x)``.
 Products are evaluated in the algebra, so ``abs(x)*abs(x)`` parses to
-``x^2``.  Exponents above ``MAX_DEGREE`` are rejected to bound runtimes.
+``x^2``.  Exponents above ``MAX_DEGREE``, and products whose degree exceeds
+it, are rejected to bound runtimes.
 """
 
 from __future__ import annotations
@@ -111,8 +112,11 @@ class _Parser:
     def parse_term(self, sign: Fraction) -> FunctionExpr:
         result = self.parse_factor() * sign
         while self.peek().kind == "*":
-            self.take("*")
+            tok = self.take("*")
             result = result * self.parse_factor()
+            if any(atom.degree > MAX_DEGREE for atom, _ in result.terms):
+                raise ParseError(f"product degree exceeds the maximum {MAX_DEGREE}",
+                                 tok.position)
         return result
 
     def parse_factor(self) -> FunctionExpr:

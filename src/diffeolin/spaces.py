@@ -49,10 +49,6 @@ class DimensionMismatchError(DiffeolinError):
     pass
 
 
-class UnsupportedDescriptorError(DiffeolinError):
-    pass
-
-
 class Verdict(enum.Enum):
     """Answer of the decision procedures.
 
@@ -311,7 +307,7 @@ def _build_presentation(space: DiffSpace) -> Presentation:
         coarse = base.coarse.map_by(m)
         rows = tuple((deg, matvec(m, r)) for deg, r in base.rows)
         return Presentation(n, coarse, rows)
-    raise UnsupportedDescriptorError(f"no presentation for descriptor {type(d).__name__}")
+    raise TypeError(f"no presentation for descriptor {type(d).__name__}")
 
 
 def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:

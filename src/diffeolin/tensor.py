@@ -7,6 +7,9 @@ singular span of a tensor product is the block span
 
 which is exactly what mixed generator/constant plot pairs reach; pairs of
 singular generators only add |x|*|x| = x^2 terms, which are smooth.  The
+block presentation (``spaces._tensor_presentation``) is built from the
+factor presentations alone, so any two spaces tensor: fine, coarse,
+generated, sums, tensors, pushforwards (hat duals) and duals.  The
 dual-dimension multiplicativity of the computed spans is asserted wherever
 a tensor dual is produced, so a wrong block formula fails loudly.
 """
@@ -22,7 +25,6 @@ from .hom import (
     LinearMap,
     diffeological_dual,
     is_smooth_linear,
-    represent_dual,
     smooth_hom_basis,
 )
 from .linalg import (
@@ -33,29 +35,15 @@ from .linalg import (
     unit_vector,
 )
 from .spaces import (
-    Coarse,
     DiffSpace,
     DiffeolinError,
-    Fine,
     Generated,
     Plot,
-    SumOf,
     TensorOf,
-    UnsupportedDescriptorError,
     Verdict,
     direct_sum,
     singular_span,
 )
-
-_SUPPORTED_FACTORS = (Fine, Coarse, Generated, SumOf, TensorOf)
-
-
-def _check_factor(space: DiffSpace) -> None:
-    if not isinstance(space.diffeology, _SUPPORTED_FACTORS):
-        raise UnsupportedDescriptorError(
-            f"tensor factors must be fine, coarse, generated, sums or tensors; "
-            f"got {type(space.diffeology).__name__}"
-        )
 
 
 def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
@@ -64,8 +52,6 @@ def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
     Product plots of generator pairs are validated to stay inside the block
     span; a violation would falsify the block formula and raises.
     """
-    _check_factor(v)
-    _check_factor(w)
     space = DiffSpace(v.dim * w.dim, TensorOf(v, w))
     _validate_generator_pairs(space, v, w)
     return space
@@ -95,10 +81,8 @@ def _validate_generator_pairs(space: DiffSpace, v: DiffSpace, w: DiffSpace) -> N
 
 
 def tensor_of_maps(f: LinearMap, g: LinearMap) -> LinearMap:
-    """Kronecker product of two smooth maps between supported spaces."""
+    """Kronecker product of two smooth maps."""
     for m in (f, g):
-        if not isinstance(m.domain, DiffSpace) or not isinstance(m.codomain, DiffSpace):
-            raise UnsupportedDescriptorError("tensor of maps needs concrete spaces")
         if is_smooth_linear(m) is not Verdict.SMOOTH:
             raise DiffeolinError("tensor of maps requires Smooth factors")
     domain = tensor_product(f.domain, g.domain)
@@ -224,7 +208,6 @@ def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
     coordinates; reports dimensions but never asserts an isomorphism."""
     dual_v = diffeological_dual(v)
     n, m, a = v.dim, w.dim, dual_v.dim
-    t = tensor_product(v, w)
     # Row-major target coordinates: image matrix entry (r, col) at r*a + col.
     rows = []
     basis = dual_v.annihilator_basis.basis
@@ -235,26 +218,18 @@ def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
                 for j in range(m):
                     row.append(basis[col][i] if j == r else Fraction(0))
             rows.append(tuple(row))
-    hom_dim = smooth_hom_basis(represent_dual(dual_v), w).dim
-    return FunctionSpaceComparison(t.dim, hom_dim, tuple(rows))
+    return FunctionSpaceComparison(n * m, smooth_hom_basis(dual_v, w).dim, tuple(rows))
 
 
 def hat_g(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
-    """Symmetric companion of hat_f: V (x) W -> L(W*, V)."""
-    dual_w = diffeological_dual(w)
-    n, m, a = v.dim, w.dim, dual_w.dim
-    t = tensor_product(v, w)
-    rows = []
-    basis = dual_w.annihilator_basis.basis
-    for r in range(n):
-        for col in range(a):
-            row = []
-            for i in range(n):
-                for j in range(m):
-                    row.append(basis[col][j] if i == r else Fraction(0))
-            rows.append(tuple(row))
-    hom_dim = smooth_hom_basis(represent_dual(dual_w), v).dim
-    return FunctionSpaceComparison(t.dim, hom_dim, tuple(rows))
+    """Symmetric companion of hat_f: V (x) W -> L(W*, V).  It is hat_f(w, v)
+    with the tensor factors swapped: its input column j*n + i (w_j (x) v_i)
+    becomes column i*m + j (v_i (x) w_j)."""
+    swapped = hat_f(w, v)
+    n, m = v.dim, w.dim
+    rows = tuple(tuple(row[j * n + i] for i in range(n) for j in range(m))
+                 for row in swapped.matrix)
+    return FunctionSpaceComparison(swapped.tensor_dim, swapped.hom_dim, rows)
 
 
 @dataclass(frozen=True)

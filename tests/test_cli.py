@@ -45,6 +45,15 @@ def test_bilinear_subcommand(run):
     assert "dim B^inf(V, W) = 0" in out
 
 
+def test_bilinear_into_generated_codomain(run):
+    # b: V x V -> V for V = <(|x|, 0)>: the three block directions e0 (x) e0,
+    # e0 (x) e1 and e1 (x) e0 must map into the kink line, which fixes 3 of
+    # the 8 coefficients.
+    code, out, _ = run("bilinear", "kink2_1", "kink2_1")
+    assert code == 0
+    assert "dim B^inf(V, W) = 5" in out
+
+
 def test_tensor_subcommand_with_dual_iso(run):
     code, out, _ = run("tensor", "kink2_1", "kink2_1", "--dual-iso")
     assert code == 0
@@ -89,6 +98,19 @@ def test_oracle_subcommand_record(run):
     assert set(doc["result"]) == {"expression", "order", "scale", "value", "verdict"}
 
 
+def test_json_output_is_valid_beyond_the_float_range(run):
+    # 10^400*|x| has a second difference beyond the float range; JSON has no
+    # Infinity, so the value is written as a string.
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    code, out, _ = run("--json", "oracle", "1" + "0" * 400 + "*abs(x)")
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["result"]["value"] == "inf"
+    assert doc["result"]["order"] == 2
+
+
 def test_oracle_finds_a_small_kink_under_a_large_constant(run):
     # |x|*x^3 fails at order 5 however small its coefficient; a rounding
     # floor scaled by the constant used to push the answer to order 7.
@@ -130,6 +152,7 @@ def test_input_errors_exit_2(run):
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "0"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
     ("oracle", "x", "--max-order", "100000"),
+    ("oracle", "abs(x)*x^64*x^64"),
 ])
 def test_bad_input_exits_2_with_one_error_line(run, argv):
     code, out, err = run(*argv)

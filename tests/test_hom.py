@@ -7,10 +7,10 @@ import pytest
 
 from diffeolin import (
     DiffeolinError,
+    Fine,
     FunctionExpr,
     LinearMap,
     Plot,
-    UnsupportedDescriptorError,
     Verdict,
     check_smooth_linear,
     diffeological_dual,
@@ -101,9 +101,18 @@ def test_dual_dimension_formula_across_descriptors():
     assert diffeological_dual(s).dim == 3 - singular_span(s).dim == 1
 
 
-def test_dual_of_dual_is_rejected():
-    with pytest.raises(UnsupportedDescriptorError):
-        diffeological_dual(diffeological_dual(make_fine(2)))
+def test_dual_of_dual_is_fine():
+    # V* is fine R^(dim V*), so V** is fine of the same dimension: it equals
+    # V in dimension only when V is fine.
+    for v in (make_fine(2), make_coarse(3), kink_space(3, 1), kink_space(4, 2),
+              direct_sum(make_coarse(1), kink_space(2, 1))):
+        dual = diffeological_dual(v)
+        double = diffeological_dual(dual)
+        assert double.dim == dual.dim == v.dim - singular_span(v).dim
+        assert double.diffeology == Fine() and double.base is dual
+        assert singular_span(dual).dim == 0
+        assert is_smooth_linear(identity_map(double)) is Verdict.SMOOTH
+    assert diffeological_dual(diffeological_dual(make_coarse(3))).dim == 0
 
 
 def test_represent_dual():
@@ -250,6 +259,17 @@ def test_dual_map_output_smooth_for_representable_codomain_dual():
     for f in cases:
         assert is_smooth_linear(f) is Verdict.SMOOTH
         assert is_smooth_linear(dual_map(f)) is Verdict.SMOOTH
+
+
+def test_dual_map_between_duals():
+    # Duals are spaces, so dual_map applies to a map between duals: the
+    # transpose of a smooth map V* -> W* is a map W** -> V**.
+    dual_v = diffeological_dual(kink_space(3, 1))   # fine R^2
+    dual_w = diffeological_dual(make_fine(1))       # fine R^1
+    f = LinearMap(dual_v, dual_w, frac_matrix([[2, 3]]))
+    star = dual_map(f)
+    assert star.domain.base is dual_w and star.codomain.base is dual_v
+    assert star.matrix == frac_matrix([[2], [3]])
 
 
 def test_smoothness_into_dual_reduces_to_the_pairing():

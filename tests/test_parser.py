@@ -61,6 +61,16 @@ def test_degree_cap():
         parse_expr("x^65")
 
 
+def test_product_degree_cap():
+    # The cap holds for the product, not only for each exponent: the oracle's
+    # order bound covers |x|*x^64 and nothing above it.
+    assert parse_expr("abs(x)*x^32*x^32") == FunctionExpr.abs_monomial(64)
+    assert parse_expr("abs(x)*abs(x)*x^62") == FunctionExpr.monomial(64)
+    for text in ("abs(x)*x^64*x^64", "x^64*x", "abs(x)*abs(x)*x^63", "x^64*" * 1000 + "x"):
+        with pytest.raises(ParseError, match="exceeds"):
+            parse_expr(text)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse_expr("1/0")

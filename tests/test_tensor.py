@@ -11,13 +11,13 @@ from diffeolin import (
     FunctionExpr,
     LinearMap,
     Plot,
-    UnsupportedDescriptorError,
     Verdict,
     classify,
     diffeological_dual,
     direct_sum,
     distribute,
     endo_remark_check,
+    hat_dual,
     hat_f,
     hat_g,
     identity_map,
@@ -33,7 +33,7 @@ from diffeolin import (
     tensor_of_maps,
     tensor_product,
 )
-from diffeolin.linalg import Subspace, identity, matmul
+from diffeolin.linalg import Subspace, identity, invert, kron, matmul
 
 
 def kink_space(n, k):
@@ -61,12 +61,42 @@ def test_block_span_content():
     assert singular_span(t) == Subspace.from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
-def test_tensor_rejects_pushforward_factor():
-    from diffeolin import hat_dual
+def test_tensor_of_pushforward_factor():
+    swap = frac_matrix([[0, 1], [1, 0]])
+    hat = hat_dual(kink_space(2, 1), swap)          # kink along e1
+    t = tensor_product(hat, make_fine(2))
+    assert singular_span(t) == Subspace.from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert diffeological_dual(t).dim == 2
+    assert tensor_dual_iso(hat, kink_space(2, 1)).isomorphism
 
-    hat = hat_dual(make_fine(2), identity(2))
-    with pytest.raises(UnsupportedDescriptorError):
-        tensor_product(hat, make_fine(1))
+
+def test_tensor_of_hat_dual_is_hat_dual_of_tensor():
+    """(V, pushed along A) (x) W has the singular span of V (x) W pushed
+    along kron(A, I): both present (A r) (x) e_j and A e_i (x) s."""
+    rng = random.Random(31)
+    factors = [make_fine(2), make_coarse(1), kink_space(2, 1), kink_space(3, 2),
+               direct_sum(make_coarse(1), kink_space(2, 1)),
+               tensor_product(kink_space(2, 1), make_fine(1))]
+    for v, w in itertools.product(factors, repeat=2):
+        while True:
+            a = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(v.dim))
+                      for _ in range(v.dim))
+            if invert(a) is not None:
+                break
+        left = tensor_product(hat_dual(v, a), w)
+        right = hat_dual(tensor_product(v, w), kron(a, identity(w.dim)))
+        assert singular_span(left) == singular_span(right), (v.describe(), w.describe())
+
+
+def test_tensor_with_dual_factors():
+    # Duals are fine spaces, so they tensor like fine factors.
+    dual = diffeological_dual(kink_space(3, 1))     # fine R^2
+    t = tensor_product(dual, kink_space(2, 1))
+    assert t.dim == 4 and singular_span(t).dim == 2
+    assert diffeological_dual(t).dim == 2      # dim V** * dim <(|x|, 0)>* = 2 * 1
+    ident = identity_map(dual)
+    square = tensor_of_maps(ident, ident)
+    assert is_smooth_linear(square) is Verdict.SMOOTH and square.domain.dim == 4
 
 
 def test_dual_dimension_multiplicativity_exhaustive():
@@ -208,6 +238,14 @@ def test_hat_f_and_hat_g_comparisons():
     gen_f, gen_g = hat_f(kink, kink), hat_g(kink, make_coarse(1))
     assert (gen_f.tensor_dim, gen_f.hom_dim, gen_f.isomorphic) == (4, 2, False)
     assert (gen_g.tensor_dim, gen_g.hom_dim, gen_g.isomorphic) == (2, 0, False)
+
+    # V* = span{(0, 1)}: hat_f sends v_i (x) w_j to the matrix with V*-column
+    # entry phi(v_i) in row j; hat_g reads the same data with the factors
+    # swapped, so v_i (x) w_j goes to phi(w_j) in row i.
+    assert hat_f(kink, make_fine(2)).matrix == frac_matrix([[0, 0, 1, 0], [0, 0, 0, 1]])
+    assert hat_g(make_fine(2), kink).matrix == frac_matrix([[0, 1, 0, 0], [0, 0, 0, 1]])
+    assert hat_g(make_fine(2), make_fine(3)).matrix == frac_matrix(
+        [[1 if c == i * 3 + j else 0 for c in range(6)] for i in range(2) for j in range(3)])
 
 
 def test_endo_remark_examples():
