@@ -4,8 +4,8 @@ By the universal property of the tensor product diffeology, a bilinear map
 b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
 is smooth.  Smoothness of b is therefore ``check_smooth_linear``'s
 criterion on the block presentation of V (x) W, for every codomain Z:
-pairing a singular or coarse direction of one factor with a constant plot
-of the other gives the block directions, and diagonal generator pairs only
+pairing a row of one factor (coarse rows included) with a constant plot of
+the other gives the block rows, and diagonal generator pairs only
 contribute |x|*|x| = x^2 terms, which impose nothing.
 """
 
@@ -105,22 +105,17 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
     """``check_smooth_linear``'s criterion for the induced map V (x) W -> Z,
     read off the factor presentations without building V (x) W.
 
-    The block presentation of V (x) W has the directions c (x) e_j and
-    e_i (x) c for coarse directions c of either factor, and r (x) e_j and
-    e_i (x) r at degree d for each row r presented at degree d.  The induced
-    map sends them to the slices b(c, e_j), b(e_i, c), b(r, e_j) and
-    b(e_i, r); the first two must lie in the coarse part of Z, the others in
-    its filtration step F_d.
+    The block presentation of V (x) W has the rows r (x) e_j and e_i (x) r
+    at degree d for each row r presented at degree d >= -1 in either factor.
+    The induced map sends them to the slices b(r, e_j) and b(e_i, r), which
+    must lie in the filtration step F_d of Z (its coarse part for d = -1).
     """
     left, right, cod = presentation(b.left), presentation(b.right), presentation(b.codomain)
-    blocks = itertools.chain(
-        ((cod.coarse, b.left_slice(c)) for c in left.coarse.basis),
-        ((cod.coarse, b.right_slice(c)) for c in right.coarse.basis),
-        ((cod.filtration_step(d), b.left_slice(r)) for d, r in left.rows),
-        ((cod.filtration_step(d), b.right_slice(r)) for d, r in right.rows),
-    )
-    for target, images in blocks:
-        if not all(target.contains(y) for y in images):
+    blocks = itertools.chain(((d, b.left_slice(r)) for d, r in left.rows),
+                             ((d, b.right_slice(r)) for d, r in right.rows))
+    for d, images in blocks:
+        step = cod.filtration_step(d)
+        if not all(step.contains(y) for y in images):
             return Verdict.NOT_SMOOTH
     return Verdict.SMOOTH
 

@@ -117,34 +117,39 @@ def is_smooth_linear(f: LinearMap) -> Verdict:
     return check_smooth_linear(f).verdict
 
 
-def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
-    """Smoothness of a linear map, with a witness plot of the domain whenever
-    the verdict is NotSmooth.
+_COARSE_FAILURE = "image of a coarse direction leaves the coarse part"
 
-    The presentation of the domain spans its plots (see ``is_plot``): arbitrary maps into the coarse part,
-    and |x|*x^d * r for each row r presented at degree d.  The map is smooth
-    iff it sends the coarse part into the coarse part of the codomain and
-    each |x|*x^d * f(r) is a plot of the codomain, i.e. f(r) lies in F_d.
+
+def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
+    """Smoothness of a linear map, with a witness plot of the domain for a
+    NotSmooth verdict whenever an atom curve can show it.
+
+    The presentation of the domain spans its plots (see ``is_plot``):
+    arbitrary maps into the coarse part C = F_-1, and |x|*x^d * r for each
+    row r presented at degree d >= 0.  The map is smooth iff f(r) lies in
+    F_d of the codomain for every row (d, r), coarse rows included.
+
+    A failing row r of degree d >= 0 has the witness |x|*x^d * r.  A coarse
+    row c with f(c) outside C is shown by the atom curve |x| * c only when
+    f(c) is also outside F_0 of the codomain; otherwise only non-smooth set
+    maps into C show it.  If no failing row has a witness, the NotSmooth
+    verdict carries none.
     """
     pres = presentation(f.domain)
     cod_pres = presentation(f.codomain)
-    # Arbitrary set maps land in coarse directions of the domain; their
-    # images are plots only when they stay inside the coarse directions of
-    # the codomain.
-    for c in pres.coarse.basis:
-        if not cod_pres.coarse.contains(f.apply(c)):
-            return SmoothnessReport(
-                Verdict.NOT_SMOOTH,
-                witness=row_plot(c),
-                reason="image of a coarse direction leaves the coarse part",
-            )
+    coarse_failure = False
     for degree, r in pres.rows:
-        if not cod_pres.in_filtration(degree, f.apply(r)):
-            return SmoothnessReport(
-                Verdict.NOT_SMOOTH,
-                witness=row_plot(r, degree),
-                reason="image of a singular direction is not a plot",
-            )
+        image = f.apply(r)
+        if cod_pres.in_filtration(degree, image):
+            continue
+        if degree >= 0:
+            return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r, degree),
+                                    reason="image of a singular direction is not a plot")
+        coarse_failure = True
+        if not cod_pres.in_filtration(0, image):
+            return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r), reason=_COARSE_FAILURE)
+    if coarse_failure:
+        return SmoothnessReport(Verdict.NOT_SMOOTH, reason=_COARSE_FAILURE)
     return SmoothnessReport(Verdict.SMOOTH, reason="all singular images are plots")
 
 
@@ -152,19 +157,18 @@ def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth linear maps v -> w, as a subspace of L(v, w) over
     the row-major flattened matrix coordinates.
 
-    ``check_smooth_linear``'s criterion, linear in the matrix M: psi(M c) = 0
-    for psi in Ann(coarse part of w) and c in the coarse part of v, and
-    psi(M r) = 0 for psi in Ann(F_d(w)) and each row r presented at degree d
-    in v.  psi(M c) is kron(psi, c) dotted with the flattened M, so the
-    smooth maps are the annihilator of those constraint rows.
+    ``check_smooth_linear``'s criterion, linear in the matrix M: psi(M r) = 0
+    for psi in Ann(F_d(w)) and each row r presented at degree d >= -1 in v.
+    psi(M r) is kron(psi, r) dotted with the flattened M, so the smooth maps
+    are the annihilator of those constraint rows.
     """
     pres, cod_pres = presentation(v), presentation(w)
-    constraints = [kron_vector(psi, c)
-                   for psi in cod_pres.coarse.annihilator().basis
-                   for c in pres.coarse.basis]
+    annihilators: dict[int, Matrix] = {}
+    constraints = []
     for degree, r in pres.rows:
-        for psi in cod_pres.filtration_step(degree).annihilator().basis:
-            constraints.append(kron_vector(psi, r))
+        if degree not in annihilators:
+            annihilators[degree] = cod_pres.filtration_step(degree).annihilator().basis
+        constraints.extend(kron_vector(psi, r) for psi in annihilators[degree])
     return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
 
 

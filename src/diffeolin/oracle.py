@@ -16,7 +16,7 @@ numbers; only the reported value is rounded to float.
 
 Plain callables are evaluated in floats, where the k-th difference
 amplifies input rounding by 2^k / h^k; values below a worst-case rounding
-floor times ``noise_guard`` are ignored.
+floor times ``NOISE_GUARD`` are ignored.
 """
 
 from __future__ import annotations
@@ -38,26 +38,25 @@ _EPS = 2.0**-52
 MAX_ORDER = MAX_DEGREE + 2
 
 
+# The sweep of half-widths h, and the divergence test on it: a run of at
+# least AGREEMENT_POLICY consecutive steps, each growing by STEP_GROWTH, with
+# total growth GROWTH_THRESHOLD.  Calibrated on the atom basis: a diverging
+# order grows by at least x2 per halving, a converging one settles to ratio 1.
+HALF_WIDTHS = tuple(2.0**-i for i in range(2, 21))
+GROWTH_THRESHOLD = 10.0
+AGREEMENT_POLICY = 3
+STEP_GROWTH = 1.5
+# Float probes ignore values below this multiple of their rounding floor.
+NOISE_GUARD = 64.0
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     max_order: int = 8
-    half_widths: tuple[float, ...] = tuple(2.0**-i for i in range(2, 21))
-    growth_threshold: float = 10.0
-    agreement_policy: int = 3
-    # Calibrated on the atom basis: a diverging order grows by at least x2
-    # per halving, a converging one settles to ratio 1.
-    step_growth: float = 1.5
-    noise_guard: float = 64.0
 
     def __post_init__(self) -> None:
         if not 2 <= self.max_order <= MAX_ORDER:
             raise ValueError(f"max_order must be between 2 and {MAX_ORDER}")
-        if any(h <= 0 for h in self.half_widths):
-            raise ValueError("half_widths must be positive")
-        if self.growth_threshold <= 0 or self.step_growth <= 1:
-            raise ValueError("growth thresholds must be positive")
-        if self.agreement_policy < 1:
-            raise ValueError("agreement_policy must be >= 1")
 
 
 DEFAULT_CONFIG = OracleConfig()
@@ -138,16 +137,16 @@ def _rounded(value: float | Fraction) -> float:
         return math.inf
 
 
-def _diverges(values: Sequence[tuple[float | Fraction, bool]], cfg: OracleConfig) -> int | None:
+def _diverges(values: Sequence[tuple[float | Fraction, bool]]) -> int | None:
     """Index where a sustained divergent run is confirmed, else None.
 
-    A run is ``agreement_policy`` or more consecutive usable scale steps each
-    growing by ``step_growth``, with total growth at least
-    ``growth_threshold`` across the maximal run.
+    A run is ``AGREEMENT_POLICY`` or more consecutive usable scale steps each
+    growing by ``STEP_GROWTH``, with total growth at least
+    ``GROWTH_THRESHOLD`` across the maximal run.
     """
     # Fraction * float rounds like float * float: float values compare as
     # with a float step, exact values compare exactly.
-    growth = Fraction(cfg.step_growth)
+    growth = Fraction(STEP_GROWTH)
     run_start = None
     for i in range(1, len(values)):
         v_prev, ok_prev = values[i - 1]
@@ -158,7 +157,7 @@ def _diverges(values: Sequence[tuple[float | Fraction, bool]], cfg: OracleConfig
                 run_start = i - 1
             run_len = i - run_start
             total = v_cur / values[run_start][0]
-            if run_len >= cfg.agreement_policy and total >= cfg.growth_threshold:
+            if run_len >= AGREEMENT_POLICY and total >= GROWTH_THRESHOLD:
                 return i
         else:
             run_start = None
@@ -176,7 +175,7 @@ def classify(f: Probe, cfg: OracleConfig = DEFAULT_CONFIG) -> Classification:
     for order in range(1, cfg.max_order + 1):
         sums = _stencil_sums(f, order) if exact else ()
         values: list[tuple[float | Fraction, bool]] = []
-        for h in cfg.half_widths:
+        for h in HALF_WIDTHS:
             if exact:
                 v = _homogeneous_difference(sums, h)
                 values.append((v, v != 0))
@@ -185,10 +184,10 @@ def classify(f: Probe, cfg: OracleConfig = DEFAULT_CONFIG) -> Classification:
                 v, floor = _float_difference(f, order, h)
             except _Overflow:
                 return Classification(order, order, h, math.inf)
-            values.append((v, v > cfg.noise_guard * floor))
-        hit = _diverges(values, cfg)
+            values.append((v, v > NOISE_GUARD * floor))
+        hit = _diverges(values)
         if hit is not None:
-            return Classification(order, order, cfg.half_widths[hit], _rounded(values[hit][0]))
+            return Classification(order, order, HALF_WIDTHS[hit], _rounded(values[hit][0]))
     return Classification(None, cfg.max_order)
 
 

@@ -2,22 +2,22 @@
 
 A space is a dimension plus a diffeology descriptor.  Plots are generator
 curves R -> R^n with coordinates in the atom algebra, so the only possible
-non-smooth behaviour is |x|*x^k kinks at the origin.  Two derived objects
-drive every decision procedure:
+non-smooth behaviour is |x|*x^k kinks at the origin.  Every descriptor
+reduces to one normal form, the *presentation*: a flag of subspaces
 
-* the *singular span* S(V): the subspace of R^n spanned by the |x|-residue
-  directions reachable by plots of V.  A linear functional is smooth on V
-  exactly when it annihilates S(V).
+    C = F_-1  <=  F_0  <=  F_1  <=  ...  <=  F_top = S(V)
 
-* the *presentation* of V: the singular directions together with the least
-  atom degree at which each becomes reachable, plus the "coarse part" of V
-  (directions along which arbitrary set maps are plots).  Degrees matter
-  because smooth multipliers and reparametrisations x -> c*x can only move
-  residue content to higher degrees, never lower.
+given by degree-indexed rows.  C is the coarse part of V (directions along
+which arbitrary set maps are plots); F_e adds the directions reachable as
+|x|*x^e residues.  Degrees matter because smooth multipliers and
+reparametrisations x -> c*x can only move residue content to higher
+degrees, never lower.  The top step S(V) is the *singular span*: a linear
+functional is smooth on V exactly when it annihilates S(V).
 
-Plot membership is decided exactly on the degree filtration of the
-presentation (see ``is_plot``): every answer is Plot or NotPlot, and every
-NotPlot comes with a separating functional.
+Plot membership is decided exactly on the flag (see ``is_plot``): every
+answer is Plot or NotPlot, and every NotPlot comes with a separating
+functional.  Smoothness of linear and bilinear maps is one test per row:
+f(F_e V) <= F_e W for every e >= -1.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     Vector,
     dot,
+    identity,
     invert,
     matvec,
     vector,
@@ -220,38 +221,35 @@ def direct_sum(v: DiffSpace, w: DiffSpace) -> DiffSpace:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Reachable singular content of a space.
+    """The degree filtration of a space as one row list.
 
-    ``coarse`` collects the directions along which every set map is a plot;
-    ``rows`` holds (degree, direction) pairs: the direction is reachable as
-    an |x|*x^d residue for every d >= degree, but at no smaller degree.
-    The filtration steps F_e are built as subspaces on first use and kept.
+    ``rows`` holds (degree, direction) pairs: |x|*x^e times the direction is
+    a plot for every e >= degree.  The rows of degree -1 come first and are
+    the RREF basis of the coarse part C = F_-1, along which every set map is
+    a plot; no row of degree >= 0 lies in C.  The filtration steps F_e are
+    built as subspaces on first use and kept.
     """
 
     ambient_dim: int
-    coarse: Subspace
     rows: tuple[tuple[int, Vector], ...]
 
     @cached_property
     def _steps(self) -> dict[int, Subspace]:
-        return {}
+        # The coarse rows are already reduced, and F_-1 (possibly zero) is
+        # the answer for every degree below the first presented row.
+        return {-1: Subspace(self.ambient_dim, tuple(self.rows_up_to(-1)))}
 
     def singular_span(self) -> Subspace:
         return self.filtration_step(max((d for d, _ in self.rows), default=-1))
 
     def rows_up_to(self, degree: int) -> list[Vector]:
-        """Spanning rows of the filtration step F_degree: the coarse part plus
-        every direction presented at a degree <= ``degree``."""
-        out = list(self.coarse.basis)
-        out.extend(r for d, r in self.rows if d <= degree)
-        return out
+        """Spanning rows of the filtration step F_degree."""
+        return [r for d, r in self.rows if d <= degree]
 
     def filtration_step(self, degree: int) -> Subspace:
         """F_degree as a subspace.  Steps are keyed by the largest presented
         degree <= ``degree``, so each distinct step is reduced once."""
         key = max((d for d, _ in self.rows if d <= degree), default=-1)
-        if key < 0:
-            return self.coarse
         step = self._steps.get(key)
         if step is None:
             step = self._steps[key] = Subspace.from_rows(self.ambient_dim, self.rows_up_to(key))
@@ -273,89 +271,61 @@ def presentation(space: DiffSpace) -> Presentation:
 
 
 def _build_presentation(space: DiffSpace) -> Presentation:
+    """Spanning (degree, row) pairs per descriptor, then one normalising
+    step: the degree -1 rows are reduced to the RREF basis of C and put
+    first, and rows of degree >= 0 that lie in C are dropped."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Presentation(n, Subspace.zero(n), ())
+        return Presentation(n, ())
     if isinstance(d, Coarse):
-        return Presentation(n, Subspace.full(n), ())
+        return Presentation(n, tuple((-1, r) for r in identity(n)))
     if isinstance(d, Generated):
         rows = []
         for g in d.generators:
             if g.target_dim != n:
                 raise DimensionMismatchError("generator dimension mismatch")
             rows.extend(g.residue_rows().items())
-        return Presentation(n, Subspace.zero(n), tuple(rows))
-    if isinstance(d, SumOf):
-        pl, pr = presentation(d.left), presentation(d.right)
+    elif isinstance(d, SumOf):
         nl = d.left.dim
-        coarse = Subspace.from_rows(
-            n,
-            [_embed_row(r, 0, n) for r in pl.coarse.basis]
-            + [_embed_row(r, nl, n) for r in pr.coarse.basis],
-        )
-        rows = tuple(
-            [(deg, _embed_row(r, 0, n)) for deg, r in pl.rows]
-            + [(deg, _embed_row(r, nl, n)) for deg, r in pr.rows]
-        )
-        return Presentation(n, coarse, rows)
-    if isinstance(d, TensorOf):
-        return _tensor_presentation(d.left, d.right)
-    if isinstance(d, Pushforward):
-        base = presentation(d.base)
-        m = d.matrix
-        coarse = base.coarse.map_by(m)
-        rows = tuple((deg, matvec(m, r)) for deg, r in base.rows)
-        return Presentation(n, coarse, rows)
-    raise TypeError(f"no presentation for descriptor {type(d).__name__}")
+        rows = ([(deg, _embed_row(r, 0, n)) for deg, r in presentation(d.left).rows]
+                + [(deg, _embed_row(r, nl, n)) for deg, r in presentation(d.right).rows])
+    elif isinstance(d, TensorOf):
+        rows = _tensor_rows(d.left, d.right)
+    elif isinstance(d, Pushforward):
+        rows = [(deg, matvec(d.matrix, r)) for deg, r in presentation(d.base).rows]
+    else:
+        raise TypeError(f"no presentation for descriptor {type(d).__name__}")
+    if any(deg < 0 for deg, _ in rows):
+        coarse = Subspace.from_rows(n, [r for deg, r in rows if deg < 0])
+        rows = [(-1, r) for r in coarse.basis] + [
+            (deg, r) for deg, r in rows if deg >= 0 and not coarse.contains(r)]
+    return Presentation(n, tuple(rows))
 
 
-def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
-    """Block presentation of a tensor product.
+def _tensor_rows(left: DiffSpace, right: DiffSpace) -> list[tuple[int, Vector]]:
+    """Block rows of a tensor product.
 
-    A singular direction s of the left factor pairs with every constant plot
-    of the right factor, contributing s (x) e_j at the degree where s became
-    reachable; symmetrically on the other side.  Coarse directions absorb
-    everything they touch: arbitrary maps into C (x) R^m and R^n (x) C are
-    plots (split the arbitrary coefficient onto the coarse leg).
+    A row r of the left factor pairs with every constant plot of the right
+    factor, contributing r (x) e_j at the degree of r; symmetrically on the
+    other side.  Coarse rows absorb everything they touch: arbitrary maps
+    into C (x) R^m and R^n (x) C are plots (split the arbitrary coefficient
+    onto the coarse leg).
     """
     n, m = left.dim, right.dim
-    total = n * m
-    pl, pr = presentation(left), presentation(right)
-
-    def left_tensor(row: Vector, other_dim: int, jth: int) -> Vector:
-        out = [Fraction(0)] * total
-        for i, c in enumerate(row):
-            out[i * other_dim + jth] = c
-        return tuple(out)
-
-    def right_tensor(ith: int, row: Vector) -> Vector:
-        out = [Fraction(0)] * total
-        for j, c in enumerate(row):
-            out[ith * m + j] = c
-        return tuple(out)
-
-    coarse_rows = []
-    for r in pl.coarse.basis:
+    zero = zero_vector(n * m)
+    rows = []
+    for deg, r in presentation(left).rows:
         for j in range(m):
-            coarse_rows.append(left_tensor(r, m, j))
-    for r in pr.coarse.basis:
+            row = list(zero)
+            row[j::m] = r
+            rows.append((deg, tuple(row)))
+    for deg, r in presentation(right).rows:
         for i in range(n):
-            coarse_rows.append(right_tensor(i, r))
-    coarse = Subspace.from_rows(total, coarse_rows)
-
-    rows: list[tuple[int, Vector]] = []
-    for deg, r in pl.rows:
-        for j in range(m):
-            row = left_tensor(r, m, j)
-            if not coarse.contains(row):
-                rows.append((deg, row))
-    for deg, r in pr.rows:
-        for i in range(n):
-            row = right_tensor(i, r)
-            if not coarse.contains(row):
-                rows.append((deg, row))
-    return Presentation(total, coarse, tuple(rows))
+            row = list(zero)
+            row[i * m:(i + 1) * m] = r
+            rows.append((deg, tuple(row)))
+    return rows
 
 
 def singular_span(space: DiffSpace) -> Subspace:
@@ -374,9 +344,10 @@ def default_slack_degree(pres: Presentation, plot: Plot) -> int:
 def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
     """Decide membership of ``candidate`` in the diffeology of ``space``.
 
-    Let F_e = coarse + span{rows of degree <= e} be the degree filtration of
-    the presentation and rho_e the |x|*x^e residue row of the candidate.  The
-    candidate is a plot iff rho_e lies in F_e for every e.
+    Let F_e = span{rows of degree <= e} be the degree filtration of the
+    presentation, with F_-1 = C the coarse part, and rho_e the |x|*x^e
+    residue row of the candidate.  The candidate is a plot iff rho_e lies in
+    F_e for every e >= 0.
 
     Sufficiency: a generator g with rows r_d at degrees d has, after the
     reparametrisation x -> c*x (c > 0), residues c^(d+1) * r_d.  Combining

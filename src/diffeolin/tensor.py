@@ -7,7 +7,7 @@ singular span of a tensor product is the block span
 
 which is exactly what mixed generator/constant plot pairs reach; pairs of
 singular generators only add |x|*|x| = x^2 terms, which are smooth.  The
-block presentation (``spaces._tensor_presentation``) is built from the
+block presentation (``spaces._tensor_rows``) is built from the
 factor presentations alone, so any two spaces tensor: fine, coarse,
 generated, sums, tensors, pushforwards (hat duals) and duals.  The
 dual-dimension multiplicativity of the computed spans is asserted wherever
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .hom import (
     DualSpace,
@@ -209,15 +208,8 @@ def hat_f(v: DiffSpace, w: DiffSpace) -> FunctionSpaceComparison:
     dual_v = diffeological_dual(v)
     n, m, a = v.dim, w.dim, dual_v.dim
     # Row-major target coordinates: image matrix entry (r, col) at r*a + col.
-    rows = []
     basis = dual_v.annihilator_basis.basis
-    for r in range(m):
-        for col in range(a):
-            row = []
-            for i in range(n):
-                for j in range(m):
-                    row.append(basis[col][i] if j == r else Fraction(0))
-            rows.append(tuple(row))
+    rows = [kron_vector(basis[col], unit_vector(m, r)) for r in range(m) for col in range(a)]
     return FunctionSpaceComparison(n * m, smooth_hom_basis(dual_v, w).dim, tuple(rows))
 
 

@@ -31,6 +31,7 @@ from diffeolin import (
     tensor_product,
 )
 from diffeolin.linalg import identity, invert, transpose
+from diffeolin.spaces import presentation
 
 
 def frac_matrix(rows):
@@ -59,6 +60,22 @@ def test_functional_missing_the_kink_is_smooth():
     assert is_smooth_linear(f) is Verdict.SMOOTH
     g = LinearMap(v, make_fine(1), frac_matrix([[1, 0, 0]]))
     assert is_smooth_linear(g) is Verdict.NOT_SMOOTH
+
+
+def test_coarse_failure_inside_f0_has_no_atom_witness():
+    """|x| is a plot of <|x|>, so the identity from the coarse line into it
+    fails only on non-smooth set maps, and no atom curve witnesses that."""
+    f = LinearMap(make_coarse(1), make_generated(1, [kink_plot(1, 0)]), ((Fraction(1),),))
+    report = check_smooth_linear(f)
+    assert report.verdict is Verdict.NOT_SMOOTH
+    assert report.witness is None
+    assert report.reason == "image of a coarse direction leaves the coarse part"
+    # A later singular row that fails does carry a witness.
+    v = direct_sum(make_coarse(1), kink_space(1, 1))
+    report = check_smooth_linear(LinearMap(v, kink_space(2, 1), identity(2)))
+    assert report.verdict is Verdict.NOT_SMOOTH
+    assert report.witness == kink_plot(2, 1)
+    assert report.reason == "image of a singular direction is not a plot"
 
 
 def test_generated_codomain_uses_membership():
@@ -201,6 +218,43 @@ def test_smooth_hom_basis_agrees_with_the_map_check():
             matrix = tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(m))
             smooth = is_smooth_linear(LinearMap(v, w, matrix)) is Verdict.SMOOTH
             assert basis.contains(flat) == smooth, (v.describe(), w.describe(), matrix)
+
+
+def test_not_smooth_witnesses_are_plots_with_non_plot_images():
+    """On 240 seeded maps between fine, coarse, generated, sum, hat, tensor
+    and dual spaces, every NotSmooth witness is a plot of the domain whose
+    image is not a plot, and a NotSmooth verdict goes without a witness only
+    when every failing row is coarse with its image in F_0 of the
+    codomain."""
+    rng = random.Random(20150430)
+    seen = {"witness": 0, "none": 0}
+
+    def space():
+        if rng.random() < 0.15:
+            return diffeological_dual(_random_hom_space(rng))
+        return _random_hom_space(rng)
+
+    for _ in range(400):
+        v, w = space(), space()
+        matrix = tuple(tuple(Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 2))
+                             for _ in range(v.dim)) for _ in range(w.dim))
+        f = LinearMap(v, w, matrix)
+        report = check_smooth_linear(f)
+        if report.verdict is Verdict.SMOOTH:
+            assert report.witness is None
+            continue
+        if report.witness is not None:
+            seen["witness"] += 1
+            assert is_plot(v, report.witness) is Verdict.SMOOTH
+            assert is_plot(w, report.witness.transform(matrix)) is Verdict.NOT_SMOOTH
+            continue
+        seen["none"] += 1
+        cod = presentation(w)
+        failing = [(d, f.apply(r)) for d, r in presentation(v).rows
+                   if not cod.in_filtration(d, f.apply(r))]
+        assert failing
+        assert all(d == -1 and cod.in_filtration(0, image) for d, image in failing)
+    assert seen["witness"] >= 100 and seen["none"] >= 3, seen
 
 
 # --- dual maps ---------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a library module imports is used there."""
+"""Source hygiene: every name a library module imports is used there, and
+every function a library module defines has a caller."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,59 @@ def test_imports_are_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
+
+
+def defined_functions(tree):
+    """(qualified name, def node) for every function and method."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def tracer_names():
+    """``module.qualified name`` for every entry of the tracer's PUBLIC table."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "PUBLIC" for t in node.targets))
+    return {f"{module}.{name}" for module, names in table.items() for name in names}
+
+
+def test_every_function_has_a_caller():
+    """Every function and method under src/diffeolin is referenced in src/
+    outside its own body, exported from __init__.py, or looked up by the
+    benchmark tracer; dunder methods are called by Python itself."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
+    uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    exported = {name for name, _ in imported_names(trees["__init__"])}
+    traced = tracer_names()
+    orphans = []
+    for module, tree in trees.items():
+        for qualname, node in defined_functions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = Counter(referenced_names(node))[name]
+            if (uses[name] > own or name in exported
+                    or f"{module}.{qualname}" in traced):
+                continue
+            orphans.append(f"{module}.{qualname} (line {node.lineno})")
+    assert not orphans, "defined but never called: " + ", ".join(orphans)

@@ -26,9 +26,10 @@ from diffeolin import (
 )
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
-from diffeolin.linalg import Subspace, in_row_span, invert
+from diffeolin.linalg import Subspace, in_row_span, invert, matvec, rref
 from diffeolin.oracle import classify
-from diffeolin.spaces import Pushforward, DiffSpace, presentation
+from diffeolin.spaces import (
+    Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
 from diffeolin.tensor import tensor_dual_iso, tensor_product
 
 A = FunctionExpr.abs_monomial
@@ -324,6 +325,149 @@ def test_in_filtration_matches_row_span_membership():
                 candidates.append(tuple(sum(c) for c in zip(*rows)))
             for row in candidates:
                 assert pres.in_filtration(degree, row) is in_row_span(rows, row)
+
+
+# --- the normal form against the separate-coarse-part presentation -----------
+
+def _reference_embed_row(row, offset, total):
+    return (Fraction(0),) * offset + tuple(row) + (Fraction(0),) * (total - offset - len(row))
+
+
+def _reference_presentation(space):
+    """The presentation before the coarse part became the degree -1 rows:
+    (coarse subspace, (degree, row) pairs), one branch per descriptor."""
+    n = space.dim
+    d = space.diffeology
+    if isinstance(d, Fine):
+        return Subspace.zero(n), ()
+    if isinstance(d, Coarse):
+        return Subspace.full(n), ()
+    if isinstance(d, Generated):
+        rows = []
+        for g in d.generators:
+            rows.extend(g.residue_rows().items())
+        return Subspace.zero(n), tuple(rows)
+    if isinstance(d, SumOf):
+        (cl, rl), (cr, rr) = _reference_presentation(d.left), _reference_presentation(d.right)
+        nl = d.left.dim
+        coarse = Subspace.from_rows(
+            n,
+            [_reference_embed_row(r, 0, n) for r in cl.basis]
+            + [_reference_embed_row(r, nl, n) for r in cr.basis],
+        )
+        rows = tuple(
+            [(deg, _reference_embed_row(r, 0, n)) for deg, r in rl]
+            + [(deg, _reference_embed_row(r, nl, n)) for deg, r in rr]
+        )
+        return coarse, rows
+    if isinstance(d, TensorOf):
+        return _reference_tensor_presentation(d.left, d.right)
+    if isinstance(d, Pushforward):
+        coarse, rows = _reference_presentation(d.base)
+        m = d.matrix
+        return coarse.map_by(m), tuple((deg, matvec(m, r)) for deg, r in rows)
+    raise TypeError(type(d).__name__)
+
+
+def _reference_tensor_presentation(left, right):
+    n, m = left.dim, right.dim
+    total = n * m
+    (cl, rl), (cr, rr) = _reference_presentation(left), _reference_presentation(right)
+
+    def left_tensor(row, other_dim, jth):
+        out = [Fraction(0)] * total
+        for i, c in enumerate(row):
+            out[i * other_dim + jth] = c
+        return tuple(out)
+
+    def right_tensor(ith, row):
+        out = [Fraction(0)] * total
+        for j, c in enumerate(row):
+            out[ith * m + j] = c
+        return tuple(out)
+
+    coarse_rows = []
+    for r in cl.basis:
+        for j in range(m):
+            coarse_rows.append(left_tensor(r, m, j))
+    for r in cr.basis:
+        for i in range(n):
+            coarse_rows.append(right_tensor(i, r))
+    coarse = Subspace.from_rows(total, coarse_rows)
+
+    rows = []
+    for deg, r in rl:
+        for j in range(m):
+            row = left_tensor(r, m, j)
+            if not coarse.contains(row):
+                rows.append((deg, row))
+    for deg, r in rr:
+        for i in range(n):
+            row = right_tensor(i, r)
+            if not coarse.contains(row):
+                rows.append((deg, row))
+    return coarse, tuple(rows)
+
+
+def _reference_step(space, degree):
+    coarse, rows = _reference_presentation(space)
+    return Subspace.from_rows(space.dim, list(coarse.basis) + [r for d, r in rows if d <= degree])
+
+
+def _random_nested_space(rng, depth=0):
+    kinds = ["fine", "coarse", "generated"]
+    if depth < 2:
+        kinds += ["sum", "tensor", "hat", "dual"]
+    kind = rng.choice(kinds)
+    n = rng.randint(1, 3)
+    if kind == "fine":
+        return make_fine(n)
+    if kind == "coarse":
+        return make_coarse(n)
+    if kind == "generated":
+        return _random_generated(rng, n)[0]
+    if kind == "dual":
+        return diffeological_dual(_random_nested_space(rng, depth + 1))
+    if kind == "hat":
+        base = _random_nested_space(rng, depth + 1)
+        return hat_dual(base, _random_hat_iso(rng, base.dim))
+    # Nested tensors stay small: one factor of a tensor is a leaf.
+    v, w = _random_nested_space(rng, depth + 1), _random_nested_space(rng, 2)
+    return direct_sum(v, w) if kind == "sum" else tensor_product(v, w)
+
+
+def test_coarse_part_is_the_degree_minus_one_step_of_one_row_list():
+    """On fixed coarse-bearing spaces and 60 seeded nested ones, every
+    filtration step F_-1..F_6 equals the step of the presentation with a
+    separate coarse part; the degree -1 rows come first and are the RREF
+    basis of F_-1, and no row of degree >= 0 lies in F_-1."""
+    rng = random.Random(20150430)
+    kink = make_generated(2, [plot_of("abs(x)", "abs(x)*x^2")])
+    mixed = direct_sum(make_coarse(1), kink)
+    fixed = [
+        direct_sum(kink, make_coarse(2)),
+        tensor_product(make_coarse(2), kink),
+        tensor_product(kink, mixed),
+        tensor_product(mixed, direct_sum(kink, make_coarse(1))),
+        hat_dual(make_coarse(2), ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)))),
+        hat_dual(mixed, ((0, 1, 0), (1, 0, 0), (1, 1, 1))),
+        diffeological_dual(mixed),
+        direct_sum(tensor_product(make_coarse(1), kink), make_coarse(1)),
+    ]
+    spaces = fixed + [_random_nested_space(rng) for _ in range(60)]
+    assert sum(presentation(s).filtration_step(-1).dim > 0 for s in spaces) >= 20
+    for space in spaces:
+        pres = presentation(space)
+        for degree in range(-1, 7):
+            assert pres.filtration_step(degree) == _reference_step(space, degree), (
+                space.describe(), degree)
+        coarse = tuple(r for d, r in pres.rows if d == -1)
+        assert pres.rows[:len(coarse)] == tuple((-1, r) for r in coarse)
+        assert rref(coarse) == coarse
+        step = pres.filtration_step(-1)
+        assert step.basis == coarse
+        assert not any(step.contains(r) for d, r in pres.rows[len(coarse):])
+        assert all(d >= 0 for d, _ in pres.rows[len(coarse):])
 
 
 def test_memos_do_not_keep_spaces_alive():
