@@ -33,7 +33,6 @@ from .linalg import Matrix, Subspace, Vector, matrix, vector
 from .oracle import (
     AgreementReport,
     Classification,
-    OracleConfig,
     classify,
     cross_validate,
 )

@@ -24,7 +24,7 @@ from .hom import (
     hat_dual,
     smooth_hom_basis,
 )
-from .oracle import OracleConfig, classify, cross_validate
+from .oracle import DEFAULT_MAX_ORDER, Classification, classify, cross_validate
 from .spacefile import SpaceFile, SpaceFileError, load_space_file, parse_rational
 from .spaces import (
     DiffeolinError,
@@ -85,6 +85,16 @@ def _parse_functional(text: str):
 
 def _basis_lines(basis) -> list[str]:
     return ["  [" + ", ".join(str(x) for x in row) + "]" for row in basis]
+
+
+def _classification_record(expression: str, result: Classification) -> dict:
+    return {
+        "expression": expression,
+        "order": result.failing_order,
+        "scale": result.scale,
+        "value": result.value,
+        "verdict": result.label(),
+    }
 
 
 # --- command handlers ------------------------------------------------------
@@ -148,7 +158,6 @@ def _cmd_tensor(args, out):
         "singular_dim": span.dim,
         "dual_dim": dual.dim,
     }
-    code = 0
     if args.dual_iso:
         try:
             iso = tensor_dual_iso(v, w)
@@ -167,7 +176,7 @@ def _cmd_tensor(args, out):
         result["dual_iso_matrix"] = iso.matrix
         result["dual_iso"] = {"injective": iso.injective, "isomorphism": iso.isomorphism}
     out.payload(inputs={"left": args.left, "right": args.right}, result=result)
-    return code
+    return 0
 
 
 def _cmd_check_map(args, out):
@@ -176,11 +185,13 @@ def _cmd_check_map(args, out):
     report = check_smooth_linear(f)
     out.human(f"map {args.map}: {f.domain.describe()} -> {f.codomain.describe()}")
     out.human(f"verdict: {report.verdict.value}")
+    witness = None
     if report.witness is not None:
-        out.human("witness plot: (" + ", ".join(format_expr(c) for c in report.witness.components) + ")")
+        witness = [format_expr(c) for c in report.witness.components]
+        out.human("witness plot: (" + ", ".join(witness) + ")")
     out.payload(
         inputs={"map": args.map},
-        result={"reason": report.reason},
+        result={"reason": report.reason, "witness": witness},
         verdicts={"smooth": report.verdict},
     )
     return 0
@@ -231,17 +242,10 @@ def _cmd_oracle(args, out):
     except ParseError as exc:
         raise InputError(str(exc)) from exc
     try:
-        cfg = OracleConfig() if args.max_order is None else OracleConfig(max_order=args.max_order)
+        result = classify(expr, args.max_order)
     except ValueError as exc:
         raise InputError(f"--max-order: {exc}") from exc
-    result = classify(expr, cfg)
-    record = {
-        "expression": format_expr(expr),
-        "order": result.failing_order,
-        "scale": result.scale,
-        "value": result.value,
-        "verdict": result.label(),
-    }
+    record = _classification_record(format_expr(expr), result)
     out.human(f"{record['expression']}: {record['verdict']}")
     out.payload(inputs={"expression": args.expr}, result=record)
     return 0
@@ -258,7 +262,7 @@ def _cmd_cross_validate(args, out):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if report.skipped:
-        out.human("skipped: coarse spaces have no sampled representation")
+        out.human("skipped: a coarse part has no sampled representation")
     else:
         out.human(
             f"map verdict {report.map_verdict}; {report.trials} trials, "
@@ -267,14 +271,8 @@ def _cmd_cross_validate(args, out):
         for record in report.disagreements:
             out.human(f"  disagreement: {record.expression} -> {record.classification.label()}")
     records = [
-        {
-            "expression": r.expression,
-            "order": r.classification.failing_order,
-            "scale": r.classification.scale,
-            "value": r.classification.value,
-            "verdict": r.classification.label(),
-            "symbolic_smooth": r.symbolic_smooth,
-        }
+        {**_classification_record(r.expression, r.classification),
+         "symbolic_smooth": r.symbolic_smooth}
         for r in report.records
     ]
     out.payload(
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numeric smoothness classification of an expression")
     p.add_argument("expr")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("cross-validate", help="compare numeric and symbolic verdicts on a space")
@@ -408,10 +406,7 @@ def main(argv=None) -> int:
     out = _Output(args.command, args.json)
     try:
         code = args.handler(args, out)
-    except (InputError, SpaceFileError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, SpaceFileError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DiffeolinError as exc:

@@ -162,10 +162,6 @@ def parse_expr(text: str) -> FunctionExpr:
     return _Parser(text).parse()
 
 
-def _format_coefficient(c: Fraction) -> str:
-    return str(c)
-
-
 def format_expr(expr: FunctionExpr) -> str:
     """Canonical text form; reparses to an equal expression."""
     if not expr:
@@ -181,7 +177,7 @@ def format_expr(expr: FunctionExpr) -> str:
             factors.append(f"x^{atom.degree}")
         magnitude = abs(coeff)
         if magnitude != 1 or not factors:
-            factors.insert(0, _format_coefficient(magnitude))
+            factors.insert(0, str(magnitude))
         body = "*".join(factors)
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")

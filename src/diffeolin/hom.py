@@ -163,12 +163,10 @@ def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     are the annihilator of those constraint rows.
     """
     pres, cod_pres = presentation(v), presentation(w)
-    annihilators: dict[int, Matrix] = {}
     constraints = []
     for degree, r in pres.rows:
-        if degree not in annihilators:
-            annihilators[degree] = cod_pres.filtration_step(degree).annihilator().basis
-        constraints.extend(kron_vector(psi, r) for psi in annihilators[degree])
+        ann = cod_pres.filtration_step(degree).annihilator()
+        constraints.extend(kron_vector(psi, r) for psi in ann.basis)
     return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
 
 

@@ -291,8 +291,13 @@ class Subspace:
         target_dim = len(m)
         return Subspace.from_rows(target_dim, [matvec(m, row) for row in self.basis])
 
-    def annihilator(self) -> "Subspace":
-        """Functionals vanishing on the subspace, as rows in the dual coordinates."""
+    @cached_property
+    def _annihilator(self) -> "Subspace":
         if not self.basis:
             return Subspace.full(self.ambient_dim)
         return Subspace(self.ambient_dim, nullspace(self.basis, self.ambient_dim))
+
+    def annihilator(self) -> "Subspace":
+        """Functionals vanishing on the subspace, as rows in the dual
+        coordinates; computed on first use and kept on the subspace."""
+        return self._annihilator

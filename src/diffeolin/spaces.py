@@ -217,6 +217,40 @@ def direct_sum(v: DiffSpace, w: DiffSpace) -> DiffSpace:
     return DiffSpace(v.dim + w.dim, SumOf(v, w))
 
 
+def generating_plots(space: DiffSpace) -> tuple[Plot, ...]:
+    """Plots read off the definition of ``space``, not its presentation: the
+    generators of a generated space, each side's plots of a sum (zero-padded),
+    A*g for each plot g of a pushforward's base, and p (x) e_j and e_i (x) q
+    for plots p, q of a tensor's factors.  Fine and coarse spaces (duals are
+    fine) have none.  Without a coarse part, their residue rows span the
+    singular span."""
+    d = space.diffeology
+    if isinstance(d, Generated):
+        return d.generators
+    zero = FunctionExpr.zero()
+    if isinstance(d, SumOf):
+        left_pad, right_pad = [zero] * d.right.dim, [zero] * d.left.dim
+        return (tuple(Plot(list(p.components) + left_pad) for p in generating_plots(d.left))
+                + tuple(Plot(right_pad + list(q.components)) for q in generating_plots(d.right)))
+    if isinstance(d, Pushforward):
+        return tuple(p.transform(d.matrix) for p in generating_plots(d.base))
+    if isinstance(d, TensorOf):
+        n, m = d.left.dim, d.right.dim
+        plots = []
+        for p in generating_plots(d.left):
+            for j in range(m):
+                comps = [zero] * (n * m)
+                comps[j::m] = p.components
+                plots.append(Plot(comps))
+        for q in generating_plots(d.right):
+            for i in range(n):
+                comps = [zero] * (n * m)
+                comps[i * m:(i + 1) * m] = q.components
+                plots.append(Plot(comps))
+        return tuple(plots)
+    return ()
+
+
 # --- presentations -------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -36,11 +36,11 @@ from .linalg import (
 from .spaces import (
     DiffSpace,
     DiffeolinError,
-    Generated,
     Plot,
     TensorOf,
     Verdict,
     direct_sum,
+    generating_plots,
     singular_span,
 )
 
@@ -48,19 +48,13 @@ from .spaces import (
 def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
     """The tensor product space with the block singular span.
 
-    Product plots of generator pairs are validated to stay inside the block
-    span; a violation would falsify the block formula and raises.
+    Product plots of pairs of generating plots (``spaces.generating_plots``)
+    are validated to stay inside the block span; a violation would falsify
+    the block formula and raises.
     """
     space = DiffSpace(v.dim * w.dim, TensorOf(v, w))
     _validate_generator_pairs(space, v, w)
     return space
-
-
-def _generator_plots(space: DiffSpace) -> tuple[Plot, ...]:
-    d = space.diffeology
-    if isinstance(d, Generated):
-        return d.generators
-    return ()
 
 
 def product_plot(p: Plot, q: Plot) -> Plot:
@@ -70,7 +64,7 @@ def product_plot(p: Plot, q: Plot) -> Plot:
 
 def _validate_generator_pairs(space: DiffSpace, v: DiffSpace, w: DiffSpace) -> None:
     span = singular_span(space)
-    for p, q in itertools.product(_generator_plots(v), _generator_plots(w)):
+    for p, q in itertools.product(generating_plots(v), generating_plots(w)):
         for _, row in product_plot(p, q).residue_rows().items():
             if not span.contains(row):
                 raise DiffeolinError(
@@ -164,19 +158,14 @@ def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
     t = tensor_product(v, w)
     dual_t = diffeological_dual(t)
     bt = dual_t.annihilator_basis
-    span_t = singular_span(t)
     columns = []
     for phi in dual_v.annihilator_basis.basis:
         for psi in dual_w.annihilator_basis.basis:
-            functional = kron_vector(phi, psi)
-            support = [(j, x) for j, x in enumerate(functional) if x]
-            if any(sum(s[j] * x for j, x in support if s[j]) for s in span_t.basis):
+            coords = bt.coordinates(kron_vector(phi, psi))
+            if coords is None:
                 raise DiffeolinError(
                     "product functional fails to annihilate the tensor singular span"
                 )
-            coords = bt.coordinates(functional)
-            if coords is None:
-                raise DiffeolinError("product functional not expressible in the tensor dual")
             columns.append(coords)
     rows = tuple(tuple(col[i] for col in columns) for i in range(bt.dim))
     iso = TensorDualIso(dual_v, dual_w, dual_t, rows)

@@ -68,6 +68,26 @@ def test_check_map_verdicts(run):
     assert code == 0 and "NotSmooth" in out and "witness plot" in out
 
 
+def test_check_map_json_carries_the_witness(run, tmp_path):
+    code, out, _ = run("--json", "check-map", "first_coordinate")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdicts"]["smooth"] == "NotSmooth"
+    assert doc["result"]["witness"] == ["abs(x)", "0"]
+    # The coarse direction maps into F_0 but not into C of the codomain: no
+    # atom curve witnesses that failure.
+    spec = {
+        "spaces": {"coarse1": {"dim": 1, "diffeology": "coarse"},
+                   "kink1": {"dim": 1, "diffeology": {"generated": [["abs(x)"]]}}},
+        "maps": {"coarse_into_kink": {"from": "coarse1", "to": "kink1", "matrix": [["1"]]}},
+    }
+    path = tmp_path / "spaces.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run("--json", "-f", str(path), "check-map", "coarse_into_kink")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdicts"]["smooth"] == "NotSmooth"
+    assert doc["result"]["witness"] is None
+
+
 def test_check_plot_subcommand(run):
     code, out, _ = run("check-plot", "kink2_1", "x*abs(x)", "0")
     assert code == 0

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from diffeolin import FunctionExpr, OracleConfig, classify, cross_validate
+from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
 from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, _homogeneous_difference, _stencil_sums
-from diffeolin.spaces import kink_plot, make_coarse, make_fine, make_generated
+from diffeolin.hom import hat_dual
+from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
+from diffeolin.tensor import tensor_product
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
@@ -43,22 +45,6 @@ def test_determinism():
     assert first == second
 
 
-def test_plain_callables_take_the_float_path():
-    assert not classify(abs).smooth
-    assert classify(lambda x: x**3 - 2 * x).smooth
-    assert classify(lambda x: abs(x) * x**2 + 1 - x).failing_order == 4
-
-
-def test_overflow_counts_as_non_smooth():
-    result = classify(lambda x: math.inf if x > 0 else 0.0)
-    assert not result.smooth
-    assert result.failing_order == 1
-
-    even_overflow = classify(lambda x: math.exp(min(1 / (abs(x) + 1e-300), 700.0)))
-    assert not even_overflow.smooth
-    assert even_overflow.failing_order == 2  # order-1 differences cancel (even function)
-
-
 def test_small_kink_amid_large_polynomial():
     expr = M(0, 10) + M(1, -9) + M(6, 10) + A(6, Fraction(1, 4))
     assert classify(expr).failing_order == 8
@@ -80,15 +66,14 @@ def test_differences_beyond_the_float_range_are_not_divergence():
 
 def test_highest_parsable_kink_fails_at_the_order_bound():
     assert MAX_ORDER == MAX_DEGREE + 2
-    cfg = OracleConfig(max_order=MAX_ORDER)
-    assert classify(M(MAX_DEGREE) + A(MAX_DEGREE), cfg).failing_order == MAX_ORDER
+    assert classify(M(MAX_DEGREE) + A(MAX_DEGREE), max_order=MAX_ORDER).failing_order == MAX_ORDER
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OracleConfig(max_order=1)
+        classify(A(0), max_order=1)
     with pytest.raises(ValueError):
-        OracleConfig(max_order=MAX_ORDER + 1)
+        classify(A(0), max_order=MAX_ORDER + 1)
 
 
 def _reference_exact_difference(f, order, h):
@@ -179,6 +164,31 @@ def test_cross_validate_skips_coarse():
     assert report.skipped
     assert report.consistent
     assert report.trials == 0
+
+
+KINK3 = make_generated(3, [kink_plot(3, 0)])
+
+
+# (space, functional annihilating S(V), functional exposing S(V)) for the
+# composite descriptors: S = span{e1}, span{(1, 1, 0)} and span{e0, e1}.
+@pytest.mark.parametrize("space, annihilating, exposed", [
+    (direct_sum(make_fine(1), KINK3), (1, 0, 1, 1), (0, 1, 0, 0)),
+    (hat_dual(KINK3, ((1, 0, 0), (1, 1, 0), (0, 0, 1))), (1, -1, 5), (1, 0, 0)),
+    (tensor_product(make_generated(2, [kink_plot(2, 0)]), make_fine(2)), (0, 0, 1, 1),
+     (1, 0, 0, 0)),
+], ids=["sum", "pushforward", "tensor"])
+def test_cross_validate_composite_spaces(space, annihilating, exposed):
+    for functional, verdict in ((annihilating, "Smooth"), (exposed, "NotSmooth")):
+        report = cross_validate(space, functional, trials=10, seed=4)
+        assert not report.skipped
+        assert report.map_verdict == verdict
+        assert not report.disagreements
+        assert report.consistent
+
+
+def test_cross_validate_skips_a_sum_with_a_coarse_summand():
+    report = cross_validate(direct_sum(make_coarse(1), KINK3), (0, 0, 1, 1), trials=5)
+    assert report.skipped and report.trials == 0
 
 
 def test_cross_validate_rejects_bad_functional():

@@ -486,6 +486,25 @@ def test_memos_do_not_keep_spaces_alive():
     assert all(ref() is None for ref in refs)
 
 
+def test_annihilator_is_kept_on_its_subspace(monkeypatch):
+    import diffeolin.linalg as linalg
+
+    calls = []
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda *a: calls.append(a) or real(*a))
+    v = make_generated(3, [kink_plot(3, 0)])
+    answers = {separating_functional(v, kink_plot(3, 1)) for _ in range(5)}
+    assert len(answers) == 1 and None not in answers
+    assert len(calls) == 1
+
+    step = Subspace.from_rows(3, [(1, 0, 0)])
+    step.annihilator()
+    ref = weakref.ref(step)
+    del step
+    gc.collect()
+    assert ref() is None
+
+
 def test_memos_under_concurrent_first_use():
     """Threads racing to build the memos of one fresh space answer exactly as
     a single thread does on an equal space."""
