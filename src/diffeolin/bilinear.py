@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .hom import smooth_hom_basis
-from .linalg import Subspace, Vector
+from .linalg import Subspace, Vector, _integer_row
 from .spaces import (
     DiffSpace,
     DiffeolinError,
@@ -62,22 +64,32 @@ class BilinearForm:
                     out[k] += c * self.coefficients[i][j][k]
         return tuple(out)
 
-    def left_slice(self, u: Sequence) -> tuple[Vector, ...]:
-        """The family b(u, w_j) for all j."""
-        terms = [(Fraction(ui), row) for ui, row in zip(u, self.coefficients) if ui]
+    @cached_property
+    def _integer_coefficients(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The coefficient array times the lcm of its denominators, as ints."""
+        den = lcm(*[x.denominator for row in self.coefficients for value in row for x in value])
         return tuple(
-            tuple(sum((c * row[j][k] for c, row in terms), Fraction(0))
-                  for k in range(self.codomain.dim))
+            tuple(tuple(x.numerator * (den // x.denominator) for x in value) for value in row)
+            for row in self.coefficients
+        )
+
+    def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:
+        """A positive integer multiple of the family b(u, w_j) for all j:
+        ``u`` and the coefficients are scaled to ints, so every entry is an
+        int and membership of each vector in a subspace is unchanged."""
+        terms = [(c, row) for c, row in zip(_integer_row(u), self._integer_coefficients) if c]
+        return tuple(
+            tuple(sum(c * row[j][k] for c, row in terms) for k in range(self.codomain.dim))
             for j in range(self.right.dim)
         )
 
-    def right_slice(self, w: Sequence) -> tuple[Vector, ...]:
-        """The family b(v_i, w) for all i."""
-        terms = [(j, Fraction(wj)) for j, wj in enumerate(w) if wj]
+    def right_slice(self, w: Sequence) -> tuple[tuple[int, ...], ...]:
+        """A positive integer multiple of the family b(v_i, w) for all i,
+        scaled to ints as in ``left_slice``."""
+        terms = [(j, c) for j, c in enumerate(_integer_row(w)) if c]
         return tuple(
-            tuple(sum((c * row[j][k] for j, c in terms), Fraction(0))
-                  for k in range(self.codomain.dim))
-            for row in self.coefficients
+            tuple(sum(c * row[j][k] for j, c in terms) for k in range(self.codomain.dim))
+            for row in self._integer_coefficients
         )
 
     def transpose(self) -> "BilinearForm":
@@ -109,6 +121,8 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
     at degree d for each row r presented at degree d >= -1 in either factor.
     The induced map sends them to the slices b(r, e_j) and b(e_i, r), which
     must lie in the filtration step F_d of Z (its coarse part for d = -1).
+    The slices are taken on ints, as positive integer multiples of these
+    families; a nonzero scale does not change membership in F_d.
     """
     left, right, cod = presentation(b.left), presentation(b.right), presentation(b.codomain)
     blocks = itertools.chain(((d, b.left_slice(r)) for d, r in left.rows),

@@ -37,8 +37,20 @@ from .tensor import tensor_dual_iso, tensor_product
 from .verify import run_checks
 
 
+# Bounds on the work one command takes on, so that no input makes it hang:
+# the flattened unknowns of hom and tensor (dim V * dim W) and of bilinear
+# (dim V^2 * dim W), and the number of cross-validate trials.
+MAX_UNKNOWNS = 1024
+MAX_TRIALS = 10_000
+
+
 class InputError(ValueError):
     pass
+
+
+def _check_unknowns(command: str, unknowns: int) -> None:
+    if unknowns > MAX_UNKNOWNS:
+        raise InputError(f"{command}: {unknowns} unknowns exceed the limit of {MAX_UNKNOWNS}")
 
 
 def _jsonify(value):
@@ -122,6 +134,7 @@ def _cmd_dual(args, out):
 def _cmd_hom(args, out):
     spaces = _load(args)
     v, w = spaces.space(args.domain), spaces.space(args.codomain)
+    _check_unknowns("hom", v.dim * w.dim)
     basis = smooth_hom_basis(v, w)
     out.human(f"smooth linear maps {v.describe()} -> {w.describe()}")
     out.human(f"dim L^inf(V, W) = {basis.dim} (of {v.dim * w.dim} linear maps)")
@@ -135,6 +148,7 @@ def _cmd_hom(args, out):
 def _cmd_bilinear(args, out):
     spaces = _load(args)
     v, w = spaces.space(args.domain), spaces.space(args.codomain)
+    _check_unknowns("bilinear", v.dim * v.dim * w.dim)
     basis = smooth_bilinear_basis(v, w)
     out.human(f"smooth bilinear maps {v.describe()} x (same) -> {w.describe()}")
     out.human(f"dim B^inf(V, W) = {basis.dim} (of {v.dim * v.dim * w.dim} bilinear maps)")
@@ -148,6 +162,7 @@ def _cmd_bilinear(args, out):
 def _cmd_tensor(args, out):
     spaces = _load(args)
     v, w = spaces.space(args.left), spaces.space(args.right)
+    _check_unknowns("tensor", v.dim * w.dim)
     t = tensor_product(v, w)
     span = singular_span(t)
     dual = diffeological_dual(t)
@@ -255,8 +270,8 @@ def _cmd_cross_validate(args, out):
     spaces = _load(args)
     space = spaces.space(args.space)
     functional = _parse_functional(args.functional)
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise InputError(f"--trials must be between 1 and {MAX_TRIALS}, got {args.trials}")
     try:
         report = cross_validate(space, functional, trials=args.trials, seed=args.seed)
     except ValueError as exc:

@@ -7,12 +7,15 @@ shrinks, the function is declared non-smooth with failing order k (the
 smallest such k).  A kink |x|*x^d first shows up at order d + 2, where the
 divided differences grow like 1/h (ratio 2 per halving).
 
-The probes are atom expressions, and they are probed exactly.  Every atom
-is homogeneous, a(x*h) = h^D * a(x) with D = degree + is_abs, so the
-order-k difference at half-width h is sum_D s_D * h^(D - k), where s_D sums
-the unit-spacing stencil values of the atoms of total degree D.  The values
-are exact, so a value is usable iff it is nonzero and the growth test runs
-on exact numbers; only the reported value is rounded to float.
+The probes are atom expressions, probed exactly on Python ints.  An atom
+is homogeneous, a(x*h) = h^D * a(x) with D = degree + is_abs, and the nodes
+k/2 - j are half-integers, so its unit-spacing stencil sum is U / 2^D with
+U = sum_j (-1)^j C(k, j) (k - 2j)^degree |k - 2j|^is_abs.  Summing c*U per D
+over a common denominator q of the coefficients gives integers n_D, and the
+difference at h = 2^-p, sum_D n_D / q * 2^-(D + p*(D - k)), is N_p / (q << top)
+with top the largest of these exponents (at least 0).  All values share that
+denominator, so the growth test compares the integers N_p and only the
+reported value becomes a float.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ MAX_ORDER = MAX_DEGREE + 2
 DEFAULT_MAX_ORDER = 8
 
 
-# The sweep of half-widths h, and the divergence test on it: a run of at
-# least AGREEMENT_POLICY consecutive steps, each growing by STEP_GROWTH, with
-# total growth GROWTH_THRESHOLD.  Calibrated on the atom basis: a diverging
-# order grows by at least x2 per halving, a converging one settles to ratio 1.
-HALF_WIDTHS = tuple(2.0**-i for i in range(2, 21))
+# The sweep of half-widths 2^-p, and the divergence test on it: a run of at
+# least AGREEMENT_POLICY consecutive steps, each growing by 3/2, with total
+# growth GROWTH_THRESHOLD.  Calibrated on the atom basis: a diverging order
+# grows by at least x2 per halving, a converging one settles to ratio 1.
+HALF_WIDTH_EXPONENTS = tuple(range(2, 21))
+HALF_WIDTHS = tuple(2.0**-p for p in HALF_WIDTH_EXPONENTS)
 GROWTH_THRESHOLD = 10
 AGREEMENT_POLICY = 3
-STEP_GROWTH = Fraction(3, 2)
 
 
 @dataclass(frozen=True)
@@ -65,24 +68,24 @@ class Classification:
         return f"NonSmoothAt0(order {self.failing_order})"
 
 
-def _stencil_sums(f: FunctionExpr, order: int) -> list[tuple[int, Fraction]]:
-    """Nonzero (D - order, s_D) pairs: s_D sums c * sum_j w_j * a(order/2 - j)
-    over the terms c*a of ``f`` whose atom a has total degree D."""
-    nodes = [((-1) ** j * math.comb(order, j), Fraction(order, 2) - j)
-             for j in range(order + 1)]
-    sums: dict[int, Fraction] = {}
-    for atom, coeff in f.terms:
-        unit = sum(w * atom.evaluate(x) for w, x in nodes)
-        if unit:
-            exponent = atom.degree + atom.is_abs - order
-            sums[exponent] = sums.get(exponent, 0) + coeff * unit
-    return [(e, s) for e, s in sums.items() if s]
-
-
-def _homogeneous_difference(sums: Sequence[tuple[int, Fraction]], h: float) -> Fraction:
-    """Exact |divided difference| at half-width h > 0."""
-    step = Fraction(h)
-    return abs(sum(s * step**e for e, s in sums))
+def _differences(f: FunctionExpr, order: int) -> tuple[list[int], int]:
+    """Exact |order-th divided differences| of ``f`` at the half-widths
+    2^-p, p in ``HALF_WIDTH_EXPONENTS``: integers N_p and one positive
+    denominator, the difference at 2^-p being N_p / denominator."""
+    q = math.lcm(*[c.denominator for _, c in f.terms])
+    nodes = [((-1) ** j * math.comb(order, j), order - 2 * j) for j in range(order + 1)]
+    sums: dict[int, int] = {}
+    for atom, c in f.terms:
+        u = sum(w * x**atom.degree * (abs(x) if atom.is_abs else 1) for w, x in nodes)
+        if u:
+            total = atom.degree + atom.is_abs
+            sums[total] = sums.get(total, 0) + c.numerator * (q // c.denominator) * u
+    terms = [(total, n) for total, n in sums.items() if n]
+    top = max([0] + [total + p * (total - order)
+                     for total, _ in terms for p in HALF_WIDTH_EXPONENTS])
+    values = [abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
+              for p in HALF_WIDTH_EXPONENTS]
+    return values, q << top
 
 
 def _rounded(value: Fraction) -> float:
@@ -92,17 +95,17 @@ def _rounded(value: Fraction) -> float:
         return math.inf
 
 
-def _diverges(values: Sequence[Fraction]) -> int | None:
+def _diverges(values: Sequence[int]) -> int | None:
     """Index where a sustained divergent run is confirmed, else None.
 
-    A run is ``AGREEMENT_POLICY`` or more consecutive usable (nonzero) scale
-    steps each growing by ``STEP_GROWTH``, with total growth at least
-    ``GROWTH_THRESHOLD`` across the maximal run.
+    The values share one positive scale.  A run is ``AGREEMENT_POLICY`` or
+    more consecutive usable (nonzero) steps each growing by 3/2, with total
+    growth at least ``GROWTH_THRESHOLD`` across the maximal run.
     """
     run_start = None
     for i in range(1, len(values)):
         v_prev, v_cur = values[i - 1], values[i]
-        if v_prev and v_cur and v_cur >= STEP_GROWTH * v_prev:
+        if v_prev and v_cur and 2 * v_cur >= 3 * v_prev:
             if run_start is None:
                 run_start = i - 1
             if (i - run_start >= AGREEMENT_POLICY
@@ -123,11 +126,11 @@ def classify(f: FunctionExpr, max_order: int = DEFAULT_MAX_ORDER) -> Classificat
     if not 2 <= max_order <= MAX_ORDER:
         raise ValueError(f"max_order must be between 2 and {MAX_ORDER}")
     for order in range(1, max_order + 1):
-        sums = _stencil_sums(f, order)
-        values = [_homogeneous_difference(sums, h) for h in HALF_WIDTHS]
+        values, denominator = _differences(f, order)
         hit = _diverges(values)
         if hit is not None:
-            return Classification(order, order, HALF_WIDTHS[hit], _rounded(values[hit]))
+            value = _rounded(Fraction(values[hit], denominator))
+            return Classification(order, order, HALF_WIDTHS[hit], value)
     return Classification(None, max_order)
 
 

@@ -14,7 +14,9 @@ JSON schema::
 
 Each generator is a list of expression strings, one per coordinate.
 Rationals are integers or "p/q" strings; float literals are rejected so
-that every loaded object is exact.
+that every loaded object is exact.  A space has at most ``MAX_DIM``
+dimensions and ``MAX_GENERATORS`` generators, so that no file can make the
+engine hang.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from fractions import Fraction
 from .exprparse import ParseError, parse_expr
 from .hom import LinearMap
 from .spaces import DiffSpace, Plot, make_coarse, make_fine, make_generated
+
+MAX_DIM = 64
+MAX_GENERATORS = 64
 
 
 class SpaceFileError(ValueError):
@@ -69,14 +74,21 @@ def _load_space(name: str, body) -> DiffSpace:
     dim = body.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpaceFileError(f"space {name!r} needs a positive integer dim")
+    if dim > MAX_DIM:
+        raise SpaceFileError(f"space {name!r}: dim {dim} exceeds the limit of {MAX_DIM}")
     diffeology = body.get("diffeology")
     if diffeology == "fine":
         return make_fine(dim)
     if diffeology == "coarse":
         return make_coarse(dim)
     if isinstance(diffeology, dict) and set(diffeology) == {"generated"}:
+        generators = diffeology["generated"]
+        if not isinstance(generators, list) or len(generators) > MAX_GENERATORS:
+            raise SpaceFileError(
+                f"space {name!r}: generated needs a list of at most {MAX_GENERATORS} generators"
+            )
         plots = []
-        for k, coords in enumerate(diffeology["generated"]):
+        for k, coords in enumerate(generators):
             if not isinstance(coords, list) or len(coords) != dim:
                 raise SpaceFileError(
                     f"generator {k} of space {name!r} needs {dim} coordinate expressions"

@@ -34,7 +34,7 @@ from diffeolin import (
 from diffeolin.atoms import FunctionExpr
 from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector
-from diffeolin.spaces import Plot
+from diffeolin.spaces import Plot, presentation
 
 
 def kink_space(n, k):
@@ -322,3 +322,87 @@ def test_fine_and_coarse_codomains_agree_with_the_reference():
                                        for _ in range(right.dim)) for _ in range(v.dim))
             b = BilinearForm(v, right, w, coefficients)
             assert is_smooth_bilinear(b) is _reference_is_smooth_bilinear(b)
+
+
+# --- the integer slices -------------------------------------------------------
+
+def _random_fraction_form(rng, left, right, cod, max_den=10**6):
+    return BilinearForm(left, right, cod, tuple(
+        tuple(tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, max_den))
+                    * rng.choice([0, 1, 1]) for _ in range(cod.dim))
+              for _ in range(right.dim))
+        for _ in range(left.dim)))
+
+
+def _assert_positive_multiple(scaled, exact):
+    """scaled = lam * exact entrywise for one rational lam > 0."""
+    pairs = [(s, e) for s_row, e_row in zip(scaled, exact) for s, e in zip(s_row, e_row)]
+    assert all(isinstance(s, int) for s, _ in pairs)
+    nonzero = [(s, e) for s, e in pairs if e]
+    assert all(s == 0 for s, e in pairs if not e)
+    if nonzero:
+        lam = Fraction(nonzero[0][0]) / nonzero[0][1]
+        assert lam > 0 and all(s == lam * e for s, e in nonzero)
+
+
+def test_slices_are_positive_multiples_of_the_exact_families():
+    rng = random.Random(1016)
+    for _ in range(40):
+        n, m, q = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        b = _random_fraction_form(rng, make_fine(n), make_fine(m), make_fine(q))
+        for _ in range(3):
+            u = [Fraction(rng.randint(-50, 50), rng.randint(1, 10**6)) * rng.choice([0, 1])
+                 for _ in range(n)]
+            w = [Fraction(rng.randint(-50, 50), rng.randint(1, 10**6)) * rng.choice([0, 1])
+                 for _ in range(m)]
+            basis_m = [[int(i == j) for i in range(m)] for j in range(m)]
+            basis_n = [[int(i == j) for i in range(n)] for j in range(n)]
+            _assert_positive_multiple(b.left_slice(u), [b.apply(u, e) for e in basis_m])
+            _assert_positive_multiple(b.right_slice(w), [b.apply(e, w) for e in basis_n])
+
+
+def _fraction_is_smooth_bilinear(b):
+    """The procedure on Fraction slices b(r, e_j) and b(e_i, r) that the
+    integer slices replaced."""
+    def left_slice(u):
+        terms = [(Fraction(ui), row) for ui, row in zip(u, b.coefficients) if ui]
+        return tuple(
+            tuple(sum((c * row[j][k] for c, row in terms), Fraction(0))
+                  for k in range(b.codomain.dim))
+            for j in range(b.right.dim)
+        )
+
+    def right_slice(w):
+        terms = [(j, Fraction(wj)) for j, wj in enumerate(w) if wj]
+        return tuple(
+            tuple(sum((c * row[j][k] for j, c in terms), Fraction(0))
+                  for k in range(b.codomain.dim))
+            for row in b.coefficients
+        )
+
+    cod = presentation(b.codomain)
+    blocks = [(d, left_slice(r)) for d, r in presentation(b.left).rows]
+    blocks += [(d, right_slice(r)) for d, r in presentation(b.right).rows]
+    for d, images in blocks:
+        if not all(cod.filtration_step(d).contains(y) for y in images):
+            return Verdict.NOT_SMOOTH
+    return Verdict.SMOOTH
+
+
+def test_is_smooth_bilinear_equals_the_fraction_reference():
+    rng = random.Random(31415)
+    verdicts = []
+    for _ in range(60):
+        left, right, cod = _random_space(rng), _random_space(rng), _random_space(rng)
+        if rng.random() < 0.5:
+            b = _random_fraction_form(rng, left, right, cod)
+        else:
+            b = BilinearForm(left, right, cod, tuple(
+                tuple(tuple(Fraction(rng.choice([0, 0, 0, 1, -2]), rng.choice([1, 3, 10**6]))
+                            for _ in range(cod.dim)) for _ in range(right.dim))
+                for _ in range(left.dim)))
+        verdict = is_smooth_bilinear(b)
+        assert verdict is _fraction_is_smooth_bilinear(b), (
+            left.describe(), right.describe(), cod.describe())
+        verdicts.append(verdict)
+    assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}

@@ -173,9 +173,29 @@ def test_input_errors_exit_2(run):
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
     ("oracle", "x", "--max-order", "100000"),
     ("oracle", "abs(x)*x^64*x^64"),
+    ("cross-validate", "kink3_1", "0,1,1", "--trials", "10001"),
+    ("-f", "{wide}", "dual", "wide"),
+    ("-f", "{many}", "dual", "many"),
+    ("-f", "{null}", "dual", "null"),
+    ("-f", "{big}", "hom", "f33", "f32"),
+    ("-f", "{big}", "tensor", "f32", "f33"),
+    ("-f", "{big}", "bilinear", "f11", "f9"),
 ])
-def test_bad_input_exits_2_with_one_error_line(run, argv):
-    code, out, err = run(*argv)
+def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
+    # Space files past the bounds: dim 65, 65 generators (or no generator
+    # list), and spaces whose hom (33 * 32), tensor (32 * 33) and bilinear
+    # (11^2 * 9) unknowns exceed 1,024.
+    documents = {
+        "wide": {"wide": {"dim": 65, "diffeology": "fine"}},
+        "many": {"many": {"dim": 1, "diffeology": {"generated": [["abs(x)"]] * 65}}},
+        "null": {"null": {"dim": 1, "diffeology": {"generated": None}}},
+        "big": {f"f{n}": {"dim": n, "diffeology": "fine"} for n in (9, 11, 32, 33)},
+    }
+    paths = {}
+    for name, spaces in documents.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"spaces": spaces}))
+    code, out, err = run(*(arg.format(**paths) for arg in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -9,7 +9,7 @@ import pytest
 from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
-from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, _homogeneous_difference, _stencil_sums
+from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences
 from diffeolin.hom import hat_dual
 from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
 from diffeolin.tensor import tensor_product
@@ -77,23 +77,31 @@ def test_config_validation():
 
 
 def _reference_exact_difference(f, order, h):
-    """The direct exact stencil: sum_j w_j * f((order/2 - j) * h) / h^order,
+    """The direct exact stencil: |sum_j w_j * f((order/2 - j) * h)| / h^order,
     every node evaluated in Fraction arithmetic."""
     acc = Fraction(0)
     step = Fraction(h)
     for j in range(order + 1):
         w = (-1) ** j * math.comb(order, j)
-        acc += w * f.evaluate(Fraction(order / 2 - j) * step)
-    return abs(float(acc / step**order))
+        acc += w * f.evaluate(Fraction(order - 2 * j, 2) * step)
+    return abs(acc / step**order)
 
 
-def _random_expression(rng):
+def _random_expression(rng, max_degree=8):
     terms = []
     for _ in range(rng.randint(1, 6)):
         kind = abs_mono if rng.random() < 0.5 else mono
-        terms.append((kind(rng.randint(0, 8)),
+        terms.append((kind(rng.randint(0, max_degree)),
                       Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))))
     return FunctionExpr(terms)
+
+
+def _assert_exact_differences(expr, order):
+    values, denominator = _differences(expr, order)
+    assert denominator > 0 and len(values) == len(HALF_WIDTHS)
+    for value, h in zip(values, HALF_WIDTHS):
+        assert Fraction(value, denominator) == _reference_exact_difference(expr, order, h), \
+            (expr, order, h)
 
 
 def test_homogeneous_sums_equal_the_direct_stencil_bit_for_bit():
@@ -101,10 +109,76 @@ def test_homogeneous_sums_equal_the_direct_stencil_bit_for_bit():
     for _ in range(40):
         expr = _random_expression(rng)
         for order in range(1, 9):
-            sums = _stencil_sums(expr, order)
-            for h in HALF_WIDTHS:
-                assert float(_homogeneous_difference(sums, h)) == \
-                    _reference_exact_difference(expr, order, h), (expr, order, h)
+            _assert_exact_differences(expr, order)
+
+
+@pytest.mark.parametrize("expr, orders", [
+    # Orders past 8, up to the bound: the shifts run to hundreds of bits.
+    (M(64) + A(64), (9, 10, 17, 31, 32, 33, 48, 63, 64, 65, 66)),
+    (M(0, Fraction(-7, 3)) + A(5, Fraction(2, 9)) + M(40, 11) + A(60, Fraction(-1, 7)),
+     (9, 12, 41, 62)),
+    # Every exponent D + p*(D - order) is negative: the common shift is 0.
+    (M(0, 7) + M(1, Fraction(-3, 5)), (20,)),
+    (A(0, Fraction(5, 3)) + A(1, -2) + M(3, Fraction(1, 4)), (9, 20, 66)),
+])
+def test_integer_differences_at_high_orders(expr, orders):
+    for order in orders:
+        _assert_exact_differences(expr, order)
+
+
+def test_all_negative_exponents_need_no_shift():
+    expr = A(0, Fraction(5, 3)) + M(1, Fraction(-3, 5))
+    values, denominator = _differences(expr, 20)
+    assert denominator == 15 and any(values)
+
+
+# The Fraction implementation the integer one replaced, kept as a reference:
+# its stencil sums per total degree, its difference at each half-width and
+# its divergence test on exact values.
+def _reference_classify(f, max_order=8):
+    def stencil_sums(order):
+        nodes = [((-1) ** j * math.comb(order, j), Fraction(order, 2) - j)
+                 for j in range(order + 1)]
+        sums = {}
+        for atom, coeff in f.terms:
+            unit = sum(w * atom.evaluate(x) for w, x in nodes)
+            if unit:
+                exponent = atom.degree + atom.is_abs - order
+                sums[exponent] = sums.get(exponent, 0) + coeff * unit
+        return [(e, s) for e, s in sums.items() if s]
+
+    def diverges(values):
+        run_start = None
+        for i in range(1, len(values)):
+            v_prev, v_cur = values[i - 1], values[i]
+            if v_prev and v_cur and v_cur >= Fraction(3, 2) * v_prev:
+                if run_start is None:
+                    run_start = i - 1
+                if i - run_start >= 3 and v_cur >= 10 * values[run_start]:
+                    return i
+            else:
+                run_start = None
+        return None
+
+    for order in range(1, max_order + 1):
+        sums = stencil_sums(order)
+        values = [abs(sum(s * Fraction(h)**e for e, s in sums)) for h in HALF_WIDTHS]
+        hit = diverges(values)
+        if hit is not None:
+            try:
+                value = float(values[hit])
+            except OverflowError:
+                value = math.inf
+            return Classification(order, order, HALF_WIDTHS[hit], value)
+    return Classification(None, max_order)
+
+
+def test_classify_equals_the_fraction_reference():
+    rng = random.Random(1703)
+    for i in range(200):
+        expr = _random_expression(rng, max_degree=6)
+        max_order = 8 if i % 4 else 12
+        assert classify(expr, max_order) == _reference_classify(expr, max_order), expr
 
 
 def test_expressions_never_take_the_float_path(monkeypatch):
