@@ -92,13 +92,6 @@ class BilinearForm:
             for row in self._integer_coefficients
         )
 
-    def transpose(self) -> "BilinearForm":
-        coeffs = tuple(
-            tuple(self.coefficients[i][j] for i in range(self.left.dim))
-            for j in range(self.right.dim)
-        )
-        return BilinearForm(self.right, self.left, self.codomain, coeffs)
-
 
 def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
                    flat: Sequence) -> BilinearForm:

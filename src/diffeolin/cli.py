@@ -184,12 +184,14 @@ def _cmd_tensor(args, out):
                 verdicts={"dual_iso": "failed", "error": str(exc)},
             )
             return 1
+        # Each property is a rank of the matrix: read each once.
+        flags = {"injective": iso.injective, "isomorphism": iso.isomorphism}
         out.human(
             f"dual isomorphism: {iso.domain_dim} x {iso.codomain_dim}, "
-            f"injective={iso.injective}, isomorphism={iso.isomorphism}"
+            f"injective={flags['injective']}, isomorphism={flags['isomorphism']}"
         )
         result["dual_iso_matrix"] = iso.matrix
-        result["dual_iso"] = {"injective": iso.injective, "isomorphism": iso.isomorphism}
+        result["dual_iso"] = flags
     out.payload(inputs={"left": args.left, "right": args.right}, result=result)
     return 0
 

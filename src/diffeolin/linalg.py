@@ -30,6 +30,7 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def vector(entries: Sequence) -> Vector:
@@ -45,7 +46,7 @@ def zero_vector(n: int) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
 
 
 def identity(n: int) -> Matrix:
@@ -86,7 +87,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_vector(a: Vector, b: Vector) -> Vector:
-    return tuple(x * y for x in a for y in b)
+    # Skip the zeros of a, as matvec does: RREF rows are mostly zero.
+    zeros = (_ZERO,) * len(b)
+    return tuple(z for x in a for z in ([x * y for y in b] if x else zeros))
 
 
 def _integer_row(row: Sequence) -> list[int]:

@@ -38,25 +38,26 @@ TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 
 def defined_functions(tree):
-    """(qualified name, def node) for every function and method."""
-    def walk(node, prefix):
+    """(qualified name, def node, is a method) for every function and
+    method; a method is a function defined directly in a class body."""
+    def walk(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield prefix + child.name, child
-                yield from walk(child, prefix + child.name + ".")
+                yield prefix + child.name, child, in_class
+                yield from walk(child, prefix + child.name + ".", False)
             elif isinstance(child, ast.ClassDef):
-                yield from walk(child, prefix + child.name + ".")
+                yield from walk(child, prefix + child.name + ".", True)
             else:
-                yield from walk(child, prefix)
-    yield from walk(tree, "")
+                yield from walk(child, prefix, in_class)
+    yield from walk(tree, "", False)
 
 
-def referenced_names(node):
+def referenced_names(node, attributes_only=False):
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             yield sub.attr
+        elif isinstance(sub, ast.Name) and not attributes_only:
+            yield sub.id
 
 
 def tracer_names():
@@ -71,19 +72,24 @@ def tracer_names():
 def test_every_function_has_a_caller():
     """Every function and method under src/diffeolin is referenced in src/
     outside its own body, exported from __init__.py, or looked up by the
-    benchmark tracer; dunder methods are called by Python itself."""
+    benchmark tracer; dunder methods are called by Python itself.  A method
+    counts as referenced only through an attribute (``x.name``), so a bare
+    name that happens to match it does not keep it alive."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
     uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    attribute_uses = Counter(name for tree in trees.values()
+                             for name in referenced_names(tree, attributes_only=True))
     exported = {name for name, _ in imported_names(trees["__init__"])}
     traced = tracer_names()
     orphans = []
     for module, tree in trees.items():
-        for qualname, node in defined_functions(tree):
+        for qualname, node, method in defined_functions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            own = Counter(referenced_names(node))[name]
-            if (uses[name] > own or name in exported
+            counted = attribute_uses if method else uses
+            own = Counter(referenced_names(node, attributes_only=method))[name]
+            if (counted[name] > own or (not method and name in exported)
                     or f"{module}.{qualname}" in traced):
                 continue
             orphans.append(f"{module}.{qualname} (line {node.lineno})")

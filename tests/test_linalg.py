@@ -11,6 +11,7 @@ from diffeolin.linalg import (
     in_row_span,
     invert,
     kron,
+    kron_vector,
     matmul,
     matvec,
     matrix,
@@ -18,6 +19,7 @@ from diffeolin.linalg import (
     rank,
     rref,
     solve,
+    unit_vector,
 )
 
 
@@ -88,6 +90,25 @@ def test_kron_mixed_product():
     left = matmul(kron(a, c), kron(b, d))
     right = kron(matmul(a, b), matmul(c, d))
     assert left == right
+
+
+def test_unit_and_kron_vectors_match_their_dense_definitions():
+    """Shared constants and zero skipping change no entry: both functions
+    equal their dense one-line definitions, on vectors with many zeros."""
+    rng = random.Random(13)
+
+    def rand(n):
+        return tuple(Fraction(rng.choice([0, 0, 0, rng.randint(-3, 3)]), rng.randint(1, 3))
+                     for _ in range(n))
+
+    for n in range(1, 8):
+        for i in range(n):
+            assert unit_vector(n, i) == tuple(Fraction(1 if j == i else 0) for j in range(n))
+    for _ in range(50):
+        a, b = rand(rng.randint(0, 6)), rand(rng.randint(0, 6))
+        dense = tuple(x * y for x in a for y in b)
+        assert kron_vector(a, b) == dense
+        assert all(type(x) is Fraction for x in kron_vector(a, b))
 
 
 def test_subspace_equality_is_structural():

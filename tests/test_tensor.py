@@ -33,7 +33,7 @@ from diffeolin import (
     tensor_of_maps,
     tensor_product,
 )
-from diffeolin.linalg import Subspace, identity, invert, kron, matmul
+from diffeolin.linalg import Subspace, identity, invert, kron, kron_vector, matmul
 
 
 def kink_space(n, k):
@@ -121,6 +121,72 @@ def test_tensor_dual_iso_examples():
 
     iso = tensor_dual_iso(kink_space(2, 1), kink_space(2, 1))
     assert iso.matrix == ((Fraction(1),),) and iso.isomorphism
+
+
+def _random_factor(rng, depth=0):
+    kinds = ["fine", "coarse", "generated"]
+    if depth < 1:
+        kinds += ["sum", "hat", "dual", "tensor"]
+    kind = rng.choice(kinds)
+    n = rng.randint(1, 3)
+    if kind == "fine":
+        return make_fine(n)
+    if kind == "coarse":
+        return make_coarse(n)
+    if kind == "generated":
+        plots = [Plot([FunctionExpr.monomial(rng.randint(0, 2), rng.randint(-2, 2))
+                       + FunctionExpr.abs_monomial(rng.randint(0, 3), rng.randint(-2, 2))
+                       for _ in range(n)])
+                 for _ in range(rng.randint(1, 2))]
+        return make_generated(n, plots)
+    if kind == "dual":
+        return diffeological_dual(_random_factor(rng, depth + 1))
+    if kind == "hat":
+        base = _random_factor(rng, depth + 1)
+        while True:
+            a = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(base.dim))
+                      for _ in range(base.dim))
+            if invert(a) is not None:
+                return hat_dual(base, a)
+    v, w = _random_factor(rng, depth + 1), _random_factor(rng, depth + 1)
+    return direct_sum(v, w) if kind == "sum" else tensor_product(v, w)
+
+
+def test_tensor_dual_basis_is_the_kron_of_the_factor_bases():
+    """On seeded pairs over fine, coarse, generated, sum, hat, dual and
+    tensor spaces, the RREF basis of (V (x) W)* is the row-major Kronecker
+    products of the factor bases, and the dual map is the identity."""
+    rng = random.Random(20150430)
+    kinds = set()
+    for _ in range(40):
+        v, w = _random_factor(rng), _random_factor(rng)
+        # A dual is a DualSpace with the fine descriptor.
+        kinds.update((type(s).__name__, type(s.diffeology).__name__) for s in (v, w))
+        iso = tensor_dual_iso(v, w)
+        products = tuple(kron_vector(phi, psi)
+                         for phi in diffeological_dual(v).annihilator_basis.basis
+                         for psi in diffeological_dual(w).annihilator_basis.basis)
+        assert products == diffeological_dual(tensor_product(v, w)).annihilator_basis.basis
+        assert iso.matrix == identity(iso.codomain_dim) and iso.isomorphism
+    assert len(kinds) == 7, kinds
+
+
+def test_tensor_dual_iso_rejects_a_wrong_block_formula(monkeypatch):
+    """Without the right factor's block rows, S(fine 2 (x) coarse 2) is zero
+    and its dual has dim 4, but dim V* * dim W* = 2 * 0.  The coarse factor
+    has no generating plots, so tensor_product itself accepts the space."""
+    import diffeolin.spaces as spaces
+
+    real = spaces._tensor_rows
+
+    def left_rows_only(left, right):
+        return real(left, right)[:len(spaces.presentation(left).rows) * right.dim]
+
+    monkeypatch.setattr(spaces, "_tensor_rows", left_rows_only)
+    v, w = make_fine(2), make_coarse(2)
+    assert diffeological_dual(tensor_product(v, w)).dim == 4
+    with pytest.raises(DiffeolinError, match="RREF basis of the tensor dual"):
+        tensor_dual_iso(v, w)
 
 
 def test_oracle_validates_the_block_formula():
