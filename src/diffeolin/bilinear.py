@@ -18,16 +18,15 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .hom import smooth_hom_basis
-from .linalg import Subspace, Vector, _integer_row
+from .linalg import Subspace, Vector, _integer_row, kron_vector
 from .spaces import (
     DiffSpace,
     DiffeolinError,
     DimensionMismatchError,
     Verdict,
+    _tensor_rows,
     presentation,
 )
-from .tensor import tensor_product
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,16 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth bilinear maps v x v -> w over the n*n*q flattened
-    coordinates (i, j, k) of ``form_from_flat``: the smooth linear maps
-    v (x) v -> w, whose matrix entry (k, i*n + j) is reindexed to
-    (i*n + j)*q + k."""
-    n, q = v.dim, w.dim
-    hom = smooth_hom_basis(tensor_product(v, v), w)
-    return Subspace.from_rows(n * n * q, [
-        tuple(row[k * n * n + p] for p in range(n * n) for k in range(q))
-        for row in hom.basis
-    ])
+    coordinates (i, j, k) of ``form_from_flat``, without building v (x) v:
+    the annihilator of kron(x, psi) for each distinct block row (d, x) of
+    v (x) v and psi in Ann(F_d(w)), ``smooth_hom_basis``'s constraint
+    psi(b(x)) = 0 in these coordinates."""
+    cod = presentation(w)
+    constraints = []
+    for d, x in dict.fromkeys(_tensor_rows(v, v)):
+        ann = cod.filtration_step(d).annihilator()
+        constraints.extend(kron_vector(x, psi) for psi in ann.basis)
+    return Subspace.from_rows(v.dim * v.dim * w.dim, constraints).annihilator()
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,6 @@ def _cmd_tensor(args, out):
                 verdicts={"dual_iso": "failed", "error": str(exc)},
             )
             return 1
-        # Each property is a rank of the matrix: read each once.
         flags = {"injective": iso.injective, "isomorphism": iso.isomorphism}
         out.human(
             f"dual isomorphism: {iso.domain_dim} x {iso.codomain_dim}, "
@@ -341,15 +340,15 @@ class _Output:
 
     def payload(self, inputs=None, result=None, verdicts=None) -> None:
         if inputs:
-            self.document["inputs"] = _jsonify(inputs)
+            self.document["inputs"] = inputs
         if result:
-            self.document["result"] = _jsonify(result)
+            self.document["result"] = result
         if verdicts:
-            self.document["verdicts"] = _jsonify(verdicts)
+            self.document["verdicts"] = verdicts
 
     def emit(self) -> None:
         if self.as_json:
-            print(json.dumps(self.document, indent=2, allow_nan=False))
+            print(json.dumps(_jsonify(self.document), indent=2, allow_nan=False))
         else:
             for line in self.lines:
                 print(line)

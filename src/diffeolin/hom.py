@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import (
     Matrix,
@@ -35,7 +34,6 @@ from .spaces import (
     Plot,
     Pushforward,
     Verdict,
-    is_plot,
     make_fine,
     presentation,
     row_plot,
@@ -209,29 +207,24 @@ def hat_dual(v: DiffSpace, iso: Matrix) -> DiffSpace:
 
 @dataclass(frozen=True)
 class WellPosednessReport:
-    verdicts: tuple[tuple[Verdict, Verdict], ...]
-    mismatches: tuple[int, ...]
+    """The identity checked from the first hat dual to the second and back."""
+
+    forward: SmoothnessReport
+    backward: SmoothnessReport
 
     @property
     def consistent(self) -> bool:
-        return not self.mismatches
+        return self.forward.verdict is self.backward.verdict is Verdict.SMOOTH
 
 
-def hat_dual_wellposed(
-    v: DiffSpace,
-    iso1: Matrix,
-    iso2: Matrix,
-    samples: Sequence[Plot],
-) -> WellPosednessReport:
-    """Compare membership verdicts of the sample plots under the pushforward
-    structures along two isomorphisms."""
-    space1 = hat_dual(v, iso1)
-    space2 = hat_dual(v, iso2)
-    verdicts = []
-    mismatches = []
-    for k, sample in enumerate(samples):
-        pair = (is_plot(space1, sample), is_plot(space2, sample))
-        verdicts.append(pair)
-        if pair[0] is not pair[1]:
-            mismatches.append(k)
-    return WellPosednessReport(tuple(verdicts), tuple(mismatches))
+def hat_dual_wellposed(v: DiffSpace, iso1: Matrix, iso2: Matrix) -> WellPosednessReport:
+    """Whether the hat duals of v along iso1 and iso2 carry one diffeology:
+    exactly when the identity is smooth between them both ways, that is
+    iso1*F_e = iso2*F_e for every step F_e of v.  A NotSmooth direction has
+    a witness plot whenever an atom curve shows one.  On coarse R^1 (+) <|x|>,
+    identity(2) against the swap moves the coarse line, but inside F_0 = R^2:
+    both directions are NotSmooth with ``witness=None``."""
+    hat1, hat2 = hat_dual(v, iso1), hat_dual(v, iso2)
+    one = identity(v.dim)
+    return WellPosednessReport(check_smooth_linear(LinearMap(hat1, hat2, one)),
+                               check_smooth_linear(LinearMap(hat2, hat1, one)))

@@ -33,7 +33,6 @@ from .linalg import (
     identity,
     kron,
     kron_vector,
-    rank,
     unit_vector,
 )
 from .spaces import (
@@ -142,11 +141,12 @@ class TensorDualIso:
 
     @property
     def injective(self) -> bool:
-        return rank(self.matrix) == self.domain_dim
+        # The matrix is identity(codomain_dim), whose rank is codomain_dim.
+        return self.codomain_dim == self.domain_dim
 
     @property
     def isomorphism(self) -> bool:
-        return self.injective and self.domain_dim == self.codomain_dim
+        return self.injective  # equal dimensions: onto as well
 
 
 def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:

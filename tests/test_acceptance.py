@@ -81,7 +81,8 @@ def test_criterion_8_oracle_agreement():
 
 
 def test_criterion_9_hat_dual_wellposedness():
-    """membership verdicts agree across isomorphism choices on 20 tuples."""
+    """the identity is smooth both ways between the hat duals of 20 seeded
+    isomorphism pairs; the swap on the kink plane changes the diffeology."""
     run_criterion("hat-dual well-posedness", 2.0, check_hat_dual_wellposedness)
 
 

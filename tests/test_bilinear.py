@@ -315,6 +315,35 @@ def _reference_smooth_bilinear_basis(v, w):
     return Subspace.from_rows(total, rows)
 
 
+def _hom_route_smooth_bilinear_basis(v, w):
+    """The smooth linear maps v (x) v -> w, whose matrix entry (k, i*n + j)
+    is reindexed to the flat form coordinate (i*n + j)*q + k."""
+    n, q = v.dim, w.dim
+    hom = smooth_hom_basis(tensor_product(v, v), w)
+    return Subspace.from_rows(n * n * q, [
+        tuple(row[k * n * n + p] for p in range(n * n) for k in range(q))
+        for row in hom.basis
+    ])
+
+
+def test_smooth_bilinear_basis_equals_the_hom_route():
+    """On seeded fine, coarse, generated, sum, hat, dual and tensor spaces
+    (any codomain), the block-row basis equals smooth_hom_basis on v (x) v."""
+    rng = random.Random(20150430)
+    kinds = set()
+    draws = 0
+    while draws < 150:
+        v, w = _random_space(rng), _random_space(rng)
+        if v.dim * v.dim * w.dim > 144:
+            continue
+        draws += 1
+        # A dual is a DualSpace with the fine descriptor.
+        kinds.update((type(s).__name__, type(s.diffeology).__name__) for s in (v, w))
+        assert smooth_bilinear_basis(v, w) == _hom_route_smooth_bilinear_basis(v, w), (
+            v.describe(), w.describe())
+    assert len(kinds) == 7, kinds
+
+
 def test_fine_and_coarse_codomains_agree_with_the_reference():
     rng = random.Random(74207281)
     for _ in range(60):

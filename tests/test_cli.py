@@ -61,21 +61,27 @@ def test_tensor_subcommand_with_dual_iso(run):
     assert "isomorphism=True" in out
 
 
-def test_tensor_dual_iso_reads_each_rank_once(run, monkeypatch):
-    """The human line and the JSON flags share one read of each property:
-    at most two ranks of the dual-iso matrix per command."""
-    import diffeolin.tensor as tensor
-
-    calls = []
-    real = tensor.rank
-    monkeypatch.setattr(tensor, "rank", lambda m: calls.append(len(m)) or real(m))
+def test_tensor_dual_iso_json_flags_and_matrix(run):
     code, out, _ = run("--json", "tensor", "kink3_1", "fine2", "--dual-iso")
     doc = json.loads(out)
     assert code == 0
     assert doc["result"]["dual_iso"] == {"injective": True, "isomorphism": True}
     assert doc["result"]["dual_iso_matrix"] == [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                                                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
-    assert 1 <= len(calls) <= 2
+
+
+def test_human_output_converts_nothing_to_json(run, monkeypatch):
+    """Only --json converts the document: human mode never calls _jsonify."""
+    import diffeolin.cli as cli
+
+    def refuse(value):
+        raise AssertionError("_jsonify called in human mode")
+
+    monkeypatch.setattr(cli, "_jsonify", refuse)
+    code, out, _ = run("tensor", "kink3_1", "fine2", "--dual-iso")
+    assert code == 0 and "isomorphism=True" in out
+    code, out, _ = run("hom", "kink3_1", "fine2")
+    assert code == 0 and "dim L^inf(V, W) = 4" in out
 
 
 def test_check_map_verdicts(run):

@@ -30,7 +30,7 @@ from diffeolin import (
     smooth_hom_basis,
     tensor_product,
 )
-from diffeolin.linalg import identity, invert, transpose
+from diffeolin.linalg import Subspace, identity, invert, matmul, transpose
 from diffeolin.spaces import presentation
 
 
@@ -372,26 +372,124 @@ def test_hat_dual_rejects_singular_matrix():
 
 
 def test_hat_dual_wellposedness_examples():
-    v = make_fine(2)
-    smooth_samples = [Plot([FunctionExpr.monomial(1), FunctionExpr.monomial(0, 3)])]
-    report = hat_dual_wellposed(v, identity(2), frac_matrix([[2, 0], [0, 2]]), smooth_samples)
+    swap = frac_matrix([[0, 1], [1, 0]])
+    # A fine space pushes forward to a fine space along any isomorphism.
+    report = hat_dual_wellposed(make_fine(2), frac_matrix([[1, 2], [1, 3]]),
+                                frac_matrix([[3, 1], [2, 1]]))
     assert report.consistent
-    assert report.verdicts[0] == (Verdict.SMOOTH, Verdict.SMOOTH)
+    assert report.forward.verdict is report.backward.verdict is Verdict.SMOOTH
 
+    # The shear fixes the kink line of kink(2, 1); the swap moves it.
     g = kink_space(2, 1)
-    report = hat_dual_wellposed(
-        g, identity(2), frac_matrix([[1, 1], [0, 1]]), [kink_plot(2, 0)]
-    )
-    assert report.consistent
-    assert report.verdicts[0] == (Verdict.SMOOTH, Verdict.SMOOTH)
+    assert hat_dual_wellposed(g, identity(2), frac_matrix([[1, 1], [0, 1]])).consistent
+    report = hat_dual_wellposed(g, identity(2), swap)
+    assert not report.consistent
+    for direction, (domain, codomain) in (
+            (report.forward, (identity(2), swap)), (report.backward, (swap, identity(2)))):
+        assert direction.verdict is Verdict.NOT_SMOOTH
+        assert is_plot(hat_dual(g, domain), direction.witness) is Verdict.SMOOTH
+        assert is_plot(hat_dual(g, codomain), direction.witness) is Verdict.NOT_SMOOTH
 
-    rng = random.Random(23)
-    report = hat_dual_wellposed(
-        v, frac_matrix([[1, 2], [1, 3]]), frac_matrix([[3, 1], [2, 1]]),
-        [kink_plot(2, 0)]
-    )
-    assert report.consistent
-    assert report.verdicts[0] == (Verdict.NOT_SMOOTH, Verdict.NOT_SMOOTH)
+    # F_0 of kink(2, 2) is R^2, so every isomorphism pair gives one diffeology.
+    assert hat_dual_wellposed(kink_space(2, 2), identity(2), swap).consistent
+    assert hat_dual_wellposed(kink_space(2, 2), frac_matrix([[1, 2], [1, 3]]),
+                              frac_matrix([[5, 0], [1, -1]])).consistent
+
+
+def test_hat_dual_wellposedness_without_an_atom_witness():
+    """The swap moves the coarse line of coarse (+) kink, but inside F_0 =
+    R^2: the diffeologies differ, and no atom curve shows it."""
+    v = direct_sum(make_coarse(1), make_generated(1, [kink_plot(1, 0)]))
+    report = hat_dual_wellposed(v, identity(2), frac_matrix([[0, 1], [1, 0]]))
+    assert not report.consistent
+    assert report.forward.verdict is report.backward.verdict is Verdict.NOT_SMOOTH
+    assert report.forward.witness is None and report.backward.witness is None
+
+
+def _random_wellposedness_space(rng):
+    if rng.random() < 0.3:
+        return direct_sum(_random_hom_space(rng, 1), _random_hom_space(rng, 1))
+    return _random_hom_space(rng, 1)
+
+
+def _random_invertible(rng, n):
+    while True:
+        m = tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n))
+                  for _ in range(n))
+        if invert(m) is not None:
+            return m
+
+
+def _random_automorphism(rng, v):
+    """B*T*B^-1 for an adapted basis B of v (a basis of F_-1, extended to
+    each presented step in turn, then to R^n) and an invertible T that sends
+    each basis vector to a combination of vectors of no higher level: a
+    linear iso that maps every step onto itself."""
+    pres = presentation(v)
+    steps = [pres.filtration_step(d) for d in sorted({-1} | {d for d, _ in pres.rows})]
+    basis, levels = [], []
+    for level, step in enumerate(steps + [Subspace.full(v.dim)]):
+        for row in step.basis:
+            if Subspace.from_rows(v.dim, basis + [row]).dim > len(basis):
+                basis.append(row)
+                levels.append(level)
+    while True:
+        t = tuple(tuple(Fraction(rng.randint(-2, 2)) if levels[i] <= levels[j] else Fraction(0)
+                        for j in range(v.dim)) for i in range(v.dim))
+        if invert(t) is not None:
+            b = transpose(tuple(basis))
+            return matmul(matmul(b, t), invert(b))
+
+
+def _steps_agree(h1, h2, degrees):
+    p1, p2 = presentation(h1), presentation(h2)
+    return all(p1.filtration_step(e) == p2.filtration_step(e) for e in degrees)
+
+
+def _random_plot(rng, n):
+    return Plot([FunctionExpr.monomial(rng.randint(0, 2), rng.randint(-2, 2))
+                 + FunctionExpr.abs_monomial(rng.randint(0, 2), rng.choice([0, 0, 1, -1]))
+                 for _ in range(n)])
+
+
+def test_hat_dual_wellposed_equals_step_equality():
+    """On seeded fine, coarse, generated and sum spaces, with isomorphism
+    pairs half of which differ by an automorphism: the report is consistent
+    exactly when the two hat duals have equal filtration steps; each
+    witness is a plot of its report's domain and not of its codomain, and
+    both are missing only when every step from F_0 on agrees (the case of
+    ``test_hat_dual_wellposedness_without_an_atom_witness``); consistent
+    hat duals give random plots one verdict."""
+    rng = random.Random(20150430)
+    seen = {"automorphism": 0, "consistent": 0, "witness": 0}
+    for _ in range(150):
+        v = _random_wellposedness_space(rng)
+        iso1 = _random_invertible(rng, v.dim)
+        if rng.random() < 0.5:
+            iso2 = matmul(iso1, _random_automorphism(rng, v))
+            seen["automorphism"] += 1
+        else:
+            iso2 = _random_invertible(rng, v.dim)
+        hat1, hat2 = hat_dual(v, iso1), hat_dual(v, iso2)
+        degrees = sorted({-1} | {d for d, _ in presentation(v).rows})
+        report = hat_dual_wellposed(v, iso1, iso2)
+        assert report.consistent == _steps_agree(hat1, hat2, degrees), v.describe()
+        if report.consistent:
+            seen["consistent"] += 1
+            for _ in range(5):
+                plot = _random_plot(rng, v.dim)
+                assert is_plot(hat1, plot) is is_plot(hat2, plot)
+            continue
+        witnesses = 0
+        for direction, domain, codomain in ((report.forward, hat1, hat2),
+                                            (report.backward, hat2, hat1)):
+            if direction.witness is not None:
+                witnesses += 1
+                assert is_plot(domain, direction.witness) is Verdict.SMOOTH
+                assert is_plot(codomain, direction.witness) is Verdict.NOT_SMOOTH
+        assert (witnesses == 0) == _steps_agree(hat1, hat2, [max(d, 0) for d in degrees])
+        seen["witness"] += witnesses > 0
+    assert seen["automorphism"] >= 50 and seen["consistent"] >= 75 and seen["witness"] >= 20, seen
 
 
 def test_hat_dual_transpose_counterexample():

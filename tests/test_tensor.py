@@ -11,6 +11,7 @@ from diffeolin import (
     FunctionExpr,
     LinearMap,
     Plot,
+    TensorDualIso,
     Verdict,
     classify,
     diffeological_dual,
@@ -33,7 +34,7 @@ from diffeolin import (
     tensor_of_maps,
     tensor_product,
 )
-from diffeolin.linalg import Subspace, identity, invert, kron, kron_vector, matmul
+from diffeolin.linalg import Subspace, identity, invert, kron, kron_vector, matmul, rank
 
 
 def kink_space(n, k):
@@ -169,6 +170,23 @@ def test_tensor_dual_basis_is_the_kron_of_the_factor_bases():
         assert products == diffeological_dual(tensor_product(v, w)).annihilator_basis.basis
         assert iso.matrix == identity(iso.codomain_dim) and iso.isomorphism
     assert len(kinds) == 7, kinds
+
+
+def test_injective_equals_the_rank_of_the_matrix():
+    """``injective`` reads the dimensions; on seeded pairs, and on records
+    whose tensor dual has the wrong dimension, it equals the rank test of
+    the identity matrix, and so does ``isomorphism``."""
+    rng = random.Random(74207281)
+    duals = [diffeological_dual(make_fine(n)) for n in range(4)]
+    isos = [TensorDualIso(duals[1], duals[a], duals[c], identity(c))
+            for a in range(4) for c in range(4)]
+    for _ in range(40):
+        isos.append(tensor_dual_iso(_random_factor(rng), _random_factor(rng)))
+    assert {iso.injective for iso in isos} == {True, False}
+    for iso in isos:
+        full_rank = rank(iso.matrix) == iso.domain_dim
+        assert iso.injective == full_rank
+        assert iso.isomorphism == (full_rank and iso.domain_dim == iso.codomain_dim)
 
 
 def test_tensor_dual_iso_rejects_a_wrong_block_formula(monkeypatch):
