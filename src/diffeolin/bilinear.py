@@ -11,7 +11,6 @@ contribute |x|*|x| = x^2 terms, which impose nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +63,11 @@ class BilinearForm:
         return tuple(out)
 
     @cached_property
+    def verdict(self) -> Verdict:
+        """``is_smooth_bilinear``'s answer, decided on first use and kept."""
+        return _decide(self)
+
+    @cached_property
     def _integer_coefficients(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The coefficient array times the lcm of its denominators, as ints."""
         den = lcm(*[x.denominator for row in self.coefficients for value in row for x in value])
@@ -97,33 +101,41 @@ def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
     n, m, q = left.dim, right.dim, codomain.dim
     if len(flat) != n * m * q:
         raise DimensionMismatchError("flat coefficient length mismatch")
-    it = iter(flat)
-    coeffs = tuple(
-        tuple(tuple(Fraction(next(it)) for _ in range(q)) for _ in range(m))
-        for _ in range(n)
-    )
-    return BilinearForm(left, right, codomain, coeffs)
+    entries = [x if isinstance(x, Fraction) else Fraction(x) for x in flat]
+    cells = [tuple(entries[c * q:c * q + q]) for c in range(n * m)]
+    return BilinearForm(left, right, codomain, tuple(tuple(cells[i * m:i * m + m]) for i in range(n)))
+
+
+def _transpose(rows: Sequence[Sequence], width: int) -> tuple:
+    """zip(*rows), or ``width`` empty columns when there is no row."""
+    return tuple(zip(*rows)) if rows else ((),) * width
+
+
+def _decide(b: BilinearForm) -> Verdict:
+    """The verdict of ``is_smooth_bilinear``, computed without caching."""
+    cod = presentation(b.codomain)
+    columns = _transpose(b.coefficients, b.right.dim)
+    for factor, slices, other in ((b.left, b.coefficients, b.right.dim),
+                                  (b.right, columns, b.left.dim)):
+        for d, r in presentation(factor).rows:
+            support = [(x, slices[i]) for i, x in enumerate(r) if x]
+            for psi in cod.filtration_step(d).annihilator().basis:
+                terms = [(x, p, s, k) for x, s in support for k, p in enumerate(psi) if p]
+                if any(sum(x * p * s[t][k] for x, p, s, k in terms if s[t][k]) for t in range(other)):
+                    return Verdict.NOT_SMOOTH
+    return Verdict.SMOOTH
 
 
 def is_smooth_bilinear(b: BilinearForm) -> Verdict:
     """``check_smooth_linear``'s criterion for the induced map V (x) W -> Z,
-    read off the factor presentations without building V (x) W.
-
-    The block presentation of V (x) W has the rows r (x) e_j and e_i (x) r
-    at degree d for each row r presented at degree d >= -1 in either factor.
-    The induced map sends them to the slices b(r, e_j) and b(e_i, r), which
-    must lie in the filtration step F_d of Z (its coarse part for d = -1).
-    The slices are taken on ints, as positive integer multiples of these
-    families; a nonzero scale does not change membership in F_d.
-    """
-    left, right, cod = presentation(b.left), presentation(b.right), presentation(b.codomain)
-    blocks = itertools.chain(((d, b.left_slice(r)) for d, r in left.rows),
-                             ((d, b.right_slice(r)) for d, r in right.rows))
-    for d, images in blocks:
-        step = cod.filtration_step(d)
-        if not all(step.contains(y) for y in images):
-            return Verdict.NOT_SMOOTH
-    return Verdict.SMOOTH
+    read off the factor presentations without building V (x) W: for each row
+    r presented at degree d >= -1 in either factor, the images b(r, e_j) and
+    b(e_i, r) of the block rows r (x) e_j and e_i (x) r must lie in F_d(Z)
+    (its coarse part for d = -1), so each psi in Ann(F_d(Z)) kills them, as in
+    ``smooth_bilinear_basis``.  Only nonzero coefficients enter the sums, and
+    the first nonzero value decides NotSmooth.  The verdict is kept on the
+    form, so each form is decided once."""
+    return b.verdict
 
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
@@ -159,44 +171,32 @@ class CurriedMap:
                 if len(row) != self.space.dim:
                     raise DimensionMismatchError("block columns != domain dimension")
 
+    @cached_property
+    def uncurried(self) -> BilinearForm:
+        """b(v_i, v_j) = G(v_i)(v_j), transposed from the blocks once and kept."""
+        return BilinearForm(self.space, self.space, self.codomain,
+                            tuple(_transpose(block, self.space.dim) for block in self.blocks))
+
 
 def curry(b: BilinearForm) -> CurriedMap:
-    """View a smooth bilinear form as a linear map v -> L(v, w).
-
-    The image of each basis vector kills the singular span (the form was
-    smooth in the second slot), and the map itself passes the functional-
-    diffeology criterion, which reduces to the bilinear condition already
-    checked.
-    """
+    """View a smooth bilinear form as a linear map v -> L(v, w).  The
+    verdict is read off the form, so one that ``is_smooth_bilinear`` judged
+    is not decided again.  The curried map's smoothness is still not a check
+    of its own (see ``curried_is_smooth``)."""
     if b.left is not b.right and b.left != b.right:
         raise DiffeolinError("curry requires matching left and right spaces")
-    if is_smooth_bilinear(b) is not Verdict.SMOOTH:
+    if b.verdict is not Verdict.SMOOTH:
         raise DiffeolinError("curry requires a Smooth bilinear form")
-    q = b.codomain.dim
-    blocks = tuple(
-        tuple(
-            tuple(b.coefficients[i][j][k] for j in range(b.right.dim))
-            for k in range(q)
-        )
-        for i in range(b.left.dim)
-    )
-    return CurriedMap(b.left, b.codomain, blocks)
+    return CurriedMap(b.left, b.codomain, tuple(tuple(zip(*row)) for row in b.coefficients))
 
 
 def uncurry(g: CurriedMap) -> BilinearForm:
     """Inverse of curry: coefficients b(v_i, v_j) = G(v_i)(v_j)."""
-    q = g.codomain.dim
-    coeffs = tuple(
-        tuple(
-            tuple(g.blocks[i][k][j] for k in range(q))
-            for j in range(g.space.dim)
-        )
-        for i in range(g.space.dim)
-    )
-    return BilinearForm(g.space, g.space, g.codomain, coeffs)
+    return g.uncurried
 
 
 def curried_is_smooth(g: CurriedMap) -> Verdict:
-    """Smoothness of a curried map in the reduced sense: the functional-
-    diffeology criterion turns it into smoothness of the uncurried form."""
-    return is_smooth_bilinear(uncurry(g))
+    """Smoothness of a curried map in the reduced sense: the verdict read off
+    its uncurried form, decided at most once per map.  Circular: the bilinear
+    question again, not a map into a space L(v, w), until that hom is a space."""
+    return g.uncurried.verdict

@@ -48,6 +48,21 @@ class InputError(ValueError):
     pass
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    """argparse's ``error`` hook.  A usage error (missing argument, malformed
+    value, unknown option) becomes an ``InputError``, so ``main`` reports it
+    on one ``error:`` line and returns 2, where argparse would print the
+    usage and exit."""
+    raise InputError(f"{parser.prog}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """The argument parser with ``_usage_error`` as its error hook; the
+    subcommand parsers inherit the class and with it the hook."""
+
+    error = _usage_error
+
+
 def _check_unknowns(command: str, unknowns: int) -> None:
     if unknowns > MAX_UNKNOWNS:
         raise InputError(f"{command}: {unknowns} unknowns exceed the limit of {MAX_UNKNOWNS}")
@@ -355,7 +370,7 @@ class _Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffeolin",
         description="Exact smoothness calculator for finitely generated diffeologies on R^n",
     )
@@ -417,10 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(args.command, args.json)
     try:
+        args = build_parser().parse_args(argv)
+        out = _Output(args.command, args.json)
         code = args.handler(args, out)
     except (InputError, SpaceFileError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,6 +32,7 @@ from diffeolin import (
     uncurry,
 )
 from diffeolin.atoms import FunctionExpr
+from diffeolin import bilinear
 from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector
 from diffeolin.spaces import Plot, presentation
@@ -160,6 +161,7 @@ def test_verdicts_preserved_through_uncurry():
         )
         g = CurriedMap(v, w, blocks)
         assert curried_is_smooth(g) is is_smooth_bilinear(uncurry(g))
+        assert curried_is_smooth(g) is _fraction_is_smooth_bilinear(uncurry(g))
 
 
 def test_oracle_spot_check_on_generator_pairs():
@@ -442,3 +444,90 @@ def test_is_smooth_bilinear_equals_the_fraction_reference():
             left.describe(), right.describe(), cod.describe())
         verdicts.append(verdict)
     assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
+
+
+# --- each form decided once; the zip transposition at its edges ---------------
+
+def _count_decisions(monkeypatch):
+    """Record every form the decision procedure runs on."""
+    decided = []
+    decide = bilinear._decide
+
+    def counting(b):
+        decided.append(b)
+        return decide(b)
+
+    monkeypatch.setattr(bilinear, "_decide", counting)
+    return decided
+
+
+def test_a_smooth_form_and_its_curried_map_are_each_decided_once(monkeypatch):
+    decided = _count_decisions(monkeypatch)
+    v, w = kink_space(3, 1), make_fine(2)
+    b = form_from_flat(v, v, w, smooth_bilinear_basis(v, w).basis[-1])
+    assert is_smooth_bilinear(b) is Verdict.SMOOTH
+    g = curry(b)
+    assert uncurry(g) == b
+    assert curried_is_smooth(g) is Verdict.SMOOTH
+    assert curry(uncurry(g)).blocks == g.blocks
+    assert sum(x is b for x in decided) == 1
+    assert uncurry(g) is not b
+    assert sum(x is uncurry(g) for x in decided) <= 1
+    assert len(decided) <= 2
+
+
+def test_a_not_smooth_form_is_decided_once(monkeypatch):
+    decided = _count_decisions(monkeypatch)
+    v, w = kink_space(2, 1), make_fine(1)
+    b = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 1, 0): 1}))
+    assert is_smooth_bilinear(b) is Verdict.NOT_SMOOTH
+    with pytest.raises(DiffeolinError):
+        curry(b)
+    assert len(decided) == 1 and decided[0] is b
+
+
+@pytest.mark.parametrize("n, q", [(0, 1), (2, 0), (0, 0)])
+def test_round_trip_with_zero_dimensional_factors_and_codomains(n, q):
+    for v in (make_fine(n), make_coarse(n), kink_space(n, min(n, 1))):
+        for w in (make_fine(q), make_coarse(q)):
+            b = form_from_flat(v, v, w, [])
+            assert b.coefficients == (((),) * n,) * n
+            assert is_smooth_bilinear(b) is _fraction_is_smooth_bilinear(b) is Verdict.SMOOTH
+            g = curry(b)
+            assert g.blocks == ((),) * n
+            assert uncurry(g) == b
+            assert curried_is_smooth(g) is Verdict.SMOOTH
+            assert curry(uncurry(g)).blocks == g.blocks
+            assert smooth_bilinear_basis(v, w).dim == 0
+
+
+def test_forms_on_different_left_and_right_spaces():
+    """Factors of different dimensions (one of them zero-dimensional) and
+    descriptors: the verdict equals the Fraction-slice reference and the
+    universal-property route through V (x) W."""
+    rng = random.Random(1703)
+    spaces = [make_fine(0), make_coarse(0), make_fine(1), make_coarse(2), kink_space(2, 1),
+              kink_space(3, 2), diffeological_dual(kink_space(3, 1))]
+    codomains = [make_fine(1), make_coarse(1), kink_space(2, 1)]
+    verdicts = []
+    for left, right in itertools.permutations(spaces, 2):
+        for cod in codomains:
+            for _ in range(3):
+                flat = [rng.choice([0, 0, 0, 1, -2, Fraction(1, 3)])
+                        for _ in range(left.dim * right.dim * cod.dim)]
+                b = form_from_flat(left, right, cod, flat)
+                verdict = is_smooth_bilinear(b)
+                assert verdict is _fraction_is_smooth_bilinear(b), (
+                    left.describe(), right.describe(), cod.describe(), flat)
+                t = tensor_product(left, right)
+                assert verdict is is_smooth_linear(LinearMap(t, cod, _induced_matrix(b)))
+                verdicts.append(verdict)
+    assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
+
+
+def test_form_from_flat_accepts_ints_fractions_and_strings():
+    b = form_from_flat(make_fine(2), make_fine(1), make_fine(2), [1, Fraction(1, 2), "-3/4", "0"])
+    assert b.coefficients == (((Fraction(1), Fraction(1, 2)),), ((Fraction(-3, 4), Fraction(0)),))
+    assert all(type(x) is Fraction for row in b.coefficients for value in row for x in value)
+    assert b == form_from_flat(make_fine(2), make_fine(1), make_fine(2),
+                               ["1", "1/2", Fraction(-3, 4), 0])

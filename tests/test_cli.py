@@ -203,6 +203,32 @@ def test_input_errors_exit_2(run):
     ("-f", "{big}", "hom", "f33", "f32"),
     ("-f", "{big}", "tensor", "f32", "f33"),
     ("-f", "{big}", "bilinear", "f11", "f9"),
+    # Usage errors: one row per subcommand with a missing argument, one with
+    # a malformed value, and the options of the top-level parser.
+    ("dual",),
+    ("dual", "fine2", "--bogus"),
+    ("hom", "fine2"),
+    ("hom", "fine2", "nope"),
+    ("bilinear", "fine2"),
+    ("bilinear", "fine2", "fine1", "extra"),
+    ("tensor", "fine2"),
+    ("tensor", "fine2", "fine2", "--dual-iso=yes"),
+    ("check-map",),
+    ("check-map", "nope"),
+    ("check-plot", "kink2_1"),
+    ("check-plot", "kink2_1", "abs(", "0"),
+    ("hat-dual", "kink2_1"),
+    ("hat-dual", "kink2_1", "--iso", "[[1,"),
+    ("oracle",),
+    ("oracle", "abs(x)", "--max-order", "two"),
+    ("cross-validate", "kink3_1"),
+    ("cross-validate", "kink3_1", "0,1,1", "--trials", "abc"),
+    ("cross-validate", "kink3_1", "0,1,1", "--seed", "1.5"),
+    ("verify", "--bogus"),
+    (),
+    ("nope",),
+    ("-f",),
+    ("--bogus", "dual", "fine2"),
 ])
 def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
     # Space files past the bounds: dim 65, 65 generators (or no generator
@@ -222,6 +248,15 @@ def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("dual", "-h"), ("cross-validate", "--help")])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith("usage: diffeolin") and captured.err == ""
 
 
 def test_degree_cap_is_input_error(run):
