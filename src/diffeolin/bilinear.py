@@ -197,6 +197,6 @@ def uncurry(g: CurriedMap) -> BilinearForm:
 
 def curried_is_smooth(g: CurriedMap) -> Verdict:
     """Smoothness of a curried map in the reduced sense: the verdict read off
-    its uncurried form, decided at most once per map.  Circular: the bilinear
-    question again, not a map into a space L(v, w), until that hom is a space."""
+    its uncurried form, decided at most once per map.  This is circular (the
+    bilinear question asked again) until L(v, w) is a space of its own."""
     return g.uncurried.verdict
