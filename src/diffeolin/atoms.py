@@ -73,11 +73,11 @@ class FunctionExpr:
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[Atom, Fraction] = {}
         for atom, coeff in items:
-            c = merged.get(atom, Fraction(0)) + Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+            if atom in merged:
+                c += merged.pop(atom)
             if c:
                 merged[atom] = c
-            elif atom in merged:
-                del merged[atom]
         object.__setattr__(self, "_terms", tuple(sorted(merged.items())))
 
     @property

@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .atoms import FunctionExpr
-from .exprparse import MAX_DEGREE
+from .exprparse import MAX_DEGREE, format_expr
 
 # Enough for |x|*x^MAX_DEGREE, the highest kink one parsed factor writes,
 # which fails at order MAX_DEGREE + 2; bounds the work of one probe.
@@ -68,15 +69,22 @@ class Classification:
         return f"NonSmoothAt0(order {self.failing_order})"
 
 
+@lru_cache(maxsize=(MAX_DEGREE + 1) * 2 * MAX_ORDER)
+def _unit_sum(degree: int, is_abs: bool, order: int) -> int:
+    """The module docstring's U for |x|^is_abs * x^degree at ``order``; the
+    cache fits every atom and order that a parsed expression can probe."""
+    return sum((-1) ** j * math.comb(order, j) * (order - 2 * j) ** degree
+               * (abs(order - 2 * j) if is_abs else 1) for j in range(order + 1))
+
+
 def _differences(f: FunctionExpr, order: int) -> tuple[list[int], int]:
     """Exact |order-th divided differences| of ``f`` at the half-widths
     2^-p, p in ``HALF_WIDTH_EXPONENTS``: integers N_p and one positive
     denominator, the difference at 2^-p being N_p / denominator."""
     q = math.lcm(*[c.denominator for _, c in f.terms])
-    nodes = [((-1) ** j * math.comb(order, j), order - 2 * j) for j in range(order + 1)]
     sums: dict[int, int] = {}
     for atom, c in f.terms:
-        u = sum(w * x**atom.degree * (abs(x) if atom.is_abs else 1) for w, x in nodes)
+        u = _unit_sum(atom.degree, atom.is_abs, order)
         if u:
             total = atom.degree + atom.is_abs
             sums[total] = sums.get(total, 0) + c.numerator * (q // c.denominator) * u
@@ -198,7 +206,6 @@ def cross_validate(
     """
     import random
 
-    from .exprparse import format_expr
     from .hom import LinearMap, is_smooth_linear
     from .linalg import vector
     from .spaces import Plot, generating_plots, make_fine, presentation

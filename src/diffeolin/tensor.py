@@ -31,6 +31,7 @@ from .hom import (
 from .linalg import (
     Matrix,
     identity,
+    invert,
     kron,
     kron_vector,
     unit_vector,
@@ -109,8 +110,6 @@ def distribute(v1: DiffSpace, v2: DiffSpace, v3: DiffSpace) -> LinearMap:
 
 
 def inverse_map(f: LinearMap) -> LinearMap:
-    from .linalg import invert
-
     inv = invert(f.matrix)
     if inv is None:
         raise DiffeolinError("map is not invertible")

@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .oracle import classify
 from .spaces import (
+    Coarse,
     DiffSpace,
     DiffeolinError,
     Verdict,
@@ -86,8 +87,17 @@ def _timed(name, fn) -> CheckResult:
 
 # --- sampling helpers ------------------------------------------------------
 
-def _random_rational(rng: random.Random, lo: int = -5, hi: int = 5) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+# Draw tables.  ``choice`` and ``randint`` each consume one ``_randbelow(width)``,
+# so ``rng.choice(rng.choice(_RATIONALS))`` draws what ``Fraction(rng.randint(-5,
+# 5), rng.randint(1, 3))`` draws, and the same holds for _COEFFICIENTS with
+# randint(-10, 10) and randint(1, 4), and for the atoms of degree randint(0, 6).
+_RATIONALS = tuple(tuple(Fraction(a, b) for b in range(1, 4)) for a in range(-5, 6))
+_COEFFICIENTS = tuple(tuple(Fraction(a, b) for b in range(1, 5)) for a in range(-10, 11))
+_ABS_ATOMS, _ATOMS = (tuple(kind(d) for d in range(7)) for kind in (abs_mono, mono))
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return rng.choice(rng.choice(_RATIONALS))
 
 
 def _random_matrix(rng: random.Random, rows: int, cols: int) -> Matrix:
@@ -121,8 +131,6 @@ def _random_space(rng: random.Random, max_dim: int, kinds=("fine", "coarse", "ge
 def _random_smooth_map(rng: random.Random, domain: DiffSpace, codomain: DiffSpace) -> LinearMap:
     """A map guaranteed Smooth: coarse codomains take anything, otherwise
     every matrix row annihilates the singular span of the domain."""
-    from .spaces import Coarse
-
     if isinstance(codomain.diffeology, Coarse):
         return LinearMap(domain, codomain, _random_matrix(rng, codomain.dim, domain.dim))
     ann = singular_span(domain).annihilator()
@@ -217,6 +225,10 @@ def check_curry_correspondence() -> tuple[bool, str]:
             if basis.dim != _uncurried_smooth_dim(v, w):
                 return False, f"dimension mismatch on {v.describe()} -> {w.describe()}"
             n, q = v.dim, w.dim
+            zero = form_from_flat(v, v, w, [Fraction(0)] * (n * n * q))
+            if (is_smooth_bilinear(zero) is not Verdict.SMOOTH
+                    or curried_is_smooth(curry(zero)) is not Verdict.SMOOTH):
+                return False, "zero form not smooth"
             for _ in range(100):
                 flat = [_random_rational(rng) for _ in range(n * n * q)]
                 b = form_from_flat(v, v, w, flat)
@@ -235,9 +247,6 @@ def check_curry_correspondence() -> tuple[bool, str]:
                         return False, "curry accepted a NotSmooth form"
                     except DiffeolinError:
                         pass
-                    g = curry(form_from_flat(v, v, w, [Fraction(0)] * (n * n * q)))
-                    if curried_is_smooth(g) is not Verdict.SMOOTH:
-                        return False, "zero form not smooth"
                 checked += 1
     return True, f"{checked} forms over {len(spaces)} spaces round-trip with verdicts preserved"
 
@@ -350,9 +359,9 @@ def check_distributivity() -> tuple[bool, str]:
 def _random_expression(rng: random.Random) -> FunctionExpr:
     terms = []
     for _ in range(rng.randint(1, 6)):
-        kind = abs_mono if rng.random() < 0.5 else mono
-        coeff = Fraction(rng.randint(-10, 10), rng.randint(1, 4))
-        terms.append((kind(rng.randint(0, 6)), coeff))
+        atoms = _ABS_ATOMS if rng.random() < 0.5 else _ATOMS
+        coeff = rng.choice(rng.choice(_COEFFICIENTS))
+        terms.append((rng.choice(atoms), coeff))
     return FunctionExpr(terms)
 
 

@@ -1,5 +1,6 @@
 """Ring structure and smoothness bookkeeping of the atom algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,49 @@ def test_compose_scale_agrees_with_evaluation(f, t, c):
 def test_canonical_form_drops_zero_coefficients(f):
     assert all(c != 0 for _, c in f.terms)
     assert f - f == FunctionExpr.zero()
+
+
+# The merge FunctionExpr's constructor made before it skipped converting
+# Fractions and adding to zero, kept as the reference.
+def _reference_terms(terms):
+    items = terms.items() if isinstance(terms, dict) else terms
+    merged = {}
+    for atom, coeff in items:
+        c = merged.get(atom, Fraction(0)) + Fraction(coeff)
+        if c:
+            merged[atom] = c
+        elif atom in merged:
+            del merged[atom]
+    return tuple(sorted(merged.items()))
+
+
+def _assert_merges_as_the_reference(terms):
+    f = FunctionExpr(terms)
+    assert f.terms == _reference_terms(terms), terms
+    assert all(type(c) is Fraction and c for _, c in f.terms)
+
+
+@pytest.mark.parametrize("terms", [
+    [(mono(2), 1), (abs_mono(0), Fraction(1, 3)), (mono(2), Fraction(1, 2))],
+    [(abs_mono(1), Fraction(2, 3)), (abs_mono(1), Fraction(-2, 3))],
+    [(mono(0), 1), (mono(0), -1), (mono(0), 0), (mono(0), Fraction(5, 7))],
+    [(mono(3), 0), (abs_mono(3), Fraction(0))],
+    [(mono(1), 2), (mono(1), Fraction(-1, 2)), (mono(1), True)],
+    {mono(4): 3, abs_mono(2): Fraction(-1, 6), mono(0): 0},
+    {},
+])
+def test_construction_merges_repeats_and_cancels(terms):
+    _assert_merges_as_the_reference(terms)
+
+
+def test_construction_on_random_term_lists():
+    rng = random.Random(1505)
+    for _ in range(500):
+        atoms = [rng.choice((mono, abs_mono))(rng.randint(0, 3)) for _ in range(4)]
+        terms = [(rng.choice(atoms), rng.choice((0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2))))
+                 for _ in range(rng.randint(0, 8))]
+        _assert_merges_as_the_reference(terms)
+        _assert_merges_as_the_reference(dict(terms))
 
 
 def test_degree_must_be_nonnegative():

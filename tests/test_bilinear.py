@@ -32,7 +32,7 @@ from diffeolin import (
     uncurry,
 )
 from diffeolin.atoms import FunctionExpr
-from diffeolin import bilinear
+from diffeolin import bilinear, verify
 from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector
 from diffeolin.spaces import Plot, presentation
@@ -484,6 +484,36 @@ def test_a_not_smooth_form_is_decided_once(monkeypatch):
     with pytest.raises(DiffeolinError):
         curry(b)
     assert len(decided) == 1 and decided[0] is b
+
+
+def test_curry_correspondence_decides_each_zero_form_once_per_pair(monkeypatch):
+    """One check makes 3,261 decisions: the 2,600 draws, the uncurried form
+    of each of the 609 Smooth draws, and the zero form and its curried map
+    once for each of the 26 (V, W) pairs.  Deciding a fresh zero form on
+    every NotSmooth draw made 7,191."""
+    decided = _count_decisions(monkeypatch)
+    assert verify.check_curry_correspondence() == (
+        True, "2600 forms over 13 spaces round-trip with verdicts preserved")
+    assert len(decided) == 3261
+
+
+def _is_zero(b):
+    return not any(x for row in b.coefficients for value in row for x in value)
+
+
+@pytest.mark.parametrize("side", ["form", "curried map"])
+def test_curry_correspondence_rejects_a_zero_form_that_is_not_smooth(monkeypatch, side):
+    """A NotSmooth verdict on the zero form, or on its curried map, fails
+    the check with its own message."""
+    if side == "form":
+        decide = bilinear._decide
+        monkeypatch.setattr(bilinear, "_decide",
+                            lambda b: Verdict.NOT_SMOOTH if _is_zero(b) else decide(b))
+    else:
+        monkeypatch.setattr(verify, "curried_is_smooth",
+                            lambda g: Verdict.NOT_SMOOTH if _is_zero(uncurry(g))
+                            else curried_is_smooth(g))
+    assert verify.check_curry_correspondence() == (False, "zero form not smooth")
 
 
 @pytest.mark.parametrize("n, q", [(0, 1), (2, 0), (0, 0)])

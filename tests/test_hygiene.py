@@ -34,6 +34,28 @@ def test_imports_are_used(path):
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
 
 
+def imported_modules(node):
+    """The modules an import statement reads, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {"." * node.level + (node.module or "")}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_functions_import_only_what_the_module_does_not(path):
+    """An import inside a function defers loading a module, which guards an
+    import cycle; a module the file already imports at top level cannot be
+    one, so that import belongs at the top."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    top = set().union(*map(imported_modules, tree.body))
+    nested = [f"{module} (line {node.lineno})" for node in ast.walk(tree)
+              if all(node is not stmt for stmt in tree.body)
+              for module in sorted(imported_modules(node) & top)]
+    assert not nested, f"{path.name} imports again inside a function: {', '.join(nested)}"
+
+
 TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 

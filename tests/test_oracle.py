@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from diffeolin import FunctionExpr, classify, cross_validate
-from diffeolin.atoms import abs_mono, mono
+from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
-from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences
+from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences, _unit_sum
+from diffeolin.verify import check_oracle_agreement
 from diffeolin.hom import hat_dual
 from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
 from diffeolin.tensor import tensor_product
@@ -130,6 +131,32 @@ def test_all_negative_exponents_need_no_shift():
     expr = A(0, Fraction(5, 3)) + M(1, Fraction(-3, 5))
     values, denominator = _differences(expr, 20)
     assert denominator == 15 and any(values)
+
+
+TABLE_SIZE = (MAX_DEGREE + 1) * 2 * MAX_ORDER  # 8,580
+
+
+def test_stencil_table_equals_the_alternating_sum():
+    """Every atom a parsed expression writes, at every order classify may
+    probe: the unit stencil sum sum_j (-1)^j C(k, j) a(k - 2j)."""
+    for degree in range(MAX_DEGREE + 1):
+        for is_abs in (False, True):
+            atom = Atom(is_abs, degree)
+            for order in range(1, MAX_ORDER + 1):
+                direct = sum((-1) ** j * math.comb(order, j) * atom.evaluate(order - 2 * j)
+                             for j in range(order + 1))
+                assert _unit_sum(degree, is_abs, order) == direct, (atom, order)
+
+
+def test_stencil_table_is_bounded():
+    _unit_sum.cache_clear()
+    assert check_oracle_agreement()[0]
+    assert 0 < _unit_sum.cache_info().currsize <= TABLE_SIZE
+    # Products of atoms reach degrees no parsed factor writes; the table
+    # still holds at most TABLE_SIZE entries.
+    for degree in range(2 * MAX_DEGREE + 3):
+        classify(FunctionExpr.abs_monomial(degree) + FunctionExpr.monomial(degree), MAX_ORDER)
+    assert _unit_sum.cache_info().currsize <= TABLE_SIZE == _unit_sum.cache_info().maxsize
 
 
 # The Fraction implementation the integer one replaced, kept as a reference:
