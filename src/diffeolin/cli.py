@@ -24,7 +24,7 @@ from .hom import (
     hat_dual,
     smooth_hom_basis,
 )
-from .oracle import DEFAULT_MAX_ORDER, Classification, classify, cross_validate
+from .oracle import Classification, classify, cross_validate
 from .spacefile import SpaceFile, SpaceFileError, load_space_file, parse_rational
 from .spaces import (
     DiffeolinError,
@@ -272,11 +272,7 @@ def _cmd_oracle(args, out):
         expr = parse_expr(args.expr)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        result = classify(expr, args.max_order)
-    except ValueError as exc:
-        raise InputError(f"--max-order: {exc}") from exc
-    record = _classification_record(format_expr(expr), result)
+    record = _classification_record(format_expr(expr), classify(expr))
     out.human(f"{record['expression']}: {record['verdict']}")
     out.payload(inputs={"expression": args.expr}, result=record)
     return 0
@@ -316,7 +312,7 @@ def _cmd_cross_validate(args, out):
         },
         verdicts={"map": report.map_verdict},
     )
-    return 0 if report.skipped or (report.consistent and not report.disagreements) else 1
+    return 0 if report.consistent and not report.disagreements else 1
 
 
 def _cmd_verify(args, out):
@@ -415,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numeric smoothness classification of an expression")
     p.add_argument("expr")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("cross-validate", help="compare numeric and symbolic verdicts on a space")

@@ -21,6 +21,7 @@ reported value becomes a float.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,11 +29,13 @@ from typing import Sequence
 
 from .atoms import FunctionExpr
 from .exprparse import MAX_DEGREE, format_expr
+from .hom import LinearMap, is_smooth_linear
+from .linalg import vector
+from .spaces import Plot, generating_plots, make_fine, presentation
 
-# Enough for |x|*x^MAX_DEGREE, the highest kink one parsed factor writes,
-# which fails at order MAX_DEGREE + 2; bounds the work of one probe.
+# The order at which |x|*x^MAX_DEGREE, the highest kink one parsed factor
+# writes, fails: the highest order classify probes on a parsed expression.
 MAX_ORDER = MAX_DEGREE + 2
-DEFAULT_MAX_ORDER = 8
 
 
 # The sweep of half-widths 2^-p, and the divergence test on it: a run of at
@@ -124,22 +127,22 @@ def _diverges(values: Sequence[int]) -> int | None:
     return None
 
 
-def classify(f: FunctionExpr, max_order: int = DEFAULT_MAX_ORDER) -> Classification:
+def classify(f: FunctionExpr) -> Classification:
     """Probe the atom expression ``f`` for non-smooth behaviour at 0.
 
-    Returns the smallest order up to ``max_order`` whose exact divided
-    differences diverge under the sweep of half-widths; ``max_order`` must
-    lie between 2 and ``MAX_ORDER``.
+    Returns the smallest order whose exact divided differences diverge under
+    the sweep of half-widths.  The orders run up to the largest atom degree
+    of ``f`` plus 2: ``|x|*x^d`` first fails at ``d + 2``, and past its
+    degree a polynomial's differences vanish.
     """
-    if not 2 <= max_order <= MAX_ORDER:
-        raise ValueError(f"max_order must be between 2 and {MAX_ORDER}")
-    for order in range(1, max_order + 1):
+    top = max([atom.degree for atom, _ in f.terms], default=0) + 2
+    for order in range(1, top + 1):
         values, denominator = _differences(f, order)
         hit = _diverges(values)
         if hit is not None:
             value = _rounded(Fraction(values[hit], denominator))
             return Classification(order, order, HALF_WIDTHS[hit], value)
-    return Classification(None, max_order)
+    return Classification(None, top)
 
 
 # --- cross validation against the symbolic side ---------------------------
@@ -192,7 +195,6 @@ def cross_validate(
     space,
     functional: Sequence,
     trials: int = 20,
-    max_order: int = DEFAULT_MAX_ORDER,
     seed: int = 0,
 ):
     """Sample plots of the space, compose with the functional and compare the
@@ -201,15 +203,10 @@ def cross_validate(
     The samples are vector-space combinations lambda(x) * p(c * x) + s(x) of
     the generating plots p of the space (``spaces.generating_plots``:
     polynomial lambda, rational c, smooth s), always starting with the bare
-    generating plots; a fine space samples smooth plots.  A space with a
+    generating plots, every one of them sampled; ``trials`` is the least
+    number of samples.  A fine space samples smooth plots.  A space with a
     coarse part is skipped: there is no faithful sampled representation.
     """
-    import random
-
-    from .hom import LinearMap, is_smooth_linear
-    from .linalg import vector
-    from .spaces import Plot, generating_plots, make_fine, presentation
-
     phi = vector(functional)
     if len(phi) != space.dim:
         raise ValueError("functional length must equal the space dimension")
@@ -246,12 +243,12 @@ def cross_validate(
         samples.append(Plot([a + b for a, b in zip(comps, smooth_part)]))
 
     records = []
-    for sample in samples[:trials]:
+    for sample in samples:
         (composed,) = sample.transform((phi,)).components
         records.append(
             TrialRecord(
                 format_expr(composed),
-                classify(composed, max_order),
+                classify(composed),
                 composed.is_smooth(),
             )
         )

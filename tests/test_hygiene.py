@@ -43,17 +43,45 @@ def imported_modules(node):
     return set()
 
 
+def top_level_imports(tree):
+    return set().union(*map(imported_modules, tree.body))
+
+
+# Library module -> the library modules it imports at top level.
+TOP_LEVEL_GRAPH = {
+    p.stem: {m[1:] for m in top_level_imports(ast.parse(p.read_text())) if m.startswith(".")}
+    for p in MODULES
+}
+
+
+def imports_at_top_level(importer, target):
+    """Whether loading the library module ``importer`` loads ``target``
+    through top-level imports, directly or through other modules."""
+    seen, stack = set(), [importer]
+    while stack:
+        module = stack.pop()
+        if module == target:
+            return True
+        if module not in seen:
+            seen.add(module)
+            stack.extend(TOP_LEVEL_GRAPH.get(module, ()))
+    return False
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_functions_import_only_what_the_module_does_not(path):
-    """An import inside a function defers loading a module, which guards an
-    import cycle; a module the file already imports at top level cannot be
-    one, so that import belongs at the top."""
+    """An import inside a function defers loading a module, which is needed
+    only to break an import cycle: the module must be a library module that
+    imports this one at top level, directly or through other modules, and
+    not one this file already imports at top level."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    top = set().union(*map(imported_modules, tree.body))
+    top = top_level_imports(tree)
     nested = [f"{module} (line {node.lineno})" for node in ast.walk(tree)
               if all(node is not stmt for stmt in tree.body)
-              for module in sorted(imported_modules(node) & top)]
-    assert not nested, f"{path.name} imports again inside a function: {', '.join(nested)}"
+              for module in sorted(imported_modules(node))
+              if module in top or not (module.startswith(".")
+                                       and imports_at_top_level(module[1:], path.stem))]
+    assert not nested, f"{path.name} imports inside a function: {', '.join(nested)}"
 
 
 TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"

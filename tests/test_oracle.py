@@ -10,7 +10,9 @@ from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
 from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences, _unit_sum
-from diffeolin.verify import check_oracle_agreement
+from diffeolin import verify
+from diffeolin.verify import VERIFY_SEED, check_oracle_agreement
+from diffeolin.verify import _random_expression as _verify_expression
 from diffeolin.hom import hat_dual
 from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
 from diffeolin.tensor import tensor_product
@@ -22,10 +24,12 @@ M = FunctionExpr.monomial
 # Regression: first computed with the oracle itself, then frozen.  A kink
 # |x|*x^d is d times differentiable, and the divided differences first
 # diverge at order d + 2 (odd/even symmetry cancels order d + 1 exactly).
-@pytest.mark.parametrize("degree", range(7))
+# Every kink a parsed factor writes: the probed orders come from the
+# expression, so none is reported smooth for want of orders.
+@pytest.mark.parametrize("degree", range(MAX_DEGREE + 1))
 def test_abs_atoms_fail_at_degree_plus_two(degree):
     result = classify(A(degree))
-    assert result.failing_order == degree + 2
+    assert (result.failing_order, result.checked_order) == (degree + 2, degree + 2)
 
 
 @pytest.mark.parametrize("degree", range(7))
@@ -67,14 +71,12 @@ def test_differences_beyond_the_float_range_are_not_divergence():
 
 def test_highest_parsable_kink_fails_at_the_order_bound():
     assert MAX_ORDER == MAX_DEGREE + 2
-    assert classify(M(MAX_DEGREE) + A(MAX_DEGREE), max_order=MAX_ORDER).failing_order == MAX_ORDER
+    assert classify(M(MAX_DEGREE) + A(MAX_DEGREE)).failing_order == MAX_ORDER
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        classify(A(0), max_order=1)
-    with pytest.raises(ValueError):
-        classify(A(0), max_order=MAX_ORDER + 1)
+def test_a_polynomial_is_checked_past_its_degree():
+    assert classify(M(7, 3) + M(1)) == Classification(None, 9)
+    assert classify(FunctionExpr.zero()) == Classification(None, 2)
 
 
 def _reference_exact_difference(f, order, h):
@@ -155,7 +157,7 @@ def test_stencil_table_is_bounded():
     # Products of atoms reach degrees no parsed factor writes; the table
     # still holds at most TABLE_SIZE entries.
     for degree in range(2 * MAX_DEGREE + 3):
-        classify(FunctionExpr.abs_monomial(degree) + FunctionExpr.monomial(degree), MAX_ORDER)
+        classify(FunctionExpr.abs_monomial(degree) + FunctionExpr.monomial(degree))
     assert _unit_sum.cache_info().currsize <= TABLE_SIZE == _unit_sum.cache_info().maxsize
 
 
@@ -202,10 +204,10 @@ def _reference_classify(f, max_order=8):
 
 def test_classify_equals_the_fraction_reference():
     rng = random.Random(1703)
-    for i in range(200):
+    for _ in range(200):
         expr = _random_expression(rng, max_degree=6)
-        max_order = 8 if i % 4 else 12
-        assert classify(expr, max_order) == _reference_classify(expr, max_order), expr
+        top = max((atom.degree for atom, _ in expr.terms), default=0) + 2
+        assert classify(expr) == _reference_classify(expr, top), expr
 
 
 def test_expressions_never_take_the_float_path(monkeypatch):
@@ -231,6 +233,23 @@ def test_agreement_rate_on_random_expressions():
         if classify(expr).smooth != expr.is_smooth():
             disagreements += 1
     assert disagreements <= 2
+
+
+def test_oracle_agreement_fails_on_one_disagreement(monkeypatch):
+    # The oracle is exact on the atom basis, so one wrong answer in the
+    # 1,000 random expressions fails the check.
+    first = _verify_expression(random.Random(VERIFY_SEED + 8))
+
+    def flip_first(f):
+        result = classify(f)
+        if f != first:
+            return result
+        return Classification(None, 2) if result.failing_order else Classification(2, 2)
+
+    assert check_oracle_agreement()[0]
+    monkeypatch.setattr(verify, "classify", flip_first)
+    passed, detail = check_oracle_agreement()
+    assert not passed and detail == "1 of 1000 disagree; trials [0]"
 
 
 # --- cross validation -------------------------------------------------------
@@ -285,6 +304,28 @@ def test_cross_validate_composite_spaces(space, annihilating, exposed):
         assert report.map_verdict == verdict
         assert not report.disagreements
         assert report.consistent
+
+
+# Records of the sampler from before every generating plot was sampled,
+# frozen: while ``trials`` covers the generators, the samples are unchanged.
+@pytest.mark.parametrize("space, functional, trials, expected", [
+    (KINK3, (1, 0, 0), 4, [
+        ("abs(x)", 2, False),
+        ("-3 - 3*x - 3*x^2 - 3*abs(x) + 2*abs(x)*x", 2, False),
+        ("3 - 3*x - x^2 + abs(x) - abs(x)*x - abs(x)*x^2 + 3*abs(x)*x^3", 2, False),
+        ("-2 - 2*x - x^2", None, True),
+    ]),
+    (direct_sum(make_fine(1), KINK3), (0, 1, 0, 0), 3, [
+        ("abs(x)", 2, False),
+        ("x - x^2 - 3*abs(x) + 2*abs(x)*x", 2, False),
+        ("2 + 3*x - x^2 + 6*abs(x) - 4*abs(x)*x + 6*abs(x)*x^2 - 6*abs(x)*x^3", 2, False),
+    ]),
+], ids=["generated", "sum"])
+def test_cross_validate_samples_are_unchanged_when_trials_cover_the_generators(
+        space, functional, trials, expected):
+    report = cross_validate(space, functional, trials=trials, seed=4)
+    assert [(r.expression, r.classification.failing_order, r.symbolic_smooth)
+            for r in report.records] == expected
 
 
 def test_cross_validate_skips_a_sum_with_a_coarse_summand():

@@ -200,7 +200,8 @@ def _compose(phi, plot):
 def test_not_plot_certificates_agree_with_the_oracle():
     """Every NotPlot carries a functional psi with psi o candidate failing at
     order exactly e + 2 (e its least residue degree), while psi o plot never
-    fails at an order <= e + 2 on sampled plots of the same space."""
+    fails at an order <= e + 2 on sampled plots of the same space.  The
+    candidates' kinks reach degree 12, past any fixed order bound of 8."""
     rng = random.Random(20150430)
     certified = 0
     for _ in range(40):
@@ -208,7 +209,7 @@ def test_not_plot_certificates_agree_with_the_oracle():
         n = space.dim
         candidates = [_sampled_plot(rng, space, gens)]
         for _ in range(2):
-            degree = rng.randint(0, 5)
+            degree = rng.randint(0, 12)
             kink = Plot([A(degree, r) for r in _random_direction(rng, n)])
             base = _sampled_plot(rng, space, gens)
             candidates.append(Plot([a + b for a, b in zip(base.components, kink.components)]))
