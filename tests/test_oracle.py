@@ -11,8 +11,7 @@ from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
 from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences, _unit_sum
 from diffeolin import verify
-from diffeolin.verify import VERIFY_SEED, check_oracle_agreement
-from diffeolin.verify import _random_expression as _verify_expression
+from diffeolin.verify import check_oracle_agreement
 from diffeolin.hom import hat_dual
 from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
 from diffeolin.tensor import tensor_product
@@ -238,7 +237,7 @@ def test_agreement_rate_on_random_expressions():
 def test_oracle_agreement_fails_on_one_disagreement(monkeypatch):
     # The oracle is exact on the atom basis, so one wrong answer in the
     # 1,000 random expressions fails the check.
-    first = _verify_expression(random.Random(VERIFY_SEED + 8))
+    first = verify._random_expression(random.Random(verify.VERIFY_SEED + 8))
 
     def flip_first(f):
         result = classify(f)

@@ -201,7 +201,8 @@ def test_not_plot_certificates_agree_with_the_oracle():
     """Every NotPlot carries a functional psi with psi o candidate failing at
     order exactly e + 2 (e its least residue degree), while psi o plot never
     fails at an order <= e + 2 on sampled plots of the same space.  The
-    candidates' kinks reach degree 12, past any fixed order bound of 8."""
+    candidates' kinks reach degree 12, so certificates are checked at
+    orders up to 14."""
     rng = random.Random(20150430)
     certified = 0
     for _ in range(40):
