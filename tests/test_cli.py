@@ -204,12 +204,16 @@ def test_input_errors_exit_2(run):
 
 
 @pytest.mark.parametrize("argv", [
+    # The probed orders come from the expression; there is no option for
+    # them, so every --max-order row is an unrecognised-argument error.
+    ("oracle", "abs(x)", "--max-order", "1"),
+    ("oracle", "abs(x)", "--max-order", "-1"),
+    ("oracle", "abs(x)", "--max-order", "0"),
     ("-f", os.path.dirname(os.path.abspath(__file__)), "dual", "fine2"),
     ("hat-dual", "kink2_1", "--iso", '[["1","1"],["1","1"]]'),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "0"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
-    # The probed orders come from the expression; there is no option for them.
-    ("oracle", "x", "--max-order", "8"),
+    ("oracle", "x", "--max-order", "100000"),
     ("oracle", "abs(x)*x^64*x^64"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "10001"),
     ("-f", "{wide}", "dual", "wide"),
@@ -235,6 +239,7 @@ def test_input_errors_exit_2(run):
     ("hat-dual", "kink2_1"),
     ("hat-dual", "kink2_1", "--iso", "[[1,"),
     ("oracle",),
+    ("oracle", "abs(x)", "--max-order", "two"),
     ("cross-validate", "kink3_1"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "abc"),
     ("cross-validate", "kink3_1", "0,1,1", "--seed", "1.5"),
