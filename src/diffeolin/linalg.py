@@ -242,10 +242,6 @@ class Subspace:
         return Subspace(ambient_dim, rref(rows))
 
     @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
-    @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim, identity(ambient_dim))
 

@@ -108,10 +108,10 @@ class Plot:
         return Plot(out)
 
 
-def kink_plot(n: int, index: int, degree: int = 0, coeff=1) -> Plot:
+def kink_plot(n: int, index: int, degree: int = 0) -> Plot:
     """The plot |x|*x^degree * e_index in R^n."""
     comps = [FunctionExpr.zero()] * n
-    comps[index] = FunctionExpr.abs_monomial(degree, coeff)
+    comps[index] = FunctionExpr.abs_monomial(degree)
     return Plot(comps)
 
 

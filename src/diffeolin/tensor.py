@@ -6,19 +6,20 @@ singular span of a tensor product is the block span
     S(V) (x) R^m  +  R^n (x) S(W),
 
 which is exactly what mixed generator/constant plot pairs reach; pairs of
-singular generators only add |x|*|x| = x^2 terms, which are smooth.  The
+singular generators only add |x|*|x| = x^2 terms, which are smooth (the
+test suite checks the residues of ``product_plot`` on generator pairs).  The
 block presentation (``spaces._tensor_rows``) is built from the
 factor presentations alone, so any two spaces tensor: fine, coarse,
 generated, sums, tensors, pushforwards (hat duals) and duals.  The
 Kronecker product of RREF rows with pivots p and q is an RREF row with pivot
 p*m + q, zero at every other such pivot, so the RREF basis of (V (x) W)* =
 ann S(V) (x) ann S(W) is the row-major Kronecker products of the factor
-bases; ``tensor_dual_iso`` checks that equality.
+bases.  ``tensor_dual_iso`` checks that equality and is the one runtime
+check of the block formula; ``tensor_product`` only builds the space.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .hom import (
@@ -43,37 +44,18 @@ from .spaces import (
     TensorOf,
     Verdict,
     direct_sum,
-    generating_plots,
-    singular_span,
 )
 
 
 def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
-    """The tensor product space with the block singular span.
-
-    Product plots of pairs of generating plots (``spaces.generating_plots``)
-    are validated to stay inside the block span; a violation would falsify
-    the block formula and raises.
-    """
-    space = DiffSpace(v.dim * w.dim, TensorOf(v, w))
-    _validate_generator_pairs(space, v, w)
-    return space
+    """The tensor product space; its presentation is the block rows of
+    ``spaces._tensor_rows``, built on first use."""
+    return DiffSpace(v.dim * w.dim, TensorOf(v, w))
 
 
 def product_plot(p: Plot, q: Plot) -> Plot:
     """The image x -> p(x) (x) q(x) of a plot pair under the universal map."""
     return Plot([pi * qj for pi in p.components for qj in q.components])
-
-
-def _validate_generator_pairs(space: DiffSpace, v: DiffSpace, w: DiffSpace) -> None:
-    span = singular_span(space)
-    for p, q in itertools.product(generating_plots(v), generating_plots(w)):
-        for _, row in product_plot(p, q).residue_rows().items():
-            if not span.contains(row):
-                raise DiffeolinError(
-                    "generator pair product leaves the block singular span; "
-                    "block formula violated"
-                )
 
 
 def tensor_of_maps(f: LinearMap, g: LinearMap) -> LinearMap:

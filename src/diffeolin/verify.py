@@ -297,8 +297,7 @@ def _grid_spaces() -> list[DiffSpace]:
     for n in (1, 2, 3):
         spaces.append(make_fine(n))
         spaces.append(make_coarse(n))
-        if n >= 1:
-            spaces.append(_kink_space(n, 1))
+        spaces.append(_kink_space(n, 1))
         if n >= 2:
             spaces.append(_kink_space(n, 2))
     return spaces
@@ -441,15 +440,11 @@ CHECKS = (
 )
 
 
-def run_checks(space_file: SpaceFile | None = None) -> list[CheckResult]:
-    """Run the whole suite; ``space_file`` supplies the named anchor spaces
-    (sanity-checked first when given)."""
-    results = []
-    if space_file is not None:
-        results.append(_timed("space-file-anchors", lambda: _check_anchors(space_file)))
-    for name, fn in CHECKS:
-        results.append(_timed(name, fn))
-    return results
+def run_checks(space_file: SpaceFile) -> list[CheckResult]:
+    """Run the whole suite; ``space_file`` supplies the named anchor spaces,
+    which are sanity-checked first."""
+    return ([_timed("space-file-anchors", lambda: _check_anchors(space_file))]
+            + [_timed(name, fn) for name, fn in CHECKS])
 
 
 def _check_anchors(space_file: SpaceFile) -> tuple[bool, str]:

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +71,56 @@ def test_tensor_dual_iso_json_flags_and_matrix(run):
     assert doc["result"]["dual_iso"] == {"injective": True, "isomorphism": True}
     assert doc["result"]["dual_iso_matrix"] == [["1", "0", "0", "0"], ["0", "1", "0", "0"],
                                                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+
+
+def test_tensor_dual_iso_builds_the_product_once(run, monkeypatch):
+    """The dual-iso certificate carries V (x) W's dual, and the dual its
+    base, so the command reads the product off it instead of building a
+    second one."""
+    import diffeolin.cli as cli
+    import diffeolin.tensor as tensor
+
+    calls = []
+    real = tensor.tensor_product
+
+    def counted(v, w):
+        calls.append((v, w))
+        return real(v, w)
+
+    monkeypatch.setattr(tensor, "tensor_product", counted)
+    monkeypatch.setattr(cli, "tensor_product", counted)
+    code, out, _ = run("tensor", "kink3_1", "fine2", "--dual-iso")
+    assert code == 0 and "dim = 6, singular span dim = 2, dual dim = 4" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
+def test_failed_dual_iso_certificate_is_one_error_line(run, left_block_rows_only, mode):
+    """Under a wrong block formula the certificate fails like any other
+    verification: exit 1, one ``error:`` line, nothing on stdout."""
+    code, out, err = run(*mode, "tensor", "fine2", "coarse2", "--dual-iso")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "RREF basis of the tensor dual" in err
+
+
+def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    """A reader that stops after the first line, as ``| head -1`` does,
+    closes stdout under a large document (the 256 x 256 hom basis between
+    two fine R^16): the command exits 1 with nothing about it on stderr."""
+    path = tmp_path / "fine16.json"
+    path.write_text(json.dumps({"spaces": {"f16": {"dim": 16, "diffeology": "fine"}}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+            [sys.executable, "-m", "diffeolin.cli", "-f", str(path), "--json", "hom", "f16", "f16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
 
 
 def test_human_output_converts_nothing_to_json(run, monkeypatch):

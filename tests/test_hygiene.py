@@ -110,6 +110,18 @@ def referenced_names(node, attributes_only=False):
             yield sub.id
 
 
+def class_attributes(node):
+    """``Name.attr`` for every attribute read off a bare name, such as
+    ``Subspace.from_rows``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            yield f"{sub.value.id}.{sub.attr}"
+
+
+def is_staticmethod(node):
+    return any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+
+
 def tracer_names():
     """``module.qualified name`` for every entry of the tracer's PUBLIC table."""
     tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
@@ -124,11 +136,14 @@ def test_every_function_has_a_caller():
     outside its own body, exported from __init__.py, or looked up by the
     benchmark tracer; dunder methods are called by Python itself.  A method
     counts as referenced only through an attribute (``x.name``), so a bare
-    name that happens to match it does not keep it alive."""
+    name that happens to match it does not keep it alive, and a staticmethod
+    only through its class (``Class.name``), so a method of the same name on
+    another class does not keep it alive either."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
     uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
     attribute_uses = Counter(name for tree in trees.values()
                              for name in referenced_names(tree, attributes_only=True))
+    class_uses = Counter(name for tree in trees.values() for name in class_attributes(tree))
     exported = {name for name, _ in imported_names(trees["__init__"])}
     traced = tracer_names()
     orphans = []
@@ -137,8 +152,12 @@ def test_every_function_has_a_caller():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            counted = attribute_uses if method else uses
-            own = Counter(referenced_names(node, attributes_only=method))[name]
+            if method and is_staticmethod(node):
+                name = ".".join(qualname.split(".")[-2:])
+                counted, own = class_uses, Counter(class_attributes(node))[name]
+            else:
+                counted = attribute_uses if method else uses
+                own = Counter(referenced_names(node, attributes_only=method))[name]
             if (counted[name] > own or (not method and name in exported)
                     or f"{module}.{qualname}" in traced):
                 continue

@@ -143,7 +143,7 @@ def test_in_row_span_edge_cases():
 
 def test_rank_of_zero_dimensional():
     assert rank(()) == 0
-    assert Subspace.zero(0).dim == 0
+    assert Subspace(0, ()).dim == 0
 
 
 def test_contains_and_coordinates_reject_a_vector_of_the_wrong_length():

@@ -341,14 +341,14 @@ def _reference_presentation(space):
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Subspace.zero(n), ()
+        return Subspace(n, ()), ()
     if isinstance(d, Coarse):
         return Subspace.full(n), ()
     if isinstance(d, Generated):
         rows = []
         for g in d.generators:
             rows.extend(g.residue_rows().items())
-        return Subspace.zero(n), tuple(rows)
+        return Subspace(n, ()), tuple(rows)
     if isinstance(d, SumOf):
         (cl, rl), (cr, rr) = _reference_presentation(d.left), _reference_presentation(d.right)
         nl = d.left.dim

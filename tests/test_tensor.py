@@ -35,6 +35,7 @@ from diffeolin import (
     tensor_product,
 )
 from diffeolin.linalg import Subspace, identity, invert, kron, kron_vector, matmul, rank
+from diffeolin.spaces import generating_plots
 
 
 def kink_space(n, k):
@@ -124,6 +125,16 @@ def test_tensor_dual_iso_examples():
     assert iso.matrix == ((Fraction(1),),) and iso.isomorphism
 
 
+def _random_generated(rng, n):
+    """R^n generated by one or two plots whose coordinates are seeded
+    polynomials plus kinks |x|*x^d, d <= 3."""
+    plots = [Plot([FunctionExpr.monomial(rng.randint(0, 2), rng.randint(-2, 2))
+                   + FunctionExpr.abs_monomial(rng.randint(0, 3), rng.randint(-2, 2))
+                   for _ in range(n)])
+             for _ in range(rng.randint(1, 2))]
+    return make_generated(n, plots)
+
+
 def _random_factor(rng, depth=0):
     kinds = ["fine", "coarse", "generated"]
     if depth < 1:
@@ -135,11 +146,7 @@ def _random_factor(rng, depth=0):
     if kind == "coarse":
         return make_coarse(n)
     if kind == "generated":
-        plots = [Plot([FunctionExpr.monomial(rng.randint(0, 2), rng.randint(-2, 2))
-                       + FunctionExpr.abs_monomial(rng.randint(0, 3), rng.randint(-2, 2))
-                       for _ in range(n)])
-                 for _ in range(rng.randint(1, 2))]
-        return make_generated(n, plots)
+        return _random_generated(rng, n)
     if kind == "dual":
         return diffeological_dual(_random_factor(rng, depth + 1))
     if kind == "hat":
@@ -172,6 +179,47 @@ def test_tensor_dual_basis_is_the_kron_of_the_factor_bases():
     assert len(kinds) == 7, kinds
 
 
+def _generator_pair_rows_outside_the_span(v, w):
+    """Residue rows of product_plot(p, q), for generating plots p of v and q
+    of w, that lie outside the singular span of v (x) w."""
+    span = singular_span(tensor_product(v, w))
+    return [row for p, q in itertools.product(generating_plots(v), generating_plots(w))
+            for row in product_plot(p, q).residue_rows().values()
+            if not span.contains(row)]
+
+
+def test_generator_pair_products_stay_in_the_block_span():
+    """The theorem behind the block formula: on seeded pairs over fine,
+    coarse, generated, sum, hat, dual and tensor spaces, every residue row of
+    the product plot of two generating plots lies in the block span
+    S(V) (x) R^m + R^n (x) S(W).  A smooth part times a kink lands in a
+    block; two kinks multiply to a smooth x^2 term."""
+    rng = random.Random(1729)
+    pairs = []
+    while len(pairs) < 40:
+        v, w = _random_factor(rng), _random_factor(rng)
+        if v.dim * w.dim <= 64:
+            pairs.append((v, w))
+    kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in pairs for s in pair}
+    assert len(kinds) == 7, kinds
+    reached = 0
+    for v, w in pairs:
+        assert not _generator_pair_rows_outside_the_span(v, w), (v.describe(), w.describe())
+        reached += any(product_plot(p, q).residue_rows()
+                       for p in generating_plots(v) for q in generating_plots(w))
+    assert reached >= 5
+
+
+def test_generator_pair_products_leave_a_wrong_block_span(left_block_rows_only):
+    """Cut to S(V) (x) R^m, the span misses a residue of the product plot of
+    some seeded generated pair, so the property above tells the two formulas
+    apart."""
+    rng = random.Random(1729)
+    pairs = [(_random_generated(rng, rng.randint(1, 3)), _random_generated(rng, rng.randint(1, 3)))
+             for _ in range(20)]
+    assert any(_generator_pair_rows_outside_the_span(v, w) for v, w in pairs)
+
+
 def test_injective_equals_the_rank_of_the_matrix():
     """``injective`` reads the dimensions; on seeded pairs, and on records
     whose tensor dual has the wrong dimension, it equals the rank test of
@@ -189,18 +237,11 @@ def test_injective_equals_the_rank_of_the_matrix():
         assert iso.isomorphism == (full_rank and iso.domain_dim == iso.codomain_dim)
 
 
-def test_tensor_dual_iso_rejects_a_wrong_block_formula(monkeypatch):
+def test_tensor_dual_iso_rejects_a_wrong_block_formula(left_block_rows_only):
     """Without the right factor's block rows, S(fine 2 (x) coarse 2) is zero
-    and its dual has dim 4, but dim V* * dim W* = 2 * 0.  The coarse factor
-    has no generating plots, so tensor_product itself accepts the space."""
-    import diffeolin.spaces as spaces
-
-    real = spaces._tensor_rows
-
-    def left_rows_only(left, right):
-        return real(left, right)[:len(spaces.presentation(left).rows) * right.dim]
-
-    monkeypatch.setattr(spaces, "_tensor_rows", left_rows_only)
+    and its dual has dim 4, but dim V* * dim W* = 2 * 0.  tensor_product
+    only builds the space, so the wrong dual comes out; tensor_dual_iso is
+    the check that rejects it."""
     v, w = make_fine(2), make_coarse(2)
     assert diffeological_dual(tensor_product(v, w)).dim == 4
     with pytest.raises(DiffeolinError, match="RREF basis of the tensor dual"):
