@@ -2,11 +2,11 @@
 
 By the universal property of the tensor product diffeology, a bilinear map
 b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
-is smooth.  Smoothness of b is therefore ``check_smooth_linear``'s
-criterion on the block presentation of V (x) W, for every codomain Z:
-pairing a row of one factor (coarse rows included) with a constant plot of
-the other gives the block rows, and diagonal generator pairs only
-contribute |x|*|x| = x^2 terms, which impose nothing.
+(``BilinearForm.matrix``) is smooth: ``check_smooth_linear``'s criterion on
+the block rows of V (x) W, for every codomain Z.  Pairing a row of one
+factor (coarse rows included) with a constant plot of the other gives the
+block rows, and diagonal generator pairs only contribute |x|*|x| = x^2
+terms, which impose nothing.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
-from .linalg import Subspace, Vector, _integer_row, kron_vector
+from .hom import _smooth_maps
+from .linalg import Matrix, Subspace, Vector, _integer_row, identity, kron_vector, matvec, vector
 from .spaces import (
     DiffSpace,
     DiffeolinError,
@@ -48,62 +48,44 @@ class BilinearForm:
                 if len(value) != self.codomain.dim:
                     raise DimensionMismatchError("coefficient vector != codomain dimension")
 
+    @cached_property
+    def matrix(self) -> Matrix:
+        """The induced map V (x) W -> Z: entry (k, i*m + j) = b(v_i, w_j)_k."""
+        return _transpose([value for row in self.coefficients for value in row], self.codomain.dim)
+
     def apply(self, u: Sequence, w: Sequence) -> Vector:
-        q = self.codomain.dim
-        out = [Fraction(0)] * q
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, wj in enumerate(w):
-                if not wj:
-                    continue
-                c = Fraction(ui) * Fraction(wj)
-                for k in range(q):
-                    out[k] += c * self.coefficients[i][j][k]
-        return tuple(out)
+        return matvec(self.matrix, kron_vector(vector(u), vector(w)))
 
     @cached_property
     def verdict(self) -> Verdict:
         """``is_smooth_bilinear``'s answer, decided on first use and kept."""
         return _decide(self)
 
-    @cached_property
-    def _integer_coefficients(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The coefficient array times the lcm of its denominators, as ints."""
-        den = lcm(*[x.denominator for row in self.coefficients for value in row for x in value])
-        return tuple(
-            tuple(tuple(x.numerator * (den // x.denominator) for x in value) for value in row)
-            for row in self.coefficients
-        )
-
     def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:
-        """A positive integer multiple of the family b(u, w_j) for all j:
-        ``u`` and the coefficients are scaled to ints, so every entry is an
-        int and membership of each vector in a subspace is unchanged."""
-        terms = [(c, row) for c, row in zip(_integer_row(u), self._integer_coefficients) if c]
-        return tuple(
-            tuple(sum(c * row[j][k] for c, row in terms) for k in range(self.codomain.dim))
-            for j in range(self.right.dim)
-        )
+        """A positive integer multiple of the family b(u, w_j) for all j."""
+        return _integer_family([self.apply(u, e) for e in identity(self.right.dim)])
 
     def right_slice(self, w: Sequence) -> tuple[tuple[int, ...], ...]:
-        """A positive integer multiple of the family b(v_i, w) for all i,
-        scaled to ints as in ``left_slice``."""
-        terms = [(j, c) for j, c in enumerate(_integer_row(w)) if c]
-        return tuple(
-            tuple(sum(c * row[j][k] for j, c in terms) for k in range(self.codomain.dim))
-            for row in self._integer_coefficients
-        )
+        """A positive integer multiple of the family b(v_i, w) for all i."""
+        return _integer_family([self.apply(e, w) for e in identity(self.left.dim)])
+
+
+def _integer_family(family: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
+    """The vectors times the lcm of all their denominators, as ints."""
+    entries = iter(_integer_row([x for value in family for x in value]))
+    return tuple(tuple(next(entries) for _ in value) for value in family)
 
 
 def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
                    flat: Sequence) -> BilinearForm:
+    """The form whose induced matrix is ``flat`` row by row: b(v_i, w_j)_k =
+    flat[k*n*m + i*m + j], as in ``smooth_hom_basis`` on left (x) right."""
     n, m, q = left.dim, right.dim, codomain.dim
     if len(flat) != n * m * q:
         raise DimensionMismatchError("flat coefficient length mismatch")
     entries = [x if isinstance(x, Fraction) else Fraction(x) for x in flat]
-    cells = [tuple(entries[c * q:c * q + q]) for c in range(n * m)]
-    return BilinearForm(left, right, codomain, tuple(tuple(cells[i * m:i * m + m]) for i in range(n)))
+    cells = _transpose([entries[k * n * m:(k + 1) * n * m] for k in range(q)], n * m)
+    return BilinearForm(left, right, codomain, tuple(cells[i * m:i * m + m] for i in range(n)))
 
 
 def _transpose(rows: Sequence[Sequence], width: int) -> tuple:
@@ -112,7 +94,9 @@ def _transpose(rows: Sequence[Sequence], width: int) -> tuple:
 
 
 def _decide(b: BilinearForm) -> Verdict:
-    """The verdict of ``is_smooth_bilinear``, computed without caching."""
+    """The verdict of ``is_smooth_bilinear``, computed without caching.  It
+    reads the factor presentations: presenting V (x) W anew for each form
+    would cost more than deciding it."""
     cod = presentation(b.codomain)
     columns = _transpose(b.coefficients, b.right.dim)
     for factor, slices, other in ((b.left, b.coefficients, b.right.dim),
@@ -139,17 +123,11 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
 
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
-    """Basis of the smooth bilinear maps v x v -> w over the n*n*q flattened
-    coordinates (i, j, k) of ``form_from_flat``, without building v (x) v:
-    the annihilator of kron(x, psi) for each distinct block row (d, x) of
-    v (x) v and psi in Ann(F_d(w)), ``smooth_hom_basis``'s constraint
-    psi(b(x)) = 0 in these coordinates."""
-    cod = presentation(w)
-    constraints = []
-    for d, x in dict.fromkeys(_tensor_rows(v, v)):
-        ann = cod.filtration_step(d).annihilator()
-        constraints.extend(kron_vector(x, psi) for psi in ann.basis)
-    return Subspace.from_rows(v.dim * v.dim * w.dim, constraints).annihilator()
+    """Basis of the smooth bilinear maps v x v -> w over the coordinates of
+    ``form_from_flat``: ``smooth_hom_basis(tensor_product(v, v), w)`` from
+    the distinct block rows of v (x) v, without the RREF that the product's
+    presentation spends on its coarse part."""
+    return _smooth_maps(dict.fromkeys(_tensor_rows(v, v)), v.dim * v.dim, w)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _load(args) -> SpaceFile:
 def _parse_matrix_text(text: str):
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise InputError(f"matrix must be JSON rows: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("matrix must be a list of rows")

@@ -9,8 +9,8 @@ Grammar (whitespace insignificant, no float literals):
 
 Examples: ``3*x^2``, ``abs(x)``, ``abs(x)*x^3``, ``-1/2*abs(x)``.
 Products are evaluated in the algebra, so ``abs(x)*abs(x)`` parses to
-``x^2``.  Exponents above ``MAX_DEGREE``, and products whose degree exceeds
-it, are rejected to bound runtimes.
+``x^2``.  Exponents above ``MAX_DEGREE``, products of higher degree and
+integers of more than ``MAX_DIGITS`` digits are rejected to bound runtimes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from fractions import Fraction
 from .atoms import FunctionExpr
 
 MAX_DEGREE = 64
+MAX_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -55,6 +56,8 @@ def _tokenize(text: str) -> list[_Token]:
                 i += 1
             if i < n and text[i] == ".":
                 raise ParseError("float literals are not allowed", i)
+            if i - start > MAX_DIGITS:
+                raise ParseError(f"integer literal exceeds {MAX_DIGITS} digits", start)
             tokens.append(_Token("int", text[start:i], start))
             continue
         if c == ".":

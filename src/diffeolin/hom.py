@@ -153,19 +153,21 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth linear maps v -> w, as a subspace of L(v, w) over
-    the row-major flattened matrix coordinates.
+    the row-major flattened matrix coordinates."""
+    return _smooth_maps(presentation(v).rows, v.dim, w)
 
-    ``check_smooth_linear``'s criterion, linear in the matrix M: psi(M r) = 0
-    for psi in Ann(F_d(w)) and each row r presented at degree d >= -1 in v.
-    psi(M r) is kron(psi, r) dotted with the flattened M, so the smooth maps
-    are the annihilator of those constraint rows.
-    """
-    pres, cod_pres = presentation(v), presentation(w)
+
+def _smooth_maps(rows, n: int, w: DiffSpace) -> Subspace:
+    """The maps M: Q^n -> w with M r in F_d(w) for each (degree d, row r) in
+    ``rows``, a spanning set of a domain's flag: ``check_smooth_linear``'s
+    criterion, linear in M.  psi(M r) = kron(psi, r) . M for psi in
+    Ann(F_d(w)), so the smooth maps are the annihilator of those rows."""
+    cod = presentation(w)
     constraints = []
-    for degree, r in pres.rows:
-        ann = cod_pres.filtration_step(degree).annihilator()
+    for degree, r in rows:
+        ann = cod.filtration_step(degree).annihilator()
         constraints.extend(kron_vector(psi, r) for psi in ann.basis)
-    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
+    return Subspace.from_rows(n * w.dim, constraints).annihilator()
 
 
 def dual_map(f: LinearMap) -> LinearMap:

@@ -87,9 +87,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_vector(a: Vector, b: Vector) -> Vector:
-    # Skip the zeros of a, as matvec does: RREF rows are mostly zero.
+    # Skip the zeros of both factors, as matvec does: RREF rows are mostly zero.
     zeros = (_ZERO,) * len(b)
-    return tuple(z for x in a for z in ([x * y for y in b] if x else zeros))
+    return tuple(z for x in a for z in ([x * y if y else _ZERO for y in b] if x else zeros))
 
 
 def _integer_row(row: Sequence) -> list[int]:

@@ -13,15 +13,16 @@ JSON schema::
     }
 
 Each generator is a list of expression strings, one per coordinate.
-Rationals are integers or "p/q" strings; float literals are rejected so
-that every loaded object is exact.  A space has at most ``MAX_DIM``
-dimensions and ``MAX_GENERATORS`` generators, so that no file can make the
-engine hang.
+Rationals are integers or "p/q" strings; float literals and decimal or
+exponent strings are rejected so that every loaded object is exact.  A
+space has at most ``MAX_DIM`` dimensions and ``MAX_GENERATORS``
+generators, so that no file can make the engine hang.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from .spaces import DiffSpace, Plot, make_coarse, make_fine, make_generated
 
 MAX_DIM = 64
 MAX_GENERATORS = 64
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
 
 
 class SpaceFileError(ValueError):
@@ -60,7 +62,7 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise SpaceFileError("float literals are not allowed; use \"p/q\" strings")
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -116,7 +118,7 @@ def load_space_file(path: str) -> SpaceFile:
     with open(path) as fh:
         try:
             document = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise SpaceFileError(f"invalid JSON: {exc}") from exc
     return load_space_document(document)
 

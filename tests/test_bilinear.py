@@ -34,7 +34,7 @@ from diffeolin import (
 from diffeolin.atoms import FunctionExpr
 from diffeolin import bilinear, verify
 from diffeolin.bilinear import CurriedMap
-from diffeolin.linalg import Subspace, invert, kron_vector
+from diffeolin.linalg import Subspace, invert, kron_vector, unit_vector
 from diffeolin.spaces import Plot, presentation
 
 
@@ -229,14 +229,6 @@ def _random_space(rng, depth=0):
             return hat_dual(base, iso)
 
 
-def _induced_matrix(b):
-    """M_b: the matrix of V (x) W -> Z, entry (k, i*m + j) = b(v_i, w_j)_k."""
-    return tuple(
-        tuple(b.coefficients[i][j][k] for i in range(b.left.dim) for j in range(b.right.dim))
-        for k in range(b.codomain.dim)
-    )
-
-
 def _check_forms(rng, left, right, cod):
     """Three forms left x right -> cod, half of them drawn from the smooth
     maps V (x) W -> Z: is_smooth_bilinear equals is_smooth_linear of the
@@ -256,8 +248,10 @@ def _check_forms(rng, left, right, cod):
             tuple(tuple(flat[k * n * m + i * m + j] for k in range(q)) for j in range(m))
             for i in range(n))
         b = BilinearForm(left, right, cod, coefficients)
+        assert form_from_flat(left, right, cod, flat) == b
+        assert b.matrix == tuple(tuple(flat[k * n * m:(k + 1) * n * m]) for k in range(q))
         verdict = is_smooth_bilinear(b)
-        assert verdict is is_smooth_linear(LinearMap(t, cod, _induced_matrix(b))), (
+        assert verdict is is_smooth_linear(LinearMap(t, cod, b.matrix)), (
             left.describe(), right.describe(), cod.describe(), flat)
         verdicts.append(verdict)
     return verdicts
@@ -300,8 +294,8 @@ def _reference_is_smooth_bilinear(b):
 
 
 def _reference_smooth_bilinear_basis(v, w):
-    """Span of phi (x) psi (x) e_k over phi, psi in Ann S(v) for a fine w;
-    every form for a coarse w."""
+    """Span of e_k (x) phi (x) psi over phi, psi in Ann S(v) for a fine w
+    (flat index k*n*n + i*n + j); every form for a coarse w."""
     n, q = v.dim, w.dim
     total = n * n * q
     if isinstance(w.diffeology, Coarse):
@@ -311,26 +305,14 @@ def _reference_smooth_bilinear_basis(v, w):
     for phi in ann.basis:
         for psi in ann.basis:
             pair = kron_vector(phi, psi)
-            for k in range(q):
-                rows.append(tuple(pair[x // q] if x % q == k else Fraction(0)
-                                  for x in range(total)))
+            rows.extend(kron_vector(unit_vector(q, k), pair) for k in range(q))
     return Subspace.from_rows(total, rows)
-
-
-def _hom_route_smooth_bilinear_basis(v, w):
-    """The smooth linear maps v (x) v -> w, whose matrix entry (k, i*n + j)
-    is reindexed to the flat form coordinate (i*n + j)*q + k."""
-    n, q = v.dim, w.dim
-    hom = smooth_hom_basis(tensor_product(v, v), w)
-    return Subspace.from_rows(n * n * q, [
-        tuple(row[k * n * n + p] for p in range(n * n) for k in range(q))
-        for row in hom.basis
-    ])
 
 
 def test_smooth_bilinear_basis_equals_the_hom_route():
     """On seeded fine, coarse, generated, sum, hat, dual and tensor spaces
-    (any codomain), the block-row basis equals smooth_hom_basis on v (x) v."""
+    (any codomain), the block-row basis equals smooth_hom_basis on v (x) v,
+    coordinate for coordinate."""
     rng = random.Random(20150430)
     kinds = set()
     draws = 0
@@ -341,7 +323,7 @@ def test_smooth_bilinear_basis_equals_the_hom_route():
         draws += 1
         # A dual is a DualSpace with the fine descriptor.
         kinds.update((type(s).__name__, type(s.diffeology).__name__) for s in (v, w))
-        assert smooth_bilinear_basis(v, w) == _hom_route_smooth_bilinear_basis(v, w), (
+        assert smooth_bilinear_basis(v, w) == smooth_hom_basis(tensor_product(v, v), w), (
             v.describe(), w.describe())
     assert len(kinds) == 7, kinds
 
@@ -395,8 +377,46 @@ def test_slices_are_positive_multiples_of_the_exact_families():
                  for _ in range(m)]
             basis_m = [[int(i == j) for i in range(m)] for j in range(m)]
             basis_n = [[int(i == j) for i in range(n)] for j in range(n)]
-            _assert_positive_multiple(b.left_slice(u), [b.apply(u, e) for e in basis_m])
-            _assert_positive_multiple(b.right_slice(w), [b.apply(e, w) for e in basis_n])
+            _assert_positive_multiple(b.left_slice(u),
+                                      [_reference_apply(b, u, e) for e in basis_m])
+            _assert_positive_multiple(b.right_slice(w),
+                                      [_reference_apply(b, e, w) for e in basis_n])
+
+
+def _reference_apply(b, u, w):
+    """b(u, w) summed over the coefficient array: the loop that preceded
+    the induced matrix."""
+    out = [Fraction(0)] * b.codomain.dim
+    for i, ui in enumerate(u):
+        for j, wj in enumerate(w):
+            c = Fraction(ui) * Fraction(wj)
+            for k in range(b.codomain.dim):
+                out[k] += c * b.coefficients[i][j][k]
+    return tuple(out)
+
+
+def test_apply_is_the_induced_matrix_on_the_kronecker_product():
+    rng = random.Random(1017)
+    for _ in range(40):
+        n, m, q = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3)
+        b = _random_fraction_form(rng, make_fine(n), make_fine(m), make_fine(q))
+        for _ in range(3):
+            u = [rng.choice([0, 1, -2, Fraction(3, 7), "5/2"]) for _ in range(n)]
+            w = [rng.choice([0, 2, Fraction(-1, 3)]) for _ in range(m)]
+            assert b.apply(u, w) == _reference_apply(b, u, w)
+            assert all(type(x) is Fraction for x in b.apply(u, w))
+
+
+def test_form_from_flat_reads_back_the_induced_matrix():
+    """The flat list of a form's induced matrix, row by row, rebuilds the
+    form, codomains of dimension q > 1 and zero-dimensional factors included."""
+    rng = random.Random(1018)
+    for _ in range(40):
+        left, right = make_fine(rng.randint(0, 3)), kink_space(3, rng.randint(0, 3))
+        cod = make_fine(rng.randint(0, 4))
+        b = _random_fraction_form(rng, left, right, cod)
+        assert len(b.matrix) == cod.dim
+        assert form_from_flat(left, right, cod, [x for row in b.matrix for x in row]) == b
 
 
 def _fraction_is_smooth_bilinear(b):
@@ -550,14 +570,17 @@ def test_forms_on_different_left_and_right_spaces():
                 assert verdict is _fraction_is_smooth_bilinear(b), (
                     left.describe(), right.describe(), cod.describe(), flat)
                 t = tensor_product(left, right)
-                assert verdict is is_smooth_linear(LinearMap(t, cod, _induced_matrix(b)))
+                assert verdict is is_smooth_linear(LinearMap(t, cod, b.matrix))
                 verdicts.append(verdict)
     assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
 
 
 def test_form_from_flat_accepts_ints_fractions_and_strings():
+    """The flat list is the induced 2 x 2 matrix row by row: b(v_i, w_0)_k
+    sits at index 2*k + i."""
     b = form_from_flat(make_fine(2), make_fine(1), make_fine(2), [1, Fraction(1, 2), "-3/4", "0"])
-    assert b.coefficients == (((Fraction(1), Fraction(1, 2)),), ((Fraction(-3, 4), Fraction(0)),))
+    assert b.coefficients == (((Fraction(1), Fraction(-3, 4)),), ((Fraction(1, 2), Fraction(0)),))
+    assert b.matrix == ((Fraction(1), Fraction(1, 2)), (Fraction(-3, 4), Fraction(0)))
     assert all(type(x) is Fraction for row in b.coefficients for value in row for x in value)
     assert b == form_from_flat(make_fine(2), make_fine(1), make_fine(2),
                                ["1", "1/2", Fraction(-3, 4), 0])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -329,6 +330,48 @@ def test_help_prints_usage_and_exits_0(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 0
     assert captured.out.startswith("usage: diffeolin") and captured.err == ""
+
+
+BIG = "1" + "0" * 4300  # 4,301 digits: past Python's default limit on int conversion
+EXPONENT = "1e-10000000"  # Fraction(EXPONENT) would build 10**10000000
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-plot", "fine1", BIG),
+    ("oracle", BIG + "*abs(x)"),
+    ("oracle", "x^" + BIG),
+    ("-f", "{expr}", "dual", "g"),
+    ("-f", "{integer}", "dual", "f"),
+    ("hat-dual", "kink2_1", "--iso", f"[[{BIG}, 0], [0, 1]]"),
+    ("-f", "{exponent}", "check-map", "m"),
+    ("cross-validate", "kink3_1", "0,1," + EXPONENT),
+    ("hat-dual", "kink2_1", "--iso", f'[["{EXPONENT}", "0"], ["0", "1"]]'),
+], ids=["check-plot-constant", "oracle-constant", "oracle-exponent", "generator-expression",
+        "json-integer", "iso-integer", "map-exponent-string", "functional-exponent-string",
+        "iso-exponent-string"])
+def test_oversized_literals_and_exponent_strings_exit_2_at_once(run, tmp_path, argv):
+    """An integer literal past Python's digit limit, in an expression, a
+    space file or an --iso matrix, and a decimal-exponent string where a
+    rational belongs, are input errors reported within a second."""
+    fine = {"f": {"dim": 1, "diffeology": "fine"}}
+    texts = {
+        "expr": json.dumps({"spaces": {"g": {"dim": 1, "diffeology": {
+            "generated": [[BIG + "*abs(x)"]]}}}}),
+        "integer": ('{"spaces": %s, "maps": {"m": {"from": "f", "to": "f", "matrix": [[%s]]}}}'
+                    % (json.dumps(fine), BIG)),
+        "exponent": json.dumps({"spaces": fine, "maps": {"m": {
+            "from": "f", "to": "f", "matrix": [[EXPONENT]]}}}),
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(*(arg.format(**paths) if arg.startswith("{") else arg for arg in argv))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_degree_cap_is_input_error(run):

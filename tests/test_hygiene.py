@@ -2,6 +2,7 @@
 every function a library module defines has a caller."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -163,3 +164,21 @@ def test_every_function_has_a_caller():
                 continue
             orphans.append(f"{module}.{qualname} (line {node.lineno})")
     assert not orphans, "defined but never called: " + ", ".join(orphans)
+
+
+def test_every_traced_name_exists():
+    """The benchmark tracer wraps each entry of its PUBLIC table when it is
+    installed and fails on one that is gone, so each must resolve as the
+    tracer resolves it: a module attribute, or ``Class.__dict__[attr]``."""
+    missing = []
+    for full in sorted(tracer_names()):
+        layer, _, dotted = full.partition(".")
+        module = importlib.import_module(f"diffeolin.{layer}")
+        cls_name, _, attr = dotted.rpartition(".")
+        if cls_name:
+            found = attr in vars(getattr(module, cls_name, object))
+        else:
+            found = hasattr(module, attr)
+        if not found:
+            missing.append(full)
+    assert not missing, "traced but not defined: " + ", ".join(missing)

@@ -1,5 +1,7 @@
 """Space-definition file loading and validation."""
 
+from fractions import Fraction
+
 import pytest
 
 from diffeolin import SpaceFileError, Verdict, is_smooth_linear, load_space_document
@@ -47,6 +49,21 @@ def test_floats_rejected():
     }
     with pytest.raises(SpaceFileError):
         load(doc)
+
+
+@pytest.mark.parametrize("entry", ["0.5", "1e3", "1e-10000000", "1_000", " 1", "1/", "/2", "1/0"])
+def test_rational_strings_follow_the_documented_grammar(entry):
+    """Only integers and "p/q" strings are rationals: decimals, exponents,
+    underscores and padding are rejected before any conversion."""
+    doc = {
+        "spaces": {"f": {"dim": 1, "diffeology": "fine"}},
+        "maps": {"m": {"from": "f", "to": "f", "matrix": [[entry]]}},
+    }
+    with pytest.raises(SpaceFileError):
+        load(doc)
+    for good in ("7", "+2", "-3/4", "06/08"):
+        doc["maps"]["m"]["matrix"] = [[good]]
+        assert load(doc).map("m").matrix[0][0] == Fraction(good)
 
 
 def test_unknown_space_reference():
