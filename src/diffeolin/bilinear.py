@@ -16,16 +16,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .hom import _smooth_maps
+from .hom import smooth_hom_basis
 from .linalg import Matrix, Subspace, Vector, _integer_row, identity, kron_vector, matvec, vector
 from .spaces import (
     DiffSpace,
     DiffeolinError,
     DimensionMismatchError,
     Verdict,
-    _tensor_rows,
     presentation,
 )
+from .tensor import tensor_product
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,10 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth bilinear maps v x v -> w over the coordinates of
-    ``form_from_flat``: ``smooth_hom_basis(tensor_product(v, v), w)`` from
-    the distinct block rows of v (x) v, without the RREF that the product's
-    presentation spends on its coarse part."""
-    return _smooth_maps(dict.fromkeys(_tensor_rows(v, v)), v.dim * v.dim, w)
+    ``form_from_flat``: the smooth linear maps v (x) v -> w, constrained on
+    the closed-form presentation of v (x) v, whose dim S(v (x) v) rows are
+    independent (``tensor`` module docstring)."""
+    return smooth_hom_basis(tensor_product(v, v), w)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (
     Matrix,
@@ -24,7 +25,6 @@ from .linalg import (
     identity,
     kron_vector,
     matmul,
-    matvec,
 )
 from .spaces import (
     DiffSpace,
@@ -90,8 +90,25 @@ class LinearMap:
                     f"matrix row length {len(row)} != domain dimension {self.domain.dim}"
                 )
 
+    @cached_property
+    def _columns(self) -> list[list[tuple[int, Fraction]]]:
+        """The nonzero (row, entry) pairs of each column, built on first use."""
+        columns = [[] for _ in range(self.domain.dim)]
+        for i, row in enumerate(self.matrix):
+            for j, x in enumerate(row):
+                if x:
+                    columns[j].append((i, x))
+        return columns
+
     def apply(self, v: Vector) -> Vector:
-        return matvec(self.matrix, v)
+        """M v, accumulated over the support of v only: presented rows are
+        sparse, and so are many maps."""
+        out = [Fraction(0)] * len(self.matrix)
+        for x, column in zip(v, self._columns):
+            if x:
+                for i, a in column:
+                    out[i] += a * x
+        return tuple(out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -153,21 +170,16 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth linear maps v -> w, as a subspace of L(v, w) over
-    the row-major flattened matrix coordinates."""
-    return _smooth_maps(presentation(v).rows, v.dim, w)
-
-
-def _smooth_maps(rows, n: int, w: DiffSpace) -> Subspace:
-    """The maps M: Q^n -> w with M r in F_d(w) for each (degree d, row r) in
-    ``rows``, a spanning set of a domain's flag: ``check_smooth_linear``'s
+    the row-major flattened matrix coordinates: the maps M with M r in
+    F_d(w) for each row r presented at degree d, ``check_smooth_linear``'s
     criterion, linear in M.  psi(M r) = kron(psi, r) . M for psi in
     Ann(F_d(w)), so the smooth maps are the annihilator of those rows."""
     cod = presentation(w)
     constraints = []
-    for degree, r in rows:
+    for degree, r in presentation(v).rows:
         ann = cod.filtration_step(degree).annihilator()
         constraints.extend(kron_vector(psi, r) for psi in ann.basis)
-    return Subspace.from_rows(n * w.dim, constraints).annihilator()
+    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
 
 
 def dual_map(f: LinearMap) -> LinearMap:

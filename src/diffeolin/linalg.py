@@ -14,17 +14,19 @@ back into Fractions, each divided by its pivot entry.
 Membership does no elimination.  A vector v lies in the span of RREF rows
 b_i with pivot columns p_i exactly when v = sum_i v[p_i] * b_i, so one pass
 of integer reduction against the pivot rows decides it, and the values
-v[p_i] are its coordinates.  A Subspace keeps the integer form of its basis
-from the first query on.
+v[p_i] are its coordinates.  Only the pivot rows that v hits enter, each
+over its own nonzero entries: a Subspace keeps a sparse integer form of its
+basis from the first query on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -87,9 +89,16 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_vector(a: Vector, b: Vector) -> Vector:
-    # Skip the zeros of both factors, as matvec does: RREF rows are mostly zero.
-    zeros = (_ZERO,) * len(b)
-    return tuple(z for x in a for z in ([x * y if y else _ZERO for y in b] if x else zeros))
+    # Multiply only the nonzero entries of both factors, as matvec does:
+    # RREF rows are mostly zero.
+    m = len(b)
+    support = [(k, y) for k, y in enumerate(b) if y]
+    out = [_ZERO] * (len(a) * m)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in support:
+                out[i * m + k] = x * y
+    return tuple(out)
 
 
 def _integer_row(row: Sequence) -> list[int]:
@@ -228,10 +237,18 @@ def in_row_span(rows: Matrix, v: Vector) -> bool:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, canonically represented by its RREF row basis."""
+    """A subspace of Q^n, canonically represented by its RREF row basis.
+
+    A constructor that knows the annihilator in closed form hands it in as
+    ``known_annihilator``: a function returning the subspace that
+    ``annihilator`` would compute, called on first use instead of the
+    nullspace.  It takes no part in equality.
+    """
 
     ambient_dim: int
     basis: Matrix
+    known_annihilator: Callable[[], "Subspace"] | None = field(default=None, compare=False,
+                                                               repr=False)
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
@@ -250,24 +267,49 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def _pivot_form(self) -> tuple[tuple[int, ...], int, tuple[list[int], ...]]:
-        """(pivot columns, common denominator L, integer rows S), basis = S / L."""
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-        den = lcm(*[x.denominator for row in self.basis for x in row])
-        rows = tuple([x.numerator * (den // x.denominator) for x in row] for row in self.basis)
-        return pivots, den, rows
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row.  They increase, so each scan
+        starts past the previous pivot."""
+        pivots, start = [], 0
+        for row in self.basis:
+            start = next(j for j in range(start, len(row)) if row[j])
+            pivots.append(start)
+            start += 1
+        return tuple(pivots)
+
+    @cached_property
+    def _pivot_form(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """(common denominator L, pivot -> nonzero (column, entry) pairs of
+        the integer row S), basis row = S / L.  A row is 1 at its pivot and
+        can be nonzero only at the free (nonpivot) columns past it."""
+        pivots = self.pivots
+        taken = set(pivots)
+        free = [j for j in range(self.ambient_dim) if j not in taken]
+        sparse = [[(p, row[p])] + [(j, row[j]) for j in free[bisect(free, p):] if row[j]]
+                  for p, row in zip(pivots, self.basis)]
+        den = lcm(*[x.denominator for row in sparse for _, x in row])
+        rows = {p: tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                for p, row in zip(pivots, sparse)}
+        return den, rows
 
     def contains(self, v: Sequence) -> bool:
-        """Pivot reduction: v = sum_i v[p_i] * basis_i, checked on ints."""
+        """Pivot reduction over the support of v: v = sum_i v[p_i] * basis_i,
+        checked on ints.  Each pivot that v hits subtracts its row; an entry
+        of v off the pivots may cancel, so only the full remainder decides."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
-        pivots, den, rows = self._pivot_form
-        x = _integer_row(v)
-        rest = [den * t for t in x]
-        for p, row in zip(pivots, rows):
-            c = x[p]
-            if c:
-                rest = [a - c * b for a, b in zip(rest, row)]
+        den, rows = self._pivot_form
+        support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
+                   for j, x in enumerate(v) if x]
+        scale = lcm(*[x.denominator for _, x in support])
+        support = [(j, x.numerator * (scale // x.denominator)) for j, x in support]
+        rest = [0] * self.ambient_dim
+        for j, x in support:
+            rest[j] += den * x
+            row = rows.get(j)
+            if row is not None:
+                for k, s in row:
+                    rest[k] -= x * s
         return not any(rest)
 
     def coordinates(self, v: Sequence) -> Vector | None:
@@ -275,7 +317,7 @@ class Subspace:
         RREF the coefficient of a basis row is v at that row's pivot."""
         if not self.contains(v):
             return None
-        return tuple(Fraction(v[p]) for p in self._pivot_form[0])
+        return tuple(Fraction(v[p]) for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -292,11 +334,14 @@ class Subspace:
 
     @cached_property
     def _annihilator(self) -> "Subspace":
+        if self.known_annihilator is not None:
+            return self.known_annihilator()
         if not self.basis:
             return Subspace.full(self.ambient_dim)
         return Subspace(self.ambient_dim, nullspace(self.basis, self.ambient_dim))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, as rows in the dual
-        coordinates; computed on first use and kept on the subspace."""
+        coordinates; computed on first use (or handed in) and kept on the
+        subspace."""
         return self._annihilator

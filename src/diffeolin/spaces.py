@@ -23,7 +23,7 @@ f(F_e V) <= F_e W for every e >= -1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -36,6 +36,7 @@ from .linalg import (
     dot,
     identity,
     invert,
+    kron_vector,
     matvec,
     vector,
     zero_vector,
@@ -261,17 +262,21 @@ class Presentation:
     a plot for every e >= degree.  The rows of degree -1 come first and are
     the RREF basis of the coarse part C = F_-1, along which every set map is
     a plot; no row of degree >= 0 lies in C.  The filtration steps F_e are
-    built as subspaces on first use and kept.
+    built as subspaces on first use and kept, unless the constructor hands
+    them in as ``known_steps``: (degree, step) pairs at -1 and at every
+    presented degree, as a tensor product's closed form gives them.
     """
 
     ambient_dim: int
     rows: tuple[tuple[int, Vector], ...]
+    known_steps: tuple[tuple[int, Subspace], ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def _steps(self) -> dict[int, Subspace]:
         # The coarse rows are already reduced, and F_-1 (possibly zero) is
         # the answer for every degree below the first presented row.
-        return {-1: Subspace(self.ambient_dim, tuple(self.rows_up_to(-1)))}
+        return dict(self.known_steps
+                    or [(-1, Subspace(self.ambient_dim, tuple(self.rows_up_to(-1))))])
 
     def singular_span(self) -> Subspace:
         return self.filtration_step(max((d for d, _ in self.rows), default=-1))
@@ -307,7 +312,8 @@ def presentation(space: DiffSpace) -> Presentation:
 def _build_presentation(space: DiffSpace) -> Presentation:
     """Spanning (degree, row) pairs per descriptor, then one normalising
     step: the degree -1 rows are reduced to the RREF basis of C and put
-    first, and rows of degree >= 0 that lie in C are dropped."""
+    first, and rows of degree >= 0 that lie in C are dropped.  A tensor
+    product is presented in closed form instead (``_tensor_presentation``)."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
@@ -325,7 +331,7 @@ def _build_presentation(space: DiffSpace) -> Presentation:
         rows = ([(deg, _embed_row(r, 0, n)) for deg, r in presentation(d.left).rows]
                 + [(deg, _embed_row(r, nl, n)) for deg, r in presentation(d.right).rows])
     elif isinstance(d, TensorOf):
-        rows = _tensor_rows(d.left, d.right)
+        return _tensor_presentation(d.left, d.right)
     elif isinstance(d, Pushforward):
         rows = [(deg, matvec(d.matrix, r)) for deg, r in presentation(d.base).rows]
     else:
@@ -337,29 +343,81 @@ def _build_presentation(space: DiffSpace) -> Presentation:
     return Presentation(n, tuple(rows))
 
 
-def _tensor_rows(left: DiffSpace, right: DiffSpace) -> list[tuple[int, Vector]]:
-    """Block rows of a tensor product.
+def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
+    """The flag F_e(V (x) W) = F_e V (x) R^m + R^n (x) F_e W: the block
+    rows r (x) e_j and e_i (x) r' of the factors' rows of degree <= e, where
+    at e = -1 the coarse rows absorb everything they touch (split an
+    arbitrary coefficient onto the coarse leg).  ``_tensor_step`` builds
+    each step in RREF, at -1 and at every degree either factor presents.
+    The rows are those of each step whose pivot is new at that step:
+    independent, dim S(V (x) W) of them, and those of degree <= e span F_e."""
+    lp, rp = presentation(left), presentation(right)
+    degrees = sorted({-1} | {d for d, _ in lp.rows + rp.rows})
+    rows: list[tuple[int, Vector]] = []
+    steps: list[tuple[int, Subspace]] = []
+    seen: set[int] = set()
+    for e in degrees:
+        step = _tensor_step(lp.filtration_step(e), rp.filtration_step(e), e == degrees[-1])
+        new = [(e, r) for p, r in zip(step.pivots, step.basis) if p not in seen]
+        seen.update(step.pivots)
+        rows.extend(new)
+        if new or not steps:
+            steps.append((e, step))
+        else:
+            # No new pivot: the step equals the last kept one.  Keep the
+            # later object, so that the top step keeps its annihilator.
+            steps[-1] = (steps[-1][0], step)
+    return Presentation(left.dim * right.dim, tuple(rows), tuple(steps))
 
-    A row r of the left factor pairs with every constant plot of the right
-    factor, contributing r (x) e_j at the degree of r; symmetrically on the
-    other side.  Coarse rows absorb everything they touch: arbitrary maps
-    into C (x) R^m and R^n (x) C are plots (split the arbitrary coefficient
-    onto the coarse leg).
-    """
-    n, m = left.dim, right.dim
-    zero = zero_vector(n * m)
+
+def _tensor_step(left: Subspace, right: Subspace, top: bool) -> Subspace:
+    """The RREF of A (x) R^m + R^n (x) B, read off the RREF rows A_p of A
+    (pivots P) and B_q of B (pivots Q) with no elimination: one row per
+    pivot, in pivot order,
+
+        (p, j), p in P:              A_p (x) e_j                        if j not in Q,
+                                     A_p (x) (e_j - B_j) + e_p (x) B_j  if j in Q;
+        (q, k), q not in P, k in Q:  e_q (x) B_k.
+
+    Each row lies in the span, has a leading 1 at its pivot and is zero at
+    every other pivot, and there are a*m + n*b - a*b of them, the dimension
+    of the span.  A ``top`` step carries its annihilator Ann A (x) Ann B,
+    built on first use: the row-major Kronecker products of the factor
+    bases are already in RREF."""
+    n, m = left.ambient_dim, right.ambient_dim
+    zero, one = zero_vector(n * m), Fraction(1)
+    a = {p: [(i, x) for i, x in enumerate(row) if x and i != p]
+         for p, row in zip(left.pivots, left.basis)}
+    b = dict(zip(right.pivots, right.basis))
+    # The entries of e_q - B_q, which is zero at q and at every other pivot.
+    tails = {q: [(k, -y) for k, y in enumerate(row) if y and k != q] for q, row in b.items()}
     rows = []
-    for deg, r in presentation(left).rows:
+    for c in range(n):
+        ac = a.get(c)
         for j in range(m):
+            bj = b.get(j)
+            if ac is None and bj is None:
+                continue
             row = list(zero)
-            row[j::m] = r
-            rows.append((deg, tuple(row)))
-    for deg, r in presentation(right).rows:
-        for i in range(n):
-            row = list(zero)
-            row[i * m:(i + 1) * m] = r
-            rows.append((deg, tuple(row)))
-    return rows
+            if ac is None:
+                row[c * m:(c + 1) * m] = bj
+            elif bj is None:
+                row[c * m + j] = one
+                for i, x in ac:
+                    row[i * m + j] = x
+            else:
+                # Block c is e_j (A_p is 1 at p); block i is A_p[i] * (e_j - B_j).
+                row[c * m + j] = one
+                for i, x in ac:
+                    for k, y in tails[j]:
+                        row[i * m + k] = x * y
+            rows.append(tuple(row))
+
+    def annihilator() -> Subspace:
+        return Subspace(n * m, tuple(kron_vector(phi, psi) for phi in left.annihilator().basis
+                                     for psi in right.annihilator().basis))
+
+    return Subspace(n * m, tuple(rows), annihilator if top else None)
 
 
 def singular_span(space: DiffSpace) -> Subspace:

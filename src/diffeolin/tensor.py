@@ -1,21 +1,25 @@
 """Tensor product diffeology and the canonical maps around it.
 
 Basis convention: v_i (x) w_j sits at flat index i*m + j (row-major).  The
-singular span of a tensor product is the block span
+plots of V (x) W are reached by mixed generator/constant plot pairs, so its
+flag is the block flag
 
-    S(V) (x) R^m  +  R^n (x) S(W),
+    F_e(V (x) W) = F_e V (x) R^m  +  R^n (x) F_e W,
 
-which is exactly what mixed generator/constant plot pairs reach; pairs of
-singular generators only add |x|*|x| = x^2 terms, which are smooth (the
-test suite checks the residues of ``product_plot`` on generator pairs).  The
-block presentation (``spaces._tensor_rows``) is built from the
-factor presentations alone, so any two spaces tensor: fine, coarse,
-generated, sums, tensors, pushforwards (hat duals) and duals.  The
+with the coarse part at e = -1 and the singular span S(V) (x) R^m +
+R^n (x) S(W) at the top; pairs of singular generators only add
+|x|*|x| = x^2 terms, which are smooth (the test suite checks the residues of
+``product_plot`` on generator pairs).  The presentation builds each step
+directly in RREF from the factors' RREF steps (``spaces._tensor_step``), so
+any two spaces tensor (fine, coarse, generated, sums, tensors, pushforwards
+(hat duals) and duals) with no elimination over the n*m coordinates.  The
 Kronecker product of RREF rows with pivots p and q is an RREF row with pivot
 p*m + q, zero at every other such pivot, so the RREF basis of (V (x) W)* =
 ann S(V) (x) ann S(W) is the row-major Kronecker products of the factor
-bases.  ``tensor_dual_iso`` checks that equality and is the one runtime
-check of the block formula; ``tensor_product`` only builds the space.
+bases; the top step carries it, and the dual calls no nullspace.
+``tensor_dual_iso`` certifies the closed form against the block rows of the
+definition and is the one runtime check of it; ``tensor_product`` only
+builds the space.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .hom import (
 )
 from .linalg import (
     Matrix,
+    Vector,
     identity,
     invert,
     kron,
@@ -44,12 +49,14 @@ from .spaces import (
     TensorOf,
     Verdict,
     direct_sum,
+    presentation,
+    singular_span,
 )
 
 
 def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
-    """The tensor product space; its presentation is the block rows of
-    ``spaces._tensor_rows``, built on first use."""
+    """The tensor product space; its presentation is the closed-form block
+    flag (module docstring), built on first use."""
     return DiffSpace(v.dim * w.dim, TensorOf(v, w))
 
 
@@ -130,23 +137,46 @@ class TensorDualIso:
         return self.injective  # equal dimensions: onto as well
 
 
-def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
-    """The canonical map, certified by one basis equality (module docstring).
+def _tensor_rows(v: DiffSpace, w: DiffSpace) -> list[Vector]:
+    """The block rows of the definition of V (x) W: r (x) e_j and e_i (x) r'
+    for every presented row r of v and r' of w, coarse rows included.  They
+    span S(V) (x) R^m + R^n (x) S(W); the presentation never reads them, so
+    they are the certificate's independent reference.  Their zeros are the
+    int 0, which ``Subspace.contains`` skips without a ``Fraction`` call."""
+    n, m = v.dim, w.dim
+    zero = (0,) * (n * m)
+    rows = []
+    for _, r in presentation(v).rows:
+        for j in range(m):
+            row = list(zero)
+            row[j::m] = r
+            rows.append(tuple(row))
+    for _, r in presentation(w).rows:
+        for i in range(n):
+            row = list(zero)
+            row[i * m:(i + 1) * m] = r
+            rows.append(tuple(row))
+    return rows
 
-    Equality says that each phi (x) psi annihilates the block span and that
-    the products are independent and span (V (x) W)*: the map is the
-    identity.  A failure signals a bug in the block singular-span formula.
-    """
-    dual_v = diffeological_dual(v)
-    dual_w = diffeological_dual(w)
-    dual_t = diffeological_dual(tensor_product(v, w))
-    products = tuple(kron_vector(phi, psi)
-                     for phi in dual_v.annihilator_basis.basis
-                     for psi in dual_w.annihilator_basis.basis)
-    if products != dual_t.annihilator_basis.basis:
+
+def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
+    """The canonical map, certified with no elimination over the n*m
+    coordinates of V (x) W: (i) every block row of the definition lies in
+    S(V (x) W), by pivot reduction, and (ii) dim S(V (x) W) + dim V* * dim W*
+    = n*m.  (i) puts the block span inside S, and (ii) gives S its dimension
+    n*m - (n - dim S(V))*(m - dim S(W)), so S is the block span.  Its
+    annihilator is then ann S(V) (x) ann S(W), whose Kronecker basis is the
+    RREF basis of (V (x) W)* (module docstring): the map is the identity.
+    A failure signals a bug in the closed-form presentation."""
+    t = tensor_product(v, w)
+    dual_v, dual_w, dual_t = diffeological_dual(v), diffeological_dual(w), diffeological_dual(t)
+    span = singular_span(t)
+    outside = sum(not span.contains(row) for row in _tensor_rows(v, w))
+    if outside or span.dim + dual_v.dim * dual_w.dim != t.dim:
         raise DiffeolinError(
-            "product functionals are not the RREF basis of the tensor dual: "
-            f"{len(products)} products, dual dim {dual_t.dim}"
+            "the singular span of the tensor product is not the block span: "
+            f"{outside} block rows outside it, dim S = {span.dim}, "
+            f"dim V* * dim W* = {dual_v.dim * dual_w.dim}, n*m = {t.dim}"
         )
     return TensorDualIso(dual_v, dual_w, dual_t, identity(dual_t.dim))
 

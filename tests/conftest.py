@@ -5,14 +5,14 @@ import pytest
 
 @pytest.fixture
 def left_block_rows_only(monkeypatch):
-    """A wrong block formula: ``spaces._tensor_rows`` cut to the left
-    factor's rows S(V) (x) R^m, without R^n (x) S(W).  Only tensor products
-    presented after the patch see it."""
+    """A wrong block formula: each closed-form step of a tensor product
+    (``spaces._tensor_step``) cut to F_e V (x) R^m, without R^n (x) F_e W.
+    Only tensor products presented after the patch see it."""
     import diffeolin.spaces as spaces
 
-    real = spaces._tensor_rows
+    real = spaces._tensor_step
 
-    def left_rows_only(left, right):
-        return real(left, right)[:len(spaces.presentation(left).rows) * right.dim]
+    def left_factor_only(left, right, top):
+        return real(left, spaces.Subspace(right.ambient_dim, ()), top)
 
-    monkeypatch.setattr(spaces, "_tensor_rows", left_rows_only)
+    monkeypatch.setattr(spaces, "_tensor_step", left_factor_only)

@@ -103,7 +103,7 @@ def test_failed_dual_iso_certificate_is_one_error_line(run, left_block_rows_only
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "RREF basis of the tensor dual" in err
+    assert "is not the block span" in err
 
 
 def test_closed_pipe_exits_1_without_a_traceback(tmp_path):

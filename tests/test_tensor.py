@@ -34,8 +34,18 @@ from diffeolin import (
     tensor_of_maps,
     tensor_product,
 )
-from diffeolin.linalg import Subspace, identity, invert, kron, kron_vector, matmul, rank
-from diffeolin.spaces import generating_plots
+from diffeolin.linalg import (
+    Subspace,
+    identity,
+    invert,
+    kron,
+    kron_vector,
+    matmul,
+    nullspace,
+    rank,
+    unit_vector,
+)
+from diffeolin.spaces import generating_plots, presentation
 
 
 def kink_space(n, k):
@@ -179,6 +189,114 @@ def test_tensor_dual_basis_is_the_kron_of_the_factor_bases():
     assert len(kinds) == 7, kinds
 
 
+def _reference_tensor_step(v, w, degree):
+    """F_degree(V (x) W) by elimination: ``Subspace.from_rows`` over the block
+    rows r (x) e_j and e_i (x) r' of the factors' rows of degree <= degree,
+    the route the closed form replaced."""
+    n, m = v.dim, w.dim
+    rows = [kron_vector(r, unit_vector(m, j))
+            for d, r in presentation(v).rows if d <= degree for j in range(m)]
+    rows += [kron_vector(unit_vector(n, i), r)
+             for d, r in presentation(w).rows if d <= degree for i in range(n)]
+    return Subspace.from_rows(n * m, rows)
+
+
+def _random_kinked(rng, n):
+    """R^n generated by 1 to n - 1 kinks |x|*x^d along seeded rational
+    directions, d <= 2: its steps are proper and their RREF rows have
+    entries off their pivots."""
+    plots = []
+    for _ in range(rng.randint(1, n - 1)):
+        d = rng.randint(0, 2)
+        direction = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        plots.append(Plot([FunctionExpr.abs_monomial(d, c) if c else FunctionExpr.zero()
+                           for c in direction]))
+    return make_generated(n, plots)
+
+
+def _closed_form_pairs(seed, count):
+    """Seeded factor pairs over all seven kinds, plus wider kinked factors
+    (beside a coarse line or inside a tensor, at times)."""
+    rng = random.Random(seed)
+    pairs = [(_random_factor(rng), _random_factor(rng)) for _ in range(count)]
+    for _ in range(count // 4):
+        v, w = _random_kinked(rng, rng.randint(3, 5)), _random_kinked(rng, rng.randint(2, 4))
+        if rng.random() < 0.5:
+            v = direct_sum(v, make_coarse(1))
+        pairs.append((tensor_product(v, _random_kinked(rng, 2)), w)
+                     if rng.random() < 0.25 else (v, w))
+    return pairs
+
+
+def test_closed_form_steps_equal_elimination_over_the_block_rows():
+    """On seeded pairs over fine, coarse, generated, sum, hat, dual and
+    tensor spaces, every step of the closed-form presentation of V (x) W is
+    the elimination of the block rows, with dimension a*m + n*b - a*b; the
+    presented rows are independent, dim S(V (x) W) of them, those of
+    degree <= e span F_e, and the handed-in annihilator of S is the
+    nullspace of S."""
+    pairs = _closed_form_pairs(161803, 60)
+    kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in pairs for s in pair}
+    assert len(kinds) == 7, kinds
+    coarse = wide = 0
+    for v, w in pairs:
+        n, m = v.dim, w.dim
+        t = tensor_product(v, w)
+        pres, lp, rp = presentation(t), presentation(v), presentation(w)
+        top = max((d for d, _ in lp.rows + rp.rows), default=-1)
+        for e in range(-1, top + 2):
+            step = pres.filtration_step(e)
+            assert step == _reference_tensor_step(v, w, e), (v.describe(), w.describe(), e)
+            a, b = lp.filtration_step(e).dim, rp.filtration_step(e).dim
+            assert step.dim == a * m + n * b - a * b
+            rows = pres.rows_up_to(e)
+            assert len(rows) == step.dim and Subspace.from_rows(n * m, rows) == step
+        span = singular_span(t)
+        assert len(pres.rows) == span.dim
+        assert not pres.rows or rank(tuple(r for _, r in pres.rows)) == span.dim
+        expected = nullspace(span.basis, n * m) if span.basis else identity(n * m)
+        assert span.annihilator().basis == expected
+        coarse += pres.filtration_step(-1).dim > 0
+        wide += n * m >= 12 and 0 < span.dim < n * m
+    assert coarse >= 10 and wide >= 10, (coarse, wide)
+
+
+def test_presenting_a_product_eliminates_nothing_over_its_coordinates(monkeypatch):
+    """With both factors presented, presenting V (x) W, taking its dual and
+    certifying the dual isomorphism call rref and nullspace on factor-sized
+    matrices only, never on the n*m product coordinates."""
+    import diffeolin.linalg as linalg
+
+    widths = []
+
+    def counted(name):
+        real = getattr(linalg, name)
+
+        def wrapper(m, *args):
+            m = tuple(m)
+            widths.append((name, args[0] if args else len(m[0]) if m else 0))
+            return real(m, *args)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+
+    pairs = [(v, w) for v, w in _closed_form_pairs(4669, 24) if v.dim > 1 and w.dim > 1]
+    pairs.append((kink_space(8, 4), direct_sum(kink_space(5, 2), make_coarse(3))))
+    for v, w in pairs:
+        presentation(v), presentation(w)
+    counted("rref")
+    counted("nullspace")
+    seen = set()
+    for v, w in pairs:
+        widths.clear()
+        t = tensor_product(v, w)
+        presentation(t)
+        diffeological_dual(t)
+        tensor_dual_iso(v, w)
+        assert v.dim * w.dim not in {width for _, width in widths}, (v.describe(), w.describe())
+        seen.update(name for name, _ in widths)
+    assert seen == {"rref", "nullspace"}
+
+
 def _generator_pair_rows_outside_the_span(v, w):
     """Residue rows of product_plot(p, q), for generating plots p of v and q
     of w, that lie outside the singular span of v (x) w."""
@@ -244,7 +362,7 @@ def test_tensor_dual_iso_rejects_a_wrong_block_formula(left_block_rows_only):
     the check that rejects it."""
     v, w = make_fine(2), make_coarse(2)
     assert diffeological_dual(tensor_product(v, w)).dim == 4
-    with pytest.raises(DiffeolinError, match="RREF basis of the tensor dual"):
+    with pytest.raises(DiffeolinError, match="is not the block span"):
         tensor_dual_iso(v, w)
 
 
