@@ -13,9 +13,18 @@ k/2 - j are half-integers, so its unit-spacing stencil sum is U / 2^D with
 U = sum_j (-1)^j C(k, j) (k - 2j)^degree |k - 2j|^is_abs.  Summing c*U per D
 over a common denominator q of the coefficients gives integers n_D, and the
 difference at h = 2^-p, sum_D n_D / q * 2^-(D + p*(D - k)), is N_p / (q << top)
-with top the largest of these exponents (at least 0).  All values share that
-denominator, so the growth test compares the integers N_p and only the
-reported value becomes a float.
+with top the largest of these exponents (at least 0; linear in p, so taken at
+the ends of the sweep).  All values share that denominator, so the growth
+test compares the integers N_p and only the reported value becomes a float.
+
+Each order computes only the N_p that its verdict reads, and reaches the
+verdict of the full sweep.  If every n_D is 0, so is every N_p, and no step
+is usable.  Otherwise the test reads N_p in sweep order and stops at the
+first confirming step, as a full scan does.  With one nonzero n_D, N_p =
+|n_D| << (top - D - p*(D - k)) is nonzero, and a step (p up by s >= 1)
+multiplies it by 2^(s*(k - D)): for k <= D no step grows by 3/2, for k > D
+each does, so the run starts at the first value and is confirmed at the first
+i >= AGREEMENT_POLICY with 2^((k - D)*(p_i - p_0)) >= GROWTH_THRESHOLD.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .atoms import FunctionExpr
 from .exprparse import MAX_DEGREE, format_expr
@@ -80,50 +89,49 @@ def _unit_sum(degree: int, is_abs: bool, order: int) -> int:
                * (abs(order - 2 * j) if is_abs else 1) for j in range(order + 1))
 
 
-def _differences(f: FunctionExpr, order: int) -> tuple[list[int], int]:
-    """Exact |order-th divided differences| of ``f`` at the half-widths
-    2^-p, p in ``HALF_WIDTH_EXPONENTS``: integers N_p and one positive
-    denominator, the difference at 2^-p being N_p / denominator."""
-    q = math.lcm(*[c.denominator for _, c in f.terms])
+def _differences(scaled, q: int, order: int) -> tuple[list, Callable[[int], int], int]:
+    """Exact |order-th divided differences| of the terms (atom, c*q) over q:
+    the nonzero n_D as (D, n_D), the function p -> N_p, computed on call, and
+    one positive denominator, the difference at 2^-p being N_p / denominator."""
     sums: dict[int, int] = {}
-    for atom, c in f.terms:
+    for atom, n in scaled:
         u = _unit_sum(atom.degree, atom.is_abs, order)
         if u:
             total = atom.degree + atom.is_abs
-            sums[total] = sums.get(total, 0) + c.numerator * (q // c.denominator) * u
+            sums[total] = sums.get(total, 0) + n * u
     terms = [(total, n) for total, n in sums.items() if n]
-    top = max([0] + [total + p * (total - order)
-                     for total, _ in terms for p in HALF_WIDTH_EXPONENTS])
-    values = [abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
-              for p in HALF_WIDTH_EXPONENTS]
-    return values, q << top
+    ends = (HALF_WIDTH_EXPONENTS[0], HALF_WIDTH_EXPONENTS[-1])
+    top = max([0] + [total + p * (total - order) for total, _ in terms for p in ends])
+
+    def value(p: int) -> int:
+        return abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
+    return terms, value, q << top
 
 
-def _rounded(value: Fraction) -> float:
+def _rounded(numerator: int, denominator: int) -> float:
     try:
-        return float(value)
+        return numerator / denominator
     except OverflowError:
         return math.inf
 
 
-def _diverges(values: Sequence[int]) -> int | None:
+def _diverges(values: Iterable[int]) -> int | None:
     """Index where a sustained divergent run is confirmed, else None.
 
     The values share one positive scale.  A run is ``AGREEMENT_POLICY`` or
     more consecutive usable (nonzero) steps each growing by 3/2, with total
     growth at least ``GROWTH_THRESHOLD`` across the maximal run.
     """
-    run_start = None
-    for i in range(1, len(values)):
-        v_prev, v_cur = values[i - 1], values[i]
+    run_start, v_start, v_prev = None, 0, 0
+    for i, v_cur in enumerate(values):
         if v_prev and v_cur and 2 * v_cur >= 3 * v_prev:
             if run_start is None:
-                run_start = i - 1
-            if (i - run_start >= AGREEMENT_POLICY
-                    and v_cur >= GROWTH_THRESHOLD * values[run_start]):
+                run_start, v_start = i - 1, v_prev
+            if i - run_start >= AGREEMENT_POLICY and v_cur >= GROWTH_THRESHOLD * v_start:
                 return i
         else:
             run_start = None
+        v_prev = v_cur
     return None
 
 
@@ -135,13 +143,20 @@ def classify(f: FunctionExpr) -> Classification:
     of ``f`` plus 2: ``|x|*x^d`` first fails at ``d + 2``, and past its
     degree a polynomial's differences vanish.
     """
+    q = math.lcm(*[c.denominator for _, c in f.terms])
+    scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in f.terms]
     top = max([atom.degree for atom, _ in f.terms], default=0) + 2
     for order in range(1, top + 1):
-        values, denominator = _differences(f, order)
-        hit = _diverges(values)
+        terms, value, denominator = _differences(scaled, q, order)
+        if len(terms) == 1:  # one rate, read off as the module docstring says
+            rate, p = order - terms[0][0], HALF_WIDTH_EXPONENTS
+            hit = next((i for i in range(max(AGREEMENT_POLICY, 1), len(p))
+                        if rate > 0 and 1 << rate * (p[i] - p[0]) >= GROWTH_THRESHOLD), None)
+        else:
+            hit = _diverges(map(value, HALF_WIDTH_EXPONENTS)) if terms else None
         if hit is not None:
-            value = _rounded(Fraction(values[hit], denominator))
-            return Classification(order, order, HALF_WIDTHS[hit], value)
+            rounded = _rounded(value(HALF_WIDTH_EXPONENTS[hit]), denominator)
+            return Classification(order, order, HALF_WIDTHS[hit], rounded)
     return Classification(None, top)
 
 

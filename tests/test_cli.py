@@ -323,6 +323,70 @@ def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# An unknown name in each position that names a space or a map.
+UNKNOWN_NAMES = [
+    ("dual", "nope"),
+    ("hom", "nope", "fine2"),
+    ("hom", "fine2", "nope"),
+    ("bilinear", "nope", "fine1"),
+    ("bilinear", "fine2", "nope"),
+    ("tensor", "nope", "fine2"),
+    ("tensor", "fine2", "nope"),
+    ("tensor", "nope", "fine2", "--dual-iso"),
+    ("tensor", "fine2", "nope", "--dual-iso"),
+    ("check-map", "nope"),
+    ("check-plot", "nope", "abs(x)"),
+    ("hat-dual", "nope", "--iso", '[["1"]]'),
+    ("cross-validate", "nope", "1"),
+]
+
+# Every subcommand that reads the space file, on names the file would define.
+FILE_READERS = [
+    ("dual", "f"),
+    ("hom", "f", "f"),
+    ("bilinear", "f", "f"),
+    ("tensor", "f", "f"),
+    ("tensor", "f", "f", "--dual-iso"),
+    ("check-map", "m"),
+    ("check-plot", "f", "x"),
+    ("hat-dual", "f", "--iso", '[["1"]]'),
+    ("cross-validate", "f", "1"),
+    ("verify",),
+]
+
+# A malformed space file and the message that names its fault.
+MALFORMED_FILES = {
+    "truncated": ('{"spaces": {"f": {"dim": 1, "diffeology": "fi', "invalid JSON"),
+    "unknown-diffeology": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "smooth"}}}),
+                           "diffeology must be"),
+    "map-without-from": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
+                                     "maps": {"m": {"to": "f", "matrix": [["1"]]}}}),
+                         "missing 'from'"),
+}
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
+@pytest.mark.parametrize("argv", UNKNOWN_NAMES + [
+    ("-f", "{%s}" % name) + reader for name in MALFORMED_FILES for reader in FILE_READERS
+], ids=lambda argv: "-".join(a.strip("{}-") for a in argv if not a.startswith("[")))
+def test_unknown_names_and_malformed_files_exit_2_with_one_error_line(
+        run, tmp_path, argv, mode):
+    paths = {}
+    for name, (text, _) in MALFORMED_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    if argv[0] == "-f":
+        expected = MALFORMED_FILES[argv[1].strip("{}")][1]
+    else:
+        expected = f"unknown {'map' if argv[0] == 'check-map' else 'space'} 'nope'"
+    code, out, err = run(*mode, *(arg.format(**paths) if arg.startswith("{") else arg
+                                  for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expected in err
+
+
 @pytest.mark.parametrize("argv", [("-h",), ("dual", "-h"), ("cross-validate", "--help")])
 def test_help_prints_usage_and_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -9,8 +9,9 @@ import pytest
 from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
-from diffeolin.oracle import HALF_WIDTHS, MAX_ORDER, Classification, _differences, _unit_sum
-from diffeolin import verify
+from diffeolin.oracle import (HALF_WIDTH_EXPONENTS, HALF_WIDTHS, MAX_ORDER, Classification,
+                              _differences, _unit_sum)
+from diffeolin import oracle, verify
 from diffeolin.verify import check_oracle_agreement
 from diffeolin.hom import hat_dual
 from diffeolin.spaces import direct_sum, kink_plot, make_coarse, make_fine, make_generated
@@ -98,8 +99,17 @@ def _random_expression(rng, max_degree=8):
     return FunctionExpr(terms)
 
 
+def _exact_differences(expr, order):
+    """Every N_p that ``_differences`` computes for ``expr`` at ``order``, and
+    its denominator."""
+    q = math.lcm(*[c.denominator for _, c in expr.terms])
+    scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in expr.terms]
+    _, value, denominator = _differences(scaled, q, order)
+    return list(map(value, HALF_WIDTH_EXPONENTS)), denominator
+
+
 def _assert_exact_differences(expr, order):
-    values, denominator = _differences(expr, order)
+    values, denominator = _exact_differences(expr, order)
     assert denominator > 0 and len(values) == len(HALF_WIDTHS)
     for value, h in zip(values, HALF_WIDTHS):
         assert Fraction(value, denominator) == _reference_exact_difference(expr, order, h), \
@@ -130,7 +140,7 @@ def test_integer_differences_at_high_orders(expr, orders):
 
 def test_all_negative_exponents_need_no_shift():
     expr = A(0, Fraction(5, 3)) + M(1, Fraction(-3, 5))
-    values, denominator = _differences(expr, 20)
+    values, denominator = _exact_differences(expr, 20)
     assert denominator == 15 and any(values)
 
 
@@ -207,6 +217,123 @@ def test_classify_equals_the_fraction_reference():
         expr = _random_expression(rng, max_degree=6)
         top = max((atom.degree for atom, _ in expr.terms), default=0) + 2
         assert classify(expr) == _reference_classify(expr, top), expr
+
+
+# The integer sweep classify ran before it stopped where its decision does:
+# all of an order's N_p, then the divergence scan over the stored list.  It
+# reads the test constants when called, so a monkeypatched pair reaches both.
+def _full_sweep_classify(f):
+    def differences(order):
+        q = math.lcm(*[c.denominator for _, c in f.terms])
+        sums = {}
+        for atom, c in f.terms:
+            u = _unit_sum(atom.degree, atom.is_abs, order)
+            if u:
+                total = atom.degree + atom.is_abs
+                sums[total] = sums.get(total, 0) + c.numerator * (q // c.denominator) * u
+        terms = [(total, n) for total, n in sums.items() if n]
+        top = max([0] + [total + p * (total - order)
+                         for total, _ in terms for p in HALF_WIDTH_EXPONENTS])
+        values = [abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
+                  for p in HALF_WIDTH_EXPONENTS]
+        return values, q << top
+
+    def diverges(values):
+        run_start = None
+        for i in range(1, len(values)):
+            v_prev, v_cur = values[i - 1], values[i]
+            if v_prev and v_cur and 2 * v_cur >= 3 * v_prev:
+                if run_start is None:
+                    run_start = i - 1
+                if (i - run_start >= oracle.AGREEMENT_POLICY
+                        and v_cur >= oracle.GROWTH_THRESHOLD * values[run_start]):
+                    return i
+            else:
+                run_start = None
+        return None
+
+    top = max([atom.degree for atom, _ in f.terms], default=0) + 2
+    for order in range(1, top + 1):
+        values, denominator = differences(order)
+        hit = diverges(values)
+        if hit is not None:
+            try:
+                value = float(Fraction(values[hit], denominator))
+            except OverflowError:
+                value = math.inf
+            return Classification(order, order, HALF_WIDTHS[hit], value)
+    return Classification(None, top)
+
+
+def _sweep_cases():
+    """Every atom a parsed factor writes, plain and abs, at three
+    coefficients; then seeded sums with huge coefficients.
+
+    An atom's stencil sum is nonzero only at orders of its degree's parity,
+    so the two atoms of one total degree never both reach n_D, and an order
+    vanishes only where every atom's sum does.  A third of the sums keep to
+    one parity, so that each order of the other parity vanishes although
+    several atoms are present."""
+    for degree in range(MAX_DEGREE + 1):
+        for kind in (mono, abs_mono):
+            for c in (1, Fraction(-3, 7), 10**400):
+                yield FunctionExpr([(kind(degree), c)])
+    rng = random.Random(20150430)
+    for _ in range(5000):
+        parity = rng.choice((0, 1, None))
+        terms = []
+        for _ in range(rng.randint(2, 6)):
+            degree = rng.randint(0, 12)
+            if parity is not None:
+                degree += (degree - parity) % 2
+            terms.append(((abs_mono if rng.random() < 0.5 else mono)(degree),
+                          Fraction(rng.randint(-10**30, 10**30) or 1, rng.randint(1, 10**6))))
+        if rng.random() < 0.1:
+            terms.append((abs_mono(2 * rng.randint(0, 2)), 10**rng.randint(100, 400)))
+        yield FunctionExpr(terms)
+
+
+@pytest.mark.parametrize("policy, threshold", [(3, 10), (5, 100), (2, 3)])
+def test_classify_equals_the_full_sweep(monkeypatch, policy, threshold):
+    monkeypatch.setattr(oracle, "AGREEMENT_POLICY", policy)
+    monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
+    for expr in _sweep_cases():
+        assert classify(expr) == _full_sweep_classify(expr), expr
+
+
+def _count_values(monkeypatch):
+    """Count the N_p that classify computes, per order."""
+    counts = {}
+
+    def counting(scaled, q, order):
+        terms, value, denominator = _differences(scaled, q, order)
+
+        def counted(p):
+            counts[order] = counts.get(order, 0) + 1
+            return value(p)
+        return terms, counted, denominator
+
+    monkeypatch.setattr(oracle, "_differences", counting)
+    return counts
+
+
+def test_a_failing_order_stops_where_its_decision_does(monkeypatch):
+    counts = _count_values(monkeypatch)
+    assert classify(A(0)).failing_order == 2
+    assert 0 < counts[2] < len(HALF_WIDTH_EXPONENTS)
+    # Two total degrees: the scan reads up to the confirming step only.
+    counts.clear()
+    assert classify(A(1) + M(0, 5)).failing_order == 3
+    assert 0 < counts[3] < len(HALF_WIDTH_EXPONENTS)
+
+
+def test_vanishing_orders_compute_no_value(monkeypatch):
+    counts = _count_values(monkeypatch)
+    # |x| has no first difference at 0, and x^2 none past order 2.
+    assert _unit_sum(0, True, 1) == 0 and _unit_sum(2, False, 3) == 0
+    assert classify(A(0)).failing_order == 2 and 1 not in counts
+    assert classify(M(2, 7) + M(0, -1)).smooth
+    assert not set(counts) & {3, 4}
 
 
 def test_expressions_never_take_the_float_path(monkeypatch):
