@@ -2,11 +2,12 @@
 
 By the universal property of the tensor product diffeology, a bilinear map
 b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
-(``BilinearForm.matrix``) is smooth: ``check_smooth_linear``'s criterion on
-the block rows of V (x) W, for every codomain Z.  Pairing a row of one
-factor (coarse rows included) with a constant plot of the other gives the
-block rows, and diagonal generator pairs only contribute |x|*|x| = x^2
-terms, which impose nothing.
+is smooth, so a ``BilinearForm`` is that map's matrix, and its verdict is
+``check_smooth_linear``'s criterion on the block rows of the definition of
+V (x) W (``tensor._tensor_rows``), with no presentation of V (x) W.  Pairing
+a row of one factor (coarse rows included) with a constant plot of the other
+gives the block rows, and diagonal generator pairs only contribute
+|x|*|x| = x^2 terms, which impose nothing.
 """
 
 from __future__ import annotations
@@ -25,41 +26,36 @@ from .spaces import (
     Verdict,
     presentation,
 )
-from .tensor import tensor_product
+from .tensor import _tensor_rows, tensor_product
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Bilinear map left x right -> codomain, stored as the coefficient array
-    b(v_i, w_j) in Q^q, indexed (i, j)."""
+    """Bilinear map left x right -> codomain, stored as its induced map
+    V (x) W -> Z: entry (k, i*m + j) of ``matrix`` is b(v_i, w_j)_k."""
 
     left: DiffSpace
     right: DiffSpace
     codomain: DiffSpace
-    coefficients: tuple[tuple[Vector, ...], ...]
+    matrix: Matrix
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != self.left.dim:
-            raise DimensionMismatchError("coefficient rows != left dimension")
-        for row in self.coefficients:
-            if len(row) != self.right.dim:
-                raise DimensionMismatchError("coefficient columns != right dimension")
-            for value in row:
-                if len(value) != self.codomain.dim:
-                    raise DimensionMismatchError("coefficient vector != codomain dimension")
-
-    @cached_property
-    def matrix(self) -> Matrix:
-        """The induced map V (x) W -> Z: entry (k, i*m + j) = b(v_i, w_j)_k."""
-        return _transpose([value for row in self.coefficients for value in row], self.codomain.dim)
+        if len(self.matrix) != self.codomain.dim:
+            raise DimensionMismatchError("matrix rows != codomain dimension")
+        if any(len(row) != self.left.dim * self.right.dim for row in self.matrix):
+            raise DimensionMismatchError("matrix columns != left dimension * right dimension")
 
     def apply(self, u: Sequence, w: Sequence) -> Vector:
         return matvec(self.matrix, kron_vector(vector(u), vector(w)))
 
     @cached_property
     def verdict(self) -> Verdict:
-        """``is_smooth_bilinear``'s answer, decided on first use and kept."""
-        return _decide(self)
+        """``is_smooth_bilinear``'s answer, decided on first use and kept:
+        NotSmooth at the first block row (d, r) whose image leaves F_d(Z)."""
+        cod = presentation(self.codomain)
+        smooth = all(cod.in_filtration(d, matvec(self.matrix, r))
+                     for d, r in _tensor_rows(self.left, self.right))
+        return Verdict.SMOOTH if smooth else Verdict.NOT_SMOOTH
 
     def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:
         """A positive integer multiple of the family b(u, w_j) for all j."""
@@ -80,45 +76,18 @@ def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,
                    flat: Sequence) -> BilinearForm:
     """The form whose induced matrix is ``flat`` row by row: b(v_i, w_j)_k =
     flat[k*n*m + i*m + j], as in ``smooth_hom_basis`` on left (x) right."""
-    n, m, q = left.dim, right.dim, codomain.dim
-    if len(flat) != n * m * q:
+    nm, q = left.dim * right.dim, codomain.dim
+    if len(flat) != nm * q:
         raise DimensionMismatchError("flat coefficient length mismatch")
     entries = [x if isinstance(x, Fraction) else Fraction(x) for x in flat]
-    cells = _transpose([entries[k * n * m:(k + 1) * n * m] for k in range(q)], n * m)
-    return BilinearForm(left, right, codomain, tuple(cells[i * m:i * m + m] for i in range(n)))
-
-
-def _transpose(rows: Sequence[Sequence], width: int) -> tuple:
-    """zip(*rows), or ``width`` empty columns when there is no row."""
-    return tuple(zip(*rows)) if rows else ((),) * width
-
-
-def _decide(b: BilinearForm) -> Verdict:
-    """The verdict of ``is_smooth_bilinear``, computed without caching.  It
-    reads the factor presentations: presenting V (x) W anew for each form
-    would cost more than deciding it."""
-    cod = presentation(b.codomain)
-    columns = _transpose(b.coefficients, b.right.dim)
-    for factor, slices, other in ((b.left, b.coefficients, b.right.dim),
-                                  (b.right, columns, b.left.dim)):
-        for d, r in presentation(factor).rows:
-            support = [(x, slices[i]) for i, x in enumerate(r) if x]
-            for psi in cod.filtration_step(d).annihilator().basis:
-                terms = [(x, p, s, k) for x, s in support for k, p in enumerate(psi) if p]
-                if any(sum(x * p * s[t][k] for x, p, s, k in terms if s[t][k]) for t in range(other)):
-                    return Verdict.NOT_SMOOTH
-    return Verdict.SMOOTH
+    return BilinearForm(left, right, codomain,
+                        tuple(tuple(entries[k * nm:(k + 1) * nm]) for k in range(q)))
 
 
 def is_smooth_bilinear(b: BilinearForm) -> Verdict:
-    """``check_smooth_linear``'s criterion for the induced map V (x) W -> Z,
-    read off the factor presentations without building V (x) W: for each row
-    r presented at degree d >= -1 in either factor, the images b(r, e_j) and
-    b(e_i, r) of the block rows r (x) e_j and e_i (x) r must lie in F_d(Z)
-    (its coarse part for d = -1), so each psi in Ann(F_d(Z)) kills them, as in
-    ``smooth_bilinear_basis``.  Only nonzero coefficients enter the sums, and
-    the first nonzero value decides NotSmooth.  The verdict is kept on the
-    form, so each form is decided once."""
+    """``check_smooth_linear``'s criterion for the induced map V (x) W -> Z on
+    the block rows of the definition of V (x) W (module docstring), decided
+    once per form and kept on it."""
     return b.verdict
 
 
@@ -142,18 +111,18 @@ class CurriedMap:
     def __post_init__(self) -> None:
         if len(self.blocks) != self.space.dim:
             raise DimensionMismatchError("one block per domain basis vector required")
-        for block in self.blocks:
-            if len(block) != self.codomain.dim:
-                raise DimensionMismatchError("block rows != codomain dimension")
-            for row in block:
-                if len(row) != self.space.dim:
-                    raise DimensionMismatchError("block columns != domain dimension")
+        if any(len(block) != self.codomain.dim for block in self.blocks):
+            raise DimensionMismatchError("block rows != codomain dimension")
+        if any(len(row) != self.space.dim for block in self.blocks for row in block):
+            raise DimensionMismatchError("block columns != domain dimension")
 
     @cached_property
     def uncurried(self) -> BilinearForm:
-        """b(v_i, v_j) = G(v_i)(v_j), transposed from the blocks once and kept."""
+        """b(v_i, v_j) = G(v_i)(v_j): row k of the induced matrix is row k of
+        every block in turn, concatenated once and kept."""
         return BilinearForm(self.space, self.space, self.codomain,
-                            tuple(_transpose(block, self.space.dim) for block in self.blocks))
+                            tuple(tuple(x for block in self.blocks for x in block[k])
+                                  for k in range(self.codomain.dim)))
 
 
 def curry(b: BilinearForm) -> CurriedMap:
@@ -165,11 +134,13 @@ def curry(b: BilinearForm) -> CurriedMap:
         raise DiffeolinError("curry requires matching left and right spaces")
     if b.verdict is not Verdict.SMOOTH:
         raise DiffeolinError("curry requires a Smooth bilinear form")
-    return CurriedMap(b.left, b.codomain, tuple(tuple(zip(*row)) for row in b.coefficients))
+    n = b.left.dim
+    return CurriedMap(b.left, b.codomain,
+                      tuple(tuple(row[i * n:(i + 1) * n] for row in b.matrix) for i in range(n)))
 
 
 def uncurry(g: CurriedMap) -> BilinearForm:
-    """Inverse of curry: coefficients b(v_i, v_j) = G(v_i)(v_j)."""
+    """Inverse of curry: b(v_i, v_j) = G(v_i)(v_j)."""
     return g.uncurried
 
 

@@ -25,6 +25,8 @@ from .linalg import (
     identity,
     kron_vector,
     matmul,
+    matvec,
+    transpose,
 )
 from .spaces import (
     DiffSpace,
@@ -183,7 +185,7 @@ def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
 
 
 def dual_map(f: LinearMap) -> LinearMap:
-    """The smooth dual map f*: W* -> V*, g -> g o f, on annihilator bases.
+    """The smooth dual map f*: W* -> V*, g -> g o f = f^T g, on annihilator bases.
 
     Requires a Smooth verdict for f; the image containment (transposed matrix
     maps Ann S(W) into Ann S(V)) is asserted and can only fail on an internal
@@ -194,13 +196,10 @@ def dual_map(f: LinearMap) -> LinearMap:
     dual_w = diffeological_dual(f.codomain)
     dual_v = diffeological_dual(f.domain)
     bv = dual_v.annihilator_basis
+    pullback = transpose(f.matrix)
     columns = []
     for g in dual_w.annihilator_basis.basis:
-        # g o f = sum_i g_i * (row i of f), read off in the RREF basis of V*.
-        terms = [(c, row) for c, row in zip(g, f.matrix) if c]
-        pulled = tuple(sum((c * row[j] for c, row in terms), Fraction(0))
-                       for j in range(f.domain.dim))
-        coords = bv.coordinates(pulled)
+        coords = bv.coordinates(matvec(pullback, g))
         if coords is None:
             raise DiffeolinError(
                 "image containment failed: pulled-back functional leaves Ann S(V); "

@@ -126,17 +126,22 @@ def load_space_file(path: str) -> SpaceFile:
 def load_space_document(document) -> SpaceFile:
     if not isinstance(document, dict):
         raise SpaceFileError("top level must be an object")
+    spaces, maps = document.get("spaces") or {}, document.get("maps") or {}
+    for key, section in (("spaces", spaces), ("maps", maps)):
+        if not isinstance(section, dict):
+            raise SpaceFileError(f"{key!r} must be an object")
     out = SpaceFile()
-    for name, body in (document.get("spaces") or {}).items():
+    for name, body in spaces.items():
         out.spaces[name] = _load_space(name, body)
-    for name, body in (document.get("maps") or {}).items():
+    for name, body in maps.items():
         if not isinstance(body, dict):
             raise SpaceFileError(f"map {name!r} must be an object")
-        try:
-            domain = out.space(body["from"])
-            codomain = out.space(body["to"])
-        except KeyError as exc:
-            raise SpaceFileError(f"map {name!r} is missing {exc}") from exc
+        for key in ("from", "to"):
+            if key not in body:
+                raise SpaceFileError(f"map {name!r} is missing {key!r}")
+            if not isinstance(body[key], str):
+                raise SpaceFileError(f"map {name!r}: {key!r} must be a space name")
+        domain, codomain = out.space(body["from"]), out.space(body["to"])
         rows = body.get("matrix")
         if not isinstance(rows, list) or len(rows) != codomain.dim:
             raise SpaceFileError(

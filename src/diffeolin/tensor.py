@@ -25,6 +25,7 @@ builds the space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .hom import (
     DualSpace,
@@ -137,26 +138,25 @@ class TensorDualIso:
         return self.injective  # equal dimensions: onto as well
 
 
-def _tensor_rows(v: DiffSpace, w: DiffSpace) -> list[Vector]:
-    """The block rows of the definition of V (x) W: r (x) e_j and e_i (x) r'
-    for every presented row r of v and r' of w, coarse rows included.  They
-    span S(V) (x) R^m + R^n (x) S(W); the presentation never reads them, so
-    they are the certificate's independent reference.  Their zeros are the
-    int 0, which ``Subspace.contains`` skips without a ``Fraction`` call."""
+def _tensor_rows(v: DiffSpace, w: DiffSpace) -> Iterator[tuple[int, Vector]]:
+    """The block rows (d, r (x) e_j) and (d, e_i (x) r') of the definition of
+    V (x) W, for every row r of v and r' of w presented at degree d, coarse
+    rows included; those of degree <= e span F_e(V (x) W).  No presentation
+    reads them: they are the independent reference of ``tensor_dual_iso``'s
+    certificate, and ``BilinearForm.verdict`` decides a form on them.  Their
+    zeros are the int 0, which ``Subspace.contains`` and ``matvec`` skip."""
     n, m = v.dim, w.dim
     zero = (0,) * (n * m)
-    rows = []
-    for _, r in presentation(v).rows:
+    for d, r in presentation(v).rows:
         for j in range(m):
             row = list(zero)
             row[j::m] = r
-            rows.append(tuple(row))
-    for _, r in presentation(w).rows:
+            yield d, tuple(row)
+    for d, r in presentation(w).rows:
         for i in range(n):
             row = list(zero)
             row[i * m:(i + 1) * m] = r
-            rows.append(tuple(row))
-    return rows
+            yield d, tuple(row)
 
 
 def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
@@ -171,7 +171,7 @@ def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
     t = tensor_product(v, w)
     dual_v, dual_w, dual_t = diffeological_dual(v), diffeological_dual(w), diffeological_dual(t)
     span = singular_span(t)
-    outside = sum(not span.contains(row) for row in _tensor_rows(v, w))
+    outside = sum(not span.contains(row) for _, row in _tensor_rows(v, w))
     if outside or span.dim + dual_v.dim * dual_w.dim != t.dim:
         raise DiffeolinError(
             "the singular span of the tensor product is not the block span: "

@@ -32,7 +32,7 @@ from diffeolin import (
     uncurry,
 )
 from diffeolin.atoms import FunctionExpr
-from diffeolin import bilinear, verify
+from diffeolin import linalg, spaces, verify
 from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector, unit_vector
 from diffeolin.spaces import Plot, presentation
@@ -42,32 +42,42 @@ def kink_space(n, k):
     return make_generated(n, [kink_plot(n, i) for i in range(k)])
 
 
-def coeffs_with(n, m, q, entries):
-    grid = [[[Fraction(0)] * q for _ in range(m)] for _ in range(n)]
+def matrix_with(n, m, q, entries):
+    """The induced q x nm matrix with b(v_i, w_j)_k = value at entry
+    (k, i*m + j) for each (i, j, k): value, zero elsewhere."""
+    rows = [[Fraction(0)] * (n * m) for _ in range(q)]
     for (i, j, k), value in entries.items():
-        grid[i][j][k] = Fraction(value)
-    return tuple(tuple(tuple(v) for v in row) for row in grid)
+        rows[k][i * m + j] = Fraction(value)
+    return tuple(tuple(row) for row in rows)
+
+
+def _from_cells(left, right, cod, cells):
+    """The form with b(v_i, w_j)_k = cells[(i*m + j)*q + k]: a list drawn in
+    (i, j, k) order, laid out as the induced matrix."""
+    nm, q = left.dim * right.dim, cod.dim
+    return BilinearForm(left, right, cod,
+                        tuple(tuple(cells[x * q + k] for x in range(nm)) for k in range(q)))
 
 
 def test_coarse_left_factor_kills_everything():
     v, w = make_coarse(3), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(3, 3, 1, {(0, 0, 0): 1}))
+    b = BilinearForm(v, v, w, matrix_with(3, 3, 1, {(0, 0, 0): 1}))
     assert is_smooth_bilinear(b) is Verdict.NOT_SMOOTH
     assert smooth_bilinear_basis(v, w).dim == 0
 
 
 def test_fine_space_admits_all_forms():
     v, w = make_fine(2), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 1, 0): 5, (1, 1, 0): -2}))
+    b = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(0, 1, 0): 5, (1, 1, 0): -2}))
     assert is_smooth_bilinear(b) is Verdict.SMOOTH
     assert smooth_bilinear_basis(v, w).dim == 4
 
 
 def test_generated_example_forms():
     v, w = kink_space(2, 1), make_fine(1)
-    good = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(1, 1, 0): 1}))
+    good = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(1, 1, 0): 1}))
     assert is_smooth_bilinear(good) is Verdict.SMOOTH
-    bad = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 1, 0): 1}))
+    bad = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(0, 1, 0): 1}))
     assert is_smooth_bilinear(bad) is Verdict.NOT_SMOOTH
 
 
@@ -75,15 +85,15 @@ def test_generated_codomain_forms():
     # b: V x V -> V for V = <(|x|, 0)>.  The block kink e0 (x) e1 may map
     # into the kink line of the codomain, but not off it.
     v = kink_space(2, 1)
-    good = BilinearForm(v, v, v, coeffs_with(2, 2, 2, {(0, 1, 0): 1}))
-    bad = BilinearForm(v, v, v, coeffs_with(2, 2, 2, {(0, 1, 1): 1}))
+    good = BilinearForm(v, v, v, matrix_with(2, 2, 2, {(0, 1, 0): 1}))
+    bad = BilinearForm(v, v, v, matrix_with(2, 2, 2, {(0, 1, 1): 1}))
     assert is_smooth_bilinear(good) is Verdict.SMOOTH
     assert is_smooth_bilinear(bad) is Verdict.NOT_SMOOTH
     # Degrees matter: a kink that appears only as |x|*x^2 cannot absorb the
     # degree-0 block kink, but a degree-0 kink absorbs a degree-2 one.
     late = make_generated(2, [Plot([FunctionExpr.abs_monomial(2), FunctionExpr.zero()])])
-    assert is_smooth_bilinear(BilinearForm(v, v, late, good.coefficients)) is Verdict.NOT_SMOOTH
-    assert is_smooth_bilinear(BilinearForm(late, late, v, good.coefficients)) is Verdict.SMOOTH
+    assert is_smooth_bilinear(BilinearForm(v, v, late, good.matrix)) is Verdict.NOT_SMOOTH
+    assert is_smooth_bilinear(BilinearForm(late, late, v, good.matrix)) is Verdict.SMOOTH
 
 
 def test_basis_counts_slots_outside_the_span():
@@ -92,10 +102,10 @@ def test_basis_counts_slots_outside_the_span():
 
 
 def _transposed(b):
-    """The form (w, v) -> b(v, w)."""
-    coeffs = tuple(tuple(b.coefficients[i][j] for i in range(b.left.dim))
-                   for j in range(b.right.dim))
-    return BilinearForm(b.right, b.left, b.codomain, coeffs)
+    """The form (w, v) -> b(v, w): column i*m + j moves to j*n + i."""
+    n, m = b.left.dim, b.right.dim
+    return BilinearForm(b.right, b.left, b.codomain, tuple(
+        tuple(row[i * m + j] for j in range(m) for i in range(n)) for row in b.matrix))
 
 
 def test_symmetry_under_transpose():
@@ -109,7 +119,7 @@ def test_symmetry_under_transpose():
 
 def test_curry_example():
     v, w = kink_space(2, 1), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(1, 1, 0): 1}))
+    b = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(1, 1, 0): 1}))
     g = curry(b)
     assert g.blocks[0] == ((Fraction(0), Fraction(0)),)
     assert g.blocks[1] == ((Fraction(0), Fraction(1)),)
@@ -118,14 +128,14 @@ def test_curry_example():
 
 def test_curry_requires_smooth_form():
     v, w = make_coarse(2), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 0, 0): 1}))
+    b = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(0, 0, 0): 1}))
     with pytest.raises(DiffeolinError):
         curry(b)
 
 
 def test_zero_form_round_trip():
     v, w = make_fine(1), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(1, 1, 1, {}))
+    b = BilinearForm(v, v, w, matrix_with(1, 1, 1, {}))
     g = curry(b)
     assert g.blocks == (((Fraction(0),),),)
     assert uncurry(g) == b
@@ -168,8 +178,8 @@ def test_oracle_spot_check_on_generator_pairs():
     """A smooth-verdict form composed with plot pairs looks smooth to the
     oracle; a NotSmooth certificate pair does not."""
     v, w = kink_space(2, 1), make_fine(1)
-    good = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(1, 1, 0): 1}))
-    bad = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 1, 0): 1}))
+    good = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(1, 1, 0): 1}))
+    bad = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(0, 1, 0): 1}))
 
     p = kink_plot(2, 0)
     constant = Plot([FunctionExpr.zero(), FunctionExpr.constant(1)])
@@ -178,7 +188,7 @@ def test_oracle_spot_check_on_generator_pairs():
         total = FunctionExpr.zero()
         for i, li in enumerate(left.components):
             for j, rj in enumerate(right.components):
-                c = form.coefficients[i][j][0]
+                c = form.matrix[0][i * len(right.components) + j]
                 if c:
                     total = total + (li * rj).scale(c)
         return total
@@ -244,12 +254,12 @@ def _check_forms(rng, left, right, cod):
                     for x in range(q * n * m)]
         else:
             flat = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(q * n * m)]
-        coefficients = tuple(
-            tuple(tuple(flat[k * n * m + i * m + j] for k in range(q)) for j in range(m))
-            for i in range(n))
-        b = BilinearForm(left, right, cod, coefficients)
+        b = BilinearForm(left, right, cod,
+                         tuple(tuple(flat[k * n * m:(k + 1) * n * m]) for k in range(q)))
         assert form_from_flat(left, right, cod, flat) == b
-        assert b.matrix == tuple(tuple(flat[k * n * m:(k + 1) * n * m]) for k in range(q))
+        assert all(b.apply(unit_vector(n, i), unit_vector(m, j))
+                   == tuple(flat[k * n * m + i * m + j] for k in range(q))
+                   for i in range(n) for j in range(m))
         verdict = is_smooth_bilinear(b)
         assert verdict is is_smooth_linear(LinearMap(t, cod, b.matrix)), (
             left.describe(), right.describe(), cod.describe(), flat)
@@ -282,13 +292,12 @@ def _reference_is_smooth_bilinear(b):
     every slice b(s, .) and b(., s) with s in a singular span vanishes."""
     if isinstance(b.codomain.diffeology, Coarse):
         return Verdict.SMOOTH
-    n, m, q = b.left.dim, b.right.dim, b.codomain.dim
-    c = b.coefficients
+    n, m = b.left.dim, b.right.dim
     for s in singular_span(b.left).basis:
-        if any(sum(s[i] * c[i][j][k] for i in range(n)) for j in range(m) for k in range(q)):
+        if any(sum(s[i] * row[i * m + j] for i in range(n)) for j in range(m) for row in b.matrix):
             return Verdict.NOT_SMOOTH
     for t in singular_span(b.right).basis:
-        if any(sum(t[j] * c[i][j][k] for j in range(m)) for i in range(n) for k in range(q)):
+        if any(sum(t[j] * row[i * m + j] for j in range(m)) for i in range(n) for row in b.matrix):
             return Verdict.NOT_SMOOTH
     return Verdict.SMOOTH
 
@@ -336,22 +345,17 @@ def test_fine_and_coarse_codomains_agree_with_the_reference():
         assert smooth_bilinear_basis(v, w) == _reference_smooth_bilinear_basis(v, w), (
             v.describe(), w.describe())
         for _ in range(3):
-            flat = [Fraction(rng.choice([0, 0, 1, -2])) for _ in range(v.dim * right.dim * w.dim)]
-            it = iter(flat)
-            coefficients = tuple(tuple(tuple(next(it) for _ in range(w.dim))
-                                       for _ in range(right.dim)) for _ in range(v.dim))
-            b = BilinearForm(v, right, w, coefficients)
+            cells = [Fraction(rng.choice([0, 0, 1, -2])) for _ in range(v.dim * right.dim * w.dim)]
+            b = _from_cells(v, right, w, cells)
             assert is_smooth_bilinear(b) is _reference_is_smooth_bilinear(b)
 
 
 # --- the integer slices -------------------------------------------------------
 
 def _random_fraction_form(rng, left, right, cod, max_den=10**6):
-    return BilinearForm(left, right, cod, tuple(
-        tuple(tuple(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, max_den))
-                    * rng.choice([0, 1, 1]) for _ in range(cod.dim))
-              for _ in range(right.dim))
-        for _ in range(left.dim)))
+    return _from_cells(left, right, cod, [
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, max_den)) * rng.choice([0, 1, 1])
+        for _ in range(left.dim * right.dim * cod.dim)])
 
 
 def _assert_positive_multiple(scaled, exact):
@@ -384,14 +388,15 @@ def test_slices_are_positive_multiples_of_the_exact_families():
 
 
 def _reference_apply(b, u, w):
-    """b(u, w) summed over the coefficient array: the loop that preceded
-    the induced matrix."""
+    """b(u, w) summed entry by entry over the induced matrix, with no
+    Kronecker product."""
+    m = b.right.dim
     out = [Fraction(0)] * b.codomain.dim
     for i, ui in enumerate(u):
         for j, wj in enumerate(w):
             c = Fraction(ui) * Fraction(wj)
-            for k in range(b.codomain.dim):
-                out[k] += c * b.coefficients[i][j][k]
+            for k, row in enumerate(b.matrix):
+                out[k] += c * row[i * m + j]
     return tuple(out)
 
 
@@ -422,20 +427,20 @@ def test_form_from_flat_reads_back_the_induced_matrix():
 def _fraction_is_smooth_bilinear(b):
     """The procedure on Fraction slices b(r, e_j) and b(e_i, r) that the
     integer slices replaced."""
+    m = b.right.dim
+
     def left_slice(u):
-        terms = [(Fraction(ui), row) for ui, row in zip(u, b.coefficients) if ui]
+        terms = [(i, Fraction(ui)) for i, ui in enumerate(u) if ui]
         return tuple(
-            tuple(sum((c * row[j][k] for c, row in terms), Fraction(0))
-                  for k in range(b.codomain.dim))
-            for j in range(b.right.dim)
+            tuple(sum((c * row[i * m + j] for i, c in terms), Fraction(0)) for row in b.matrix)
+            for j in range(m)
         )
 
     def right_slice(w):
         terms = [(j, Fraction(wj)) for j, wj in enumerate(w) if wj]
         return tuple(
-            tuple(sum((c * row[j][k] for j, c in terms), Fraction(0))
-                  for k in range(b.codomain.dim))
-            for row in b.coefficients
+            tuple(sum((c * row[i * m + j] for j, c in terms), Fraction(0)) for row in b.matrix)
+            for i in range(b.left.dim)
         )
 
     cod = presentation(b.codomain)
@@ -455,10 +460,9 @@ def test_is_smooth_bilinear_equals_the_fraction_reference():
         if rng.random() < 0.5:
             b = _random_fraction_form(rng, left, right, cod)
         else:
-            b = BilinearForm(left, right, cod, tuple(
-                tuple(tuple(Fraction(rng.choice([0, 0, 0, 1, -2]), rng.choice([1, 3, 10**6]))
-                            for _ in range(cod.dim)) for _ in range(right.dim))
-                for _ in range(left.dim)))
+            b = _from_cells(left, right, cod, [
+                Fraction(rng.choice([0, 0, 0, 1, -2]), rng.choice([1, 3, 10**6]))
+                for _ in range(left.dim * right.dim * cod.dim)])
         verdict = is_smooth_bilinear(b)
         assert verdict is _fraction_is_smooth_bilinear(b), (
             left.describe(), right.describe(), cod.describe())
@@ -466,18 +470,26 @@ def test_is_smooth_bilinear_equals_the_fraction_reference():
     assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
 
 
-# --- each form decided once; the zip transposition at its edges ---------------
+# --- each form decided once; the block slicing at its edges ------------------
+
+def _patch_decision(monkeypatch, wrap):
+    """Replace the function of the ``verdict`` cached property, the one
+    decision procedure, by ``wrap`` of it."""
+    verdict = BilinearForm.__dict__["verdict"]
+    monkeypatch.setattr(verdict, "func", wrap(verdict.func))
+
 
 def _count_decisions(monkeypatch):
     """Record every form the decision procedure runs on."""
     decided = []
-    decide = bilinear._decide
 
-    def counting(b):
-        decided.append(b)
-        return decide(b)
+    def counting(decide):
+        def count(b):
+            decided.append(b)
+            return decide(b)
+        return count
 
-    monkeypatch.setattr(bilinear, "_decide", counting)
+    _patch_decision(monkeypatch, counting)
     return decided
 
 
@@ -499,7 +511,7 @@ def test_a_smooth_form_and_its_curried_map_are_each_decided_once(monkeypatch):
 def test_a_not_smooth_form_is_decided_once(monkeypatch):
     decided = _count_decisions(monkeypatch)
     v, w = kink_space(2, 1), make_fine(1)
-    b = BilinearForm(v, v, w, coeffs_with(2, 2, 1, {(0, 1, 0): 1}))
+    b = BilinearForm(v, v, w, matrix_with(2, 2, 1, {(0, 1, 0): 1}))
     assert is_smooth_bilinear(b) is Verdict.NOT_SMOOTH
     with pytest.raises(DiffeolinError):
         curry(b)
@@ -518,7 +530,7 @@ def test_curry_correspondence_decides_each_zero_form_once_per_pair(monkeypatch):
 
 
 def _is_zero(b):
-    return not any(x for row in b.coefficients for value in row for x in value)
+    return not any(x for row in b.matrix for x in row)
 
 
 @pytest.mark.parametrize("side", ["form", "curried map"])
@@ -526,9 +538,8 @@ def test_curry_correspondence_rejects_a_zero_form_that_is_not_smooth(monkeypatch
     """A NotSmooth verdict on the zero form, or on its curried map, fails
     the check with its own message."""
     if side == "form":
-        decide = bilinear._decide
-        monkeypatch.setattr(bilinear, "_decide",
-                            lambda b: Verdict.NOT_SMOOTH if _is_zero(b) else decide(b))
+        _patch_decision(monkeypatch, lambda decide: lambda b: (
+            Verdict.NOT_SMOOTH if _is_zero(b) else decide(b)))
     else:
         monkeypatch.setattr(verify, "curried_is_smooth",
                             lambda g: Verdict.NOT_SMOOTH if _is_zero(uncurry(g))
@@ -541,7 +552,7 @@ def test_round_trip_with_zero_dimensional_factors_and_codomains(n, q):
     for v in (make_fine(n), make_coarse(n), kink_space(n, min(n, 1))):
         for w in (make_fine(q), make_coarse(q)):
             b = form_from_flat(v, v, w, [])
-            assert b.coefficients == (((),) * n,) * n
+            assert b.matrix == ((Fraction(0),) * (n * n),) * q
             assert is_smooth_bilinear(b) is _fraction_is_smooth_bilinear(b) is Verdict.SMOOTH
             g = curry(b)
             assert g.blocks == ((),) * n
@@ -575,12 +586,64 @@ def test_forms_on_different_left_and_right_spaces():
     assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
 
 
+def _tensor_free_space(rng, n):
+    """A fine, coarse, generated, sum or dual space of dimension n >= 2."""
+    kind = rng.choice(["fine", "coarse", "generated", "sum", "dual"])
+    if kind == "fine":
+        return make_fine(n)
+    if kind == "coarse":
+        return make_coarse(n)
+    if kind == "dual":
+        return diffeological_dual(kink_space(n + 1, 1))  # S is the kink line
+    k = n if kind == "generated" else rng.randint(1, n - 1)
+    generated = make_generated(k, [
+        Plot([FunctionExpr.monomial(1, rng.randint(-2, 2))
+              + FunctionExpr.abs_monomial(rng.randint(0, 2), rng.choice([0, 0, 1, -1]))
+              for _ in range(k)]) for _ in range(rng.randint(1, 2))])
+    return generated if kind == "generated" else direct_sum(generated, make_coarse(n - k))
+
+
+def test_forms_are_decided_without_presenting_the_tensor_product(monkeypatch):
+    """A decision reads the factor presentations and the block rows of the
+    definition: on tensor-free factors with n*m up to 64 it neither presents
+    V (x) W nor reduces rows over its n*m coordinates, and the verdict equals
+    the Fraction-slice reference."""
+    def refuse(*args):
+        raise AssertionError("presented V (x) W")
+
+    reduce = linalg.rref
+    width = None
+
+    def rref(rows):
+        rows = list(rows)
+        assert not rows or len(rows[0]) != width, f"rref over the {width} coordinates of V (x) W"
+        return reduce(rows)
+
+    monkeypatch.setattr(spaces, "_tensor_presentation", refuse)
+    monkeypatch.setattr(linalg, "rref", rref)
+    rng = random.Random(6400)
+    verdicts = []
+    for n, m in [(8, 8)] + [(rng.randint(2, 8), rng.randint(2, 8)) for _ in range(59)]:
+        left, right = _tensor_free_space(rng, n), _tensor_free_space(rng, m)
+        cod = _tensor_free_space(rng, rng.randint(2, 3))
+        flat = [rng.choice([0, 0, 0, 0, 1, -2, Fraction(1, 3)]) for _ in range(n * m * cod.dim)]
+        b = form_from_flat(left, right, cod, flat)
+        width = n * m
+        verdict = is_smooth_bilinear(b)
+        width = None
+        assert verdict is _fraction_is_smooth_bilinear(b), (
+            left.describe(), right.describe(), cod.describe(), flat)
+        verdicts.append(verdict)
+    assert set(verdicts) == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
+
+
 def test_form_from_flat_accepts_ints_fractions_and_strings():
     """The flat list is the induced 2 x 2 matrix row by row: b(v_i, w_0)_k
     sits at index 2*k + i."""
     b = form_from_flat(make_fine(2), make_fine(1), make_fine(2), [1, Fraction(1, 2), "-3/4", "0"])
-    assert b.coefficients == (((Fraction(1), Fraction(-3, 4)),), ((Fraction(1, 2), Fraction(0)),))
     assert b.matrix == ((Fraction(1), Fraction(1, 2)), (Fraction(-3, 4), Fraction(0)))
-    assert all(type(x) is Fraction for row in b.coefficients for value in row for x in value)
+    assert b.apply((1, 0), (1,)) == (Fraction(1), Fraction(-3, 4))
+    assert b.apply((0, 1), (1,)) == (Fraction(1, 2), Fraction(0))
+    assert all(type(x) is Fraction for row in b.matrix for x in row)
     assert b == form_from_flat(make_fine(2), make_fine(1), make_fine(2),
                                ["1", "1/2", Fraction(-3, 4), 0])

@@ -257,6 +257,21 @@ def test_input_errors_exit_2(run):
     assert run("-f", "/nonexistent.json", "dual", "x")[0] == 2
 
 
+# Every subcommand that reads the space file, on names the file would define.
+FILE_READERS = [
+    ("dual", "f"),
+    ("hom", "f", "f"),
+    ("bilinear", "f", "f"),
+    ("tensor", "f", "f"),
+    ("tensor", "f", "f", "--dual-iso"),
+    ("check-map", "m"),
+    ("check-plot", "f", "x"),
+    ("hat-dual", "f", "--iso", '[["1"]]'),
+    ("cross-validate", "f", "1"),
+    ("verify",),
+]
+
+
 @pytest.mark.parametrize("argv", [
     # The probed orders come from the expression; there is no option for
     # them, so every --max-order row is an unrecognised-argument error.
@@ -302,6 +317,11 @@ def test_input_errors_exit_2(run):
     ("nope",),
     ("-f",),
     ("--bogus", "dual", "fine2"),
+    # The dim and generator caps for every other subcommand that reads the
+    # file, and the unknown cap for the tensor dual iso.
+    *[("-f", "{%s}" % name) + reader for name in ("wide", "many")
+      for reader in FILE_READERS if reader[0] != "dual"],
+    ("-f", "{big}", "tensor", "f32", "f33", "--dual-iso"),
 ])
 def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
     # Space files past the bounds: dim 65, 65 generators (or no generator
@@ -340,20 +360,6 @@ UNKNOWN_NAMES = [
     ("cross-validate", "nope", "1"),
 ]
 
-# Every subcommand that reads the space file, on names the file would define.
-FILE_READERS = [
-    ("dual", "f"),
-    ("hom", "f", "f"),
-    ("bilinear", "f", "f"),
-    ("tensor", "f", "f"),
-    ("tensor", "f", "f", "--dual-iso"),
-    ("check-map", "m"),
-    ("check-plot", "f", "x"),
-    ("hat-dual", "f", "--iso", '[["1"]]'),
-    ("cross-validate", "f", "1"),
-    ("verify",),
-]
-
 # A malformed space file and the message that names its fault.
 MALFORMED_FILES = {
     "truncated": ('{"spaces": {"f": {"dim": 1, "diffeology": "fi', "invalid JSON"),
@@ -362,6 +368,12 @@ MALFORMED_FILES = {
     "map-without-from": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
                                      "maps": {"m": {"to": "f", "matrix": [["1"]]}}}),
                          "missing 'from'"),
+    "spaces-not-an-object": (json.dumps({"spaces": [1]}), "'spaces' must be an object"),
+    "maps-not-an-object": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
+                                       "maps": [1]}), "'maps' must be an object"),
+    "from-not-a-name": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
+                                    "maps": {"m": {"from": ["f"], "to": "f", "matrix": [["1"]]}}}),
+                        "'from' must be a space name"),
 }
 
 

@@ -73,6 +73,11 @@ def test_unknown_space_reference():
     }
     with pytest.raises(SpaceFileError):
         load(doc)
+    # A name must be a string: a list or an object is not looked up at all.
+    for name in (["f"], {"f": 1}):
+        doc["maps"]["m"]["to"] = name
+        with pytest.raises(SpaceFileError, match="'to' must be a space name"):
+            load(doc)
 
 
 def test_matrix_shape_validated():
