@@ -98,17 +98,11 @@ def _parse_matrix_text(text: str):
         raise InputError(f"matrix must be JSON rows: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("matrix must be a list of rows")
-    try:
-        return tuple(tuple(parse_rational(x) for x in row) for row in rows)
-    except SpaceFileError as exc:
-        raise InputError(str(exc)) from exc
+    return tuple(tuple(parse_rational(x) for x in row) for row in rows)
 
 
 def _parse_functional(text: str):
-    try:
-        return tuple(parse_rational(part.strip()) for part in text.split(","))
-    except SpaceFileError as exc:
-        raise InputError(str(exc)) from exc
+    return tuple(parse_rational(part.strip()) for part in text.split(","))
 
 
 def _basis_lines(basis) -> list[str]:
@@ -232,10 +226,7 @@ def _cmd_check_plot(args, out):
         raise InputError(
             f"space {args.space!r} needs {space.dim} coordinate expressions, got {len(args.expr)}"
         )
-    try:
-        plot = Plot([parse_expr(text) for text in args.expr])
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    plot = Plot([parse_expr(text) for text in args.expr])
     label = is_plot(space, plot).plot_label()
     out.human(f"candidate in {space.describe()}: {label}")
     out.payload(
@@ -265,10 +256,7 @@ def _cmd_hat_dual(args, out):
 
 
 def _cmd_oracle(args, out):
-    try:
-        expr = parse_expr(args.expr)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    expr = parse_expr(args.expr)
     record = _classification_record(format_expr(expr), classify(expr))
     out.human(f"{record['expression']}: {record['verdict']}")
     out.payload(inputs={"expression": args.expr}, result=record)

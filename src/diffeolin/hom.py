@@ -26,6 +26,7 @@ from .linalg import (
     kron_vector,
     matmul,
     matvec,
+    nullspace,
     transpose,
 )
 from .spaces import (
@@ -175,13 +176,13 @@ def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     the row-major flattened matrix coordinates: the maps M with M r in
     F_d(w) for each row r presented at degree d, ``check_smooth_linear``'s
     criterion, linear in M.  psi(M r) = kron(psi, r) . M for psi in
-    Ann(F_d(w)), so the smooth maps are the annihilator of those rows."""
+    Ann(F_d(w)), so the smooth maps are the nullspace of those rows."""
     cod = presentation(w)
     constraints = []
     for degree, r in presentation(v).rows:
         ann = cod.filtration_step(degree).annihilator()
         constraints.extend(kron_vector(psi, r) for psi in ann.basis)
-    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
+    return Subspace(v.dim * w.dim, nullspace(constraints, v.dim * w.dim))
 
 
 def dual_map(f: LinearMap) -> LinearMap:

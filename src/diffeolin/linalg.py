@@ -56,8 +56,6 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
     return tuple(zip(*m))
 
 
@@ -79,8 +77,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product in row-major block order."""
-    if not a or not b:
-        return ()
     return tuple(
         tuple(a_ij * b_kl for a_ij in a_row for b_kl in b_row)
         for a_row in a
@@ -217,8 +213,6 @@ def invert(m: Matrix) -> Matrix | None:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return ()
     augmented = [_integer_row(tuple(row) + unit_vector(n, i)) for i, row in enumerate(m)]
     reduced = _eliminate(augmented, 2 * n)
     if [col for col, _ in reduced] != list(range(n)):

@@ -126,7 +126,7 @@ def load_space_file(path: str) -> SpaceFile:
 def load_space_document(document) -> SpaceFile:
     if not isinstance(document, dict):
         raise SpaceFileError("top level must be an object")
-    spaces, maps = document.get("spaces") or {}, document.get("maps") or {}
+    spaces, maps = document.get("spaces", {}), document.get("maps", {})
     for key, section in (("spaces", spaces), ("maps", maps)):
         if not isinstance(section, dict):
             raise SpaceFileError(f"{key!r} must be an object")

@@ -264,7 +264,7 @@ class Presentation:
     a plot; no row of degree >= 0 lies in C.  The filtration steps F_e are
     built as subspaces on first use and kept, unless the constructor hands
     them in as ``known_steps``: (degree, step) pairs at -1 and at every
-    presented degree, as a tensor product's closed form gives them.
+    presented degree, annihilators included, from a tensor's closed form.
     """
 
     ambient_dim: int
@@ -312,8 +312,9 @@ def presentation(space: DiffSpace) -> Presentation:
 def _build_presentation(space: DiffSpace) -> Presentation:
     """Spanning (degree, row) pairs per descriptor, then one normalising
     step: the degree -1 rows are reduced to the RREF basis of C and put
-    first, and rows of degree >= 0 that lie in C are dropped.  A tensor
-    product is presented in closed form instead (``_tensor_presentation``)."""
+    first; summands are normalised and pushforwards invertible, so no
+    other row lies in C.  A tensor product is presented in closed form
+    instead (``_tensor_presentation``)."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
@@ -338,8 +339,7 @@ def _build_presentation(space: DiffSpace) -> Presentation:
         raise TypeError(f"no presentation for descriptor {type(d).__name__}")
     if any(deg < 0 for deg, _ in rows):
         coarse = Subspace.from_rows(n, [r for deg, r in rows if deg < 0])
-        rows = [(-1, r) for r in coarse.basis] + [
-            (deg, r) for deg, r in rows if deg >= 0 and not coarse.contains(r)]
+        rows = [(-1, r) for r in coarse.basis] + [(deg, r) for deg, r in rows if deg >= 0]
     return Presentation(n, tuple(rows))
 
 
@@ -348,29 +348,26 @@ def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
     rows r (x) e_j and e_i (x) r' of the factors' rows of degree <= e, where
     at e = -1 the coarse rows absorb everything they touch (split an
     arbitrary coefficient onto the coarse leg).  ``_tensor_step`` builds
-    each step in RREF, at -1 and at every degree either factor presents.
-    The rows are those of each step whose pivot is new at that step:
-    independent, dim S(V (x) W) of them, and those of degree <= e span F_e."""
+    each step in RREF with its annihilator, at -1 and at every degree
+    either factor presents.  The rows are those of each step whose pivot is
+    new at that step: independent, dim S(V (x) W) of them, and those of
+    degree <= e span F_e."""
     lp, rp = presentation(left), presentation(right)
     degrees = sorted({-1} | {d for d, _ in lp.rows + rp.rows})
     rows: list[tuple[int, Vector]] = []
     steps: list[tuple[int, Subspace]] = []
     seen: set[int] = set()
     for e in degrees:
-        step = _tensor_step(lp.filtration_step(e), rp.filtration_step(e), e == degrees[-1])
+        step = _tensor_step(lp.filtration_step(e), rp.filtration_step(e))
         new = [(e, r) for p, r in zip(step.pivots, step.basis) if p not in seen]
         seen.update(step.pivots)
         rows.extend(new)
         if new or not steps:
             steps.append((e, step))
-        else:
-            # No new pivot: the step equals the last kept one.  Keep the
-            # later object, so that the top step keeps its annihilator.
-            steps[-1] = (steps[-1][0], step)
     return Presentation(left.dim * right.dim, tuple(rows), tuple(steps))
 
 
-def _tensor_step(left: Subspace, right: Subspace, top: bool) -> Subspace:
+def _tensor_step(left: Subspace, right: Subspace) -> Subspace:
     """The RREF of A (x) R^m + R^n (x) B, read off the RREF rows A_p of A
     (pivots P) and B_q of B (pivots Q) with no elimination: one row per
     pivot, in pivot order,
@@ -381,7 +378,7 @@ def _tensor_step(left: Subspace, right: Subspace, top: bool) -> Subspace:
 
     Each row lies in the span, has a leading 1 at its pivot and is zero at
     every other pivot, and there are a*m + n*b - a*b of them, the dimension
-    of the span.  A ``top`` step carries its annihilator Ann A (x) Ann B,
+    of the span.  Every step carries its annihilator Ann A (x) Ann B,
     built on first use: the row-major Kronecker products of the factor
     bases are already in RREF."""
     n, m = left.ambient_dim, right.ambient_dim
@@ -417,7 +414,7 @@ def _tensor_step(left: Subspace, right: Subspace, top: bool) -> Subspace:
         return Subspace(n * m, tuple(kron_vector(phi, psi) for phi in left.annihilator().basis
                                      for psi in right.annihilator().basis))
 
-    return Subspace(n * m, tuple(rows), annihilator if top else None)
+    return Subspace(n * m, tuple(rows), annihilator)
 
 
 def singular_span(space: DiffSpace) -> Subspace:

@@ -14,12 +14,12 @@ directly in RREF from the factors' RREF steps (``spaces._tensor_step``), so
 any two spaces tensor (fine, coarse, generated, sums, tensors, pushforwards
 (hat duals) and duals) with no elimination over the n*m coordinates.  The
 Kronecker product of RREF rows with pivots p and q is an RREF row with pivot
-p*m + q, zero at every other such pivot, so the RREF basis of (V (x) W)* =
-ann S(V) (x) ann S(W) is the row-major Kronecker products of the factor
-bases; the top step carries it, and the dual calls no nullspace.
-``tensor_dual_iso`` certifies the closed form against the block rows of the
-definition and is the one runtime check of it; ``tensor_product`` only
-builds the space.
+p*m + q, zero at every other such pivot, so the RREF basis of Ann F_e(V (x) W)
+= Ann F_e V (x) Ann F_e W is the Kronecker products of the factor bases,
+row-major: every step carries it, and neither the dual nor a NotPlot
+certificate computes a nullspace.  ``tensor_dual_iso`` certifies the closed
+form against the block rows of the definition and is the one runtime check
+of it; ``tensor_product`` only builds the space.
 """
 
 from __future__ import annotations

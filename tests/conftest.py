@@ -12,7 +12,7 @@ def left_block_rows_only(monkeypatch):
 
     real = spaces._tensor_step
 
-    def left_factor_only(left, right, top):
-        return real(left, spaces.Subspace(right.ambient_dim, ()), top)
+    def left_factor_only(left, right):
+        return real(left, spaces.Subspace(right.ambient_dim, ()))
 
     monkeypatch.setattr(spaces, "_tensor_step", left_factor_only)

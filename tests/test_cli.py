@@ -369,8 +369,11 @@ MALFORMED_FILES = {
                                      "maps": {"m": {"to": "f", "matrix": [["1"]]}}}),
                          "missing 'from'"),
     "spaces-not-an-object": (json.dumps({"spaces": [1]}), "'spaces' must be an object"),
+    "spaces-empty-list": (json.dumps({"spaces": []}), "'spaces' must be an object"),
     "maps-not-an-object": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
                                        "maps": [1]}), "'maps' must be an object"),
+    "maps-zero": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}}, "maps": 0}),
+                  "'maps' must be an object"),
     "from-not-a-name": (json.dumps({"spaces": {"f": {"dim": 1, "diffeology": "fine"}},
                                     "maps": {"m": {"from": ["f"], "to": "f", "matrix": [["1"]]}}}),
                         "'from' must be a space name"),

@@ -19,6 +19,7 @@ from diffeolin.linalg import (
     rank,
     rref,
     solve,
+    transpose,
     unit_vector,
 )
 
@@ -68,6 +69,12 @@ def test_invert_round_trip():
 
 def test_invert_singular_returns_none():
     assert invert(matrix([[1, 2], [2, 4]])) is None
+
+
+def test_empty_matrices_need_no_guard():
+    """The general expressions of transpose, kron and invert return the
+    empty matrix on empty input."""
+    assert transpose(()) == kron((), ((1,),)) == kron(((1,),), ()) == invert(()) == ()
 
 
 def test_kron_shape_and_values():

@@ -233,8 +233,8 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
     tensor spaces, every step of the closed-form presentation of V (x) W is
     the elimination of the block rows, with dimension a*m + n*b - a*b; the
     presented rows are independent, dim S(V (x) W) of them, those of
-    degree <= e span F_e, and the handed-in annihilator of S is the
-    nullspace of S."""
+    degree <= e span F_e, and every step hands in its annihilator, the
+    nullspace of the step."""
     pairs = _closed_form_pairs(161803, 60)
     kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in pairs for s in pair}
     assert len(kinds) == 7, kinds
@@ -251,20 +251,22 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
             assert step.dim == a * m + n * b - a * b
             rows = pres.rows_up_to(e)
             assert len(rows) == step.dim and Subspace.from_rows(n * m, rows) == step
+            expected = nullspace(step.basis, n * m) if step.basis else identity(n * m)
+            assert step.known_annihilator is not None
+            assert step.annihilator().basis == expected, (v.describe(), w.describe(), e)
         span = singular_span(t)
         assert len(pres.rows) == span.dim
         assert not pres.rows or rank(tuple(r for _, r in pres.rows)) == span.dim
-        expected = nullspace(span.basis, n * m) if span.basis else identity(n * m)
-        assert span.annihilator().basis == expected
         coarse += pres.filtration_step(-1).dim > 0
         wide += n * m >= 12 and 0 < span.dim < n * m
     assert coarse >= 10 and wide >= 10, (coarse, wide)
 
 
 def test_presenting_a_product_eliminates_nothing_over_its_coordinates(monkeypatch):
-    """With both factors presented, presenting V (x) W, taking its dual and
-    certifying the dual isomorphism call rref and nullspace on factor-sized
-    matrices only, never on the n*m product coordinates."""
+    """With both factors presented, presenting V (x) W, taking the
+    annihilator of every step (the dual's among them) and certifying the
+    dual isomorphism call rref and nullspace on factor-sized matrices only,
+    never on the n*m product coordinates."""
     import diffeolin.linalg as linalg
 
     widths = []
@@ -289,7 +291,9 @@ def test_presenting_a_product_eliminates_nothing_over_its_coordinates(monkeypatc
     for v, w in pairs:
         widths.clear()
         t = tensor_product(v, w)
-        presentation(t)
+        pres = presentation(t)
+        for e in {-1} | {d for d, _ in pres.rows}:
+            pres.filtration_step(e).annihilator()
         diffeological_dual(t)
         tensor_dual_iso(v, w)
         assert v.dim * w.dim not in {width for _, width in widths}, (v.describe(), w.describe())
