@@ -18,7 +18,17 @@ from functools import cached_property
 from typing import Sequence
 
 from .hom import smooth_hom_basis
-from .linalg import Matrix, Subspace, Vector, _integer_row, identity, kron_vector, matvec, vector
+from .linalg import (
+    Matrix,
+    Subspace,
+    Vector,
+    identity,
+    integer_family,
+    kron_vector,
+    matrix_image_support,
+    matvec,
+    vector,
+)
 from .spaces import (
     DiffSpace,
     DiffeolinError,
@@ -53,23 +63,17 @@ class BilinearForm:
         """``is_smooth_bilinear``'s answer, decided on first use and kept:
         NotSmooth at the first block row (d, r) whose image leaves F_d(Z)."""
         cod = presentation(self.codomain)
-        smooth = all(cod.in_filtration(d, matvec(self.matrix, r))
-                     for d, r in _tensor_rows(self.left, self.right))
+        smooth = all(cod.filtration_step(d).contains_support(matrix_image_support(self.matrix, s))
+                     for d, s in _tensor_rows(self.left, self.right))
         return Verdict.SMOOTH if smooth else Verdict.NOT_SMOOTH
 
     def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:
         """A positive integer multiple of the family b(u, w_j) for all j."""
-        return _integer_family([self.apply(u, e) for e in identity(self.right.dim)])
+        return integer_family([self.apply(u, e) for e in identity(self.right.dim)])
 
     def right_slice(self, w: Sequence) -> tuple[tuple[int, ...], ...]:
         """A positive integer multiple of the family b(v_i, w) for all i."""
-        return _integer_family([self.apply(e, w) for e in identity(self.left.dim)])
-
-
-def _integer_family(family: Sequence[Vector]) -> tuple[tuple[int, ...], ...]:
-    """The vectors times the lcm of all their denominators, as ints."""
-    entries = iter(_integer_row([x for value in family for x in value]))
-    return tuple(tuple(next(entries) for _ in value) for value in family)
+        return integer_family([self.apply(e, w) for e in identity(self.left.dim)])
 
 
 def form_from_flat(left: DiffSpace, right: DiffSpace, codomain: DiffSpace,

@@ -94,7 +94,9 @@ def _load(args) -> SpaceFile:
 def _parse_matrix_text(text: str):
     try:
         rows = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+    # A JSONDecodeError, an int past Python's digit limit, or a
+    # RecursionError from nesting past the recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"matrix must be JSON rows: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError("matrix must be a list of rows")

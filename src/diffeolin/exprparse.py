@@ -6,6 +6,10 @@ Grammar (whitespace insignificant, no float literals):
     term    :=  factor ('*' factor)*
     factor  :=  RATIONAL | 'x' ['^' INT] | 'abs' '(' 'x' ')'
     RATIONAL := INT ['/' INT]
+    INT     :=  ('0'-'9')+
+
+Only the ASCII digits form integers: any other character that Unicode
+counts as a digit (``²``, ``٣``) is an unexpected character.
 
 Examples: ``3*x^2``, ``abs(x)``, ``abs(x)*x^3``, ``-1/2*abs(x)``.
 Products are evaluated in the algebra, so ``abs(x)*abs(x)`` parses to
@@ -22,6 +26,7 @@ from .atoms import FunctionExpr
 
 MAX_DEGREE = 64
 MAX_DIGITS = 4300
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -50,9 +55,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 raise ParseError("float literals are not allowed", i)

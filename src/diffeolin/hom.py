@@ -21,8 +21,11 @@ from functools import cached_property
 from .linalg import (
     Matrix,
     Subspace,
+    Support,
     Vector,
     identity,
+    image_support,
+    integer_columns,
     kron_vector,
     matmul,
     matvec,
@@ -94,24 +97,20 @@ class LinearMap:
                 )
 
     @cached_property
-    def _columns(self) -> list[list[tuple[int, Fraction]]]:
-        """The nonzero (row, entry) pairs of each column, built on first use."""
-        columns = [[] for _ in range(self.domain.dim)]
-        for i, row in enumerate(self.matrix):
-            for j, x in enumerate(row):
-                if x:
-                    columns[j].append((i, x))
-        return columns
+    def _integer_columns(self) -> tuple[int, tuple[Support, ...]]:
+        """(L, supports of the columns of L * matrix), built on first use."""
+        return integer_columns(self.matrix, self.domain.dim)
 
     def apply(self, v: Vector) -> Vector:
         """M v, accumulated over the support of v only: presented rows are
         sparse, and so are many maps."""
-        out = [Fraction(0)] * len(self.matrix)
-        for x, column in zip(v, self._columns):
+        den, columns = self._integer_columns
+        out = [0] * len(self.matrix)
+        for x, column in zip(v, columns):
             if x:
                 for i, a in column:
                     out[i] += a * x
-        return tuple(out)
+        return tuple(Fraction(y, den) for y in out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -155,16 +154,18 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
     """
     pres = presentation(f.domain)
     cod_pres = presentation(f.codomain)
+    _, columns = f._integer_columns
     coarse_failure = False
-    for degree, r in pres.rows:
-        image = f.apply(r)
-        if cod_pres.in_filtration(degree, image):
+    for k, (degree, support) in enumerate(pres.supports):
+        image = image_support(columns, support)
+        if cod_pres.filtration_step(degree).contains_support(image):
             continue
+        r = pres.rows[k][1]
         if degree >= 0:
             return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r, degree),
                                     reason="image of a singular direction is not a plot")
         coarse_failure = True
-        if not cod_pres.in_filtration(0, image):
+        if not cod_pres.filtration_step(0).contains_support(image):
             return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r), reason=_COARSE_FAILURE)
     if coarse_failure:
         return SmoothnessReport(Verdict.NOT_SMOOTH, reason=_COARSE_FAILURE)

@@ -17,6 +17,16 @@ of integer reduction against the pivot rows decides it, and the values
 v[p_i] are its coordinates.  Only the pivot rows that v hits enter, each
 over its own nonzero entries: a Subspace keeps a sparse integer form of its
 basis from the first query on.
+
+A membership test reads its vector as a *support*: the nonzero entries of a
+positive multiple of the vector as (index, int) pairs (``integer_support``),
+tested by ``Subspace.contains_support``.  Membership does not see the
+multiple, so callers build supports once and keep them: a presentation
+keeps one per row, a map keeps its matrix as integer columns and maps a
+support to the support of its image (``image_support``), a bilinear form
+reads its entries at the columns of a support (``matrix_image_support``),
+and tensor block rows are shifted supports.  A query on supports does no
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -30,8 +40,13 @@ from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+# The nonzero entries of a positive multiple of a vector, as (index, int).
+Support = list[tuple[int, int]]
 
-_ZERO = Fraction(0)
+# Unit, zero, RREF and Kronecker rows hold this one zero object, so
+# ``x is not ZERO and x`` skips their zeros without Fraction.__bool__, a
+# Python-level call; any other zero still tests false.
+ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -44,11 +59,11 @@ def matrix(rows: Iterable[Sequence]) -> Matrix:
 
 
 def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i - 1)
+    return (ZERO,) * i + (_ONE,) + (ZERO,) * (n - i - 1)
 
 
 def identity(n: int) -> Matrix:
@@ -88,10 +103,10 @@ def kron_vector(a: Vector, b: Vector) -> Vector:
     # Multiply only the nonzero entries of both factors, as matvec does:
     # RREF rows are mostly zero.
     m = len(b)
-    support = [(k, y) for k, y in enumerate(b) if y]
-    out = [_ZERO] * (len(a) * m)
+    support = [(k, y) for k, y in enumerate(b) if y is not ZERO and y]
+    out = [ZERO] * (len(a) * m)
     for i, x in enumerate(a):
-        if x:
+        if x is not ZERO and x:
             for k, y in support:
                 out[i * m + k] = x * y
     return tuple(out)
@@ -104,6 +119,63 @@ def _integer_row(row: Sequence) -> list[int]:
     if den == 1:
         return [x.numerator for x in q]
     return [x.numerator * (den // x.denominator) for x in q]
+
+
+def integer_family(family: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """The vectors times the lcm of all their denominators, as ints."""
+    entries = iter(_integer_row([x for value in family for x in value]))
+    return tuple(tuple(next(entries) for _ in value) for value in family)
+
+
+def _scaled_support(v: Sequence | dict) -> tuple[int, Support]:
+    """(L, support of L * v), L the lcm of the denominators of v."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
+               for j, x in items if x is not ZERO and x]
+    scale = lcm(*[x.denominator for _, x in support])
+    if scale == 1:
+        return 1, [(j, x.numerator) for j, x in support]
+    return scale, [(j, x.numerator * (scale // x.denominator)) for j, x in support]
+
+
+def integer_support(v: Sequence | dict) -> Support:
+    """The support of v, given densely or as an {index: entry} mapping: its
+    nonzero entries times the lcm of their denominators."""
+    return _scaled_support(v)[1]
+
+
+def integer_columns(m: Matrix, n_cols: int) -> tuple[int, tuple[Support, ...]]:
+    """(L, columns): L the lcm of the denominators of m, and the support of
+    each of the n_cols columns of L * m.  The width is passed in because a
+    matrix with no rows does not show it."""
+    den, flat = _scaled_support([x for row in m for x in row])
+    columns: list[Support] = [[] for _ in range(n_cols)]
+    for k, a in flat:
+        i, j = divmod(k, n_cols)
+        columns[j].append((i, a))
+    return den, tuple(columns)
+
+
+def image_support(columns: Sequence[Support], support: Support) -> Support:
+    """The support of M v, for the ``integer_columns`` of M and the support
+    of v: a positive multiple of M v, accumulated on ints over the columns
+    that v hits."""
+    out: dict[int, int] = {}
+    for j, x in support:
+        for i, a in columns[j]:
+            out[i] = out.get(i, 0) + a * x
+    return [(i, y) for i, y in out.items() if y]
+
+
+def matrix_image_support(m: Matrix, support: Support) -> Support:
+    """The support of M v, for the support of v, read off the entries of M
+    at the columns of that support only: no column form of M is built."""
+    hits = [(i, x, row[j]) for i, row in enumerate(m) for j, x in support]
+    out: dict[int, int] = {}
+    for k, a in integer_support([a for _, _, a in hits]):
+        i, x, _ = hits[k]
+        out[i] = out.get(i, 0) + a * x
+    return [(i, y) for i, y in out.items() if y]
 
 
 def _cancel(row: list[int], pivot: list[int], col: int) -> list[int]:
@@ -154,7 +226,7 @@ def _eliminate(rows: list[list[int]], n_cols: int) -> list[tuple[int, list[int]]
 def _fraction_row(row: list[int], col: int) -> Vector:
     """row / row[col] as Fractions: back across the API boundary."""
     d = row[col]
-    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+    return tuple(Fraction(x, d) if x else ZERO for x in row)
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:
@@ -200,7 +272,7 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     if n_rows == 0:
         return zero_vector(n_cols) if not any(b) else None
     augmented = [_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)]
-    x = [_ZERO] * n_cols
+    x = [ZERO] * n_cols
     for col, row in _eliminate(augmented, n_cols + 1):
         if col == n_cols:
             return None
@@ -266,7 +338,7 @@ class Subspace:
         starts past the previous pivot."""
         pivots, start = [], 0
         for row in self.basis:
-            start = next(j for j in range(start, len(row)) if row[j])
+            start = next(j for j in range(start, len(row)) if row[j] is not ZERO and row[j])
             pivots.append(start)
             start += 1
         return tuple(pivots)
@@ -279,7 +351,8 @@ class Subspace:
         pivots = self.pivots
         taken = set(pivots)
         free = [j for j in range(self.ambient_dim) if j not in taken]
-        sparse = [[(p, row[p])] + [(j, row[j]) for j in free[bisect(free, p):] if row[j]]
+        sparse = [[(p, row[p])] + [(j, row[j]) for j in free[bisect(free, p):]
+                                   if row[j] is not ZERO and row[j]]
                   for p, row in zip(pivots, self.basis)]
         den = lcm(*[x.denominator for row in sparse for _, x in row])
         rows = {p: tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
@@ -287,16 +360,16 @@ class Subspace:
         return den, rows
 
     def contains(self, v: Sequence) -> bool:
-        """Pivot reduction over the support of v: v = sum_i v[p_i] * basis_i,
-        checked on ints.  Each pivot that v hits subtracts its row; an entry
-        of v off the pivots may cancel, so only the full remainder decides."""
+        """Whether the vector v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise ValueError(f"vector length {len(v)} != ambient dim {self.ambient_dim}")
+        return self.contains_support(integer_support(v))
+
+    def contains_support(self, support: Support) -> bool:
+        """Pivot reduction over a support: v = sum_i v[p_i] * basis_i, checked
+        on ints.  Each pivot that v hits subtracts its row; an entry of v off
+        the pivots may cancel, so only the full remainder decides."""
         den, rows = self._pivot_form
-        support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
-                   for j, x in enumerate(v) if x]
-        scale = lcm(*[x.denominator for _, x in support])
-        support = [(j, x.numerator * (scale // x.denominator)) for j, x in support]
         rest = [0] * self.ambient_dim
         for j, x in support:
             rest[j] += den * x

@@ -13,8 +13,9 @@ JSON schema::
     }
 
 Each generator is a list of expression strings, one per coordinate.
-Rationals are integers or "p/q" strings; float literals and decimal or
-exponent strings are rejected so that every loaded object is exact.  A
+Rationals are integers or "p/q" strings of ASCII digits; float literals and
+decimal or exponent strings are rejected so that every loaded object is
+exact.  A document nested past Python's recursion limit is invalid JSON.  A
 space has at most ``MAX_DIM`` dimensions and ``MAX_GENERATORS``
 generators, so that no file can make the engine hang.
 """
@@ -32,7 +33,7 @@ from .spaces import DiffSpace, Plot, make_coarse, make_fine, make_generated
 
 MAX_DIM = 64
 MAX_GENERATORS = 64
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class SpaceFileError(ValueError):
@@ -118,7 +119,9 @@ def load_space_file(path: str) -> SpaceFile:
     with open(path) as fh:
         try:
             document = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+        # A JSONDecodeError, an int past Python's digit limit, or a
+        # RecursionError from nesting past the recursion limit.
+        except (ValueError, RecursionError) as exc:
             raise SpaceFileError(f"invalid JSON: {exc}") from exc
     return load_space_document(document)
 

@@ -30,11 +30,14 @@ from typing import Sequence, Union
 
 from .atoms import FunctionExpr
 from .linalg import (
+    ZERO,
     Matrix,
     Subspace,
+    Support,
     Vector,
     dot,
     identity,
+    integer_support,
     invert,
     kron_vector,
     matvec,
@@ -90,7 +93,7 @@ class Plot:
         for r in residues:
             degrees.update(r)
         return {
-            d: tuple(r.get(d, Fraction(0)) for r in residues)
+            d: tuple(r.get(d, ZERO) for r in residues)
             for d in sorted(degrees)
         }
 
@@ -265,11 +268,17 @@ class Presentation:
     built as subspaces on first use and kept, unless the constructor hands
     them in as ``known_steps``: (degree, step) pairs at -1 and at every
     presented degree, annihilators included, from a tensor's closed form.
+    ``supports`` holds the rows again with each direction as its integer
+    support, the form membership tests read, built on first use and kept.
     """
 
     ambient_dim: int
     rows: tuple[tuple[int, Vector], ...]
     known_steps: tuple[tuple[int, Subspace], ...] = field(default=(), compare=False, repr=False)
+
+    @cached_property
+    def supports(self) -> tuple[tuple[int, Support], ...]:
+        return tuple((d, integer_support(r)) for d, r in self.rows)
 
     @cached_property
     def _steps(self) -> dict[int, Subspace]:
@@ -293,10 +302,6 @@ class Presentation:
         if step is None:
             step = self._steps[key] = Subspace.from_rows(self.ambient_dim, self.rows_up_to(key))
         return step
-
-    def in_filtration(self, degree: int, row: Vector) -> bool:
-        """Whether |x|*x^degree * row is a plot: row lies in F_degree."""
-        return self.filtration_step(degree).contains(row)
 
 
 def _embed_row(row: Vector, offset: int, total: int) -> Vector:
@@ -458,15 +463,22 @@ def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
 
 def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, Subspace] | None:
     """(e, rho_e, F_e) at the least degree e where the candidate leaves the
-    filtration, or None for a plot."""
+    filtration, or None for a plot.  Each rho_e is tested as the integer
+    support of its entries; only the failing one is built as a row."""
     if candidate.target_dim != space.dim:
         raise DimensionMismatchError(
             f"plot has {candidate.target_dim} coordinates, space has dimension {space.dim}"
         )
     pres = presentation(space)
-    for degree, rho in candidate.residue_rows().items():
-        if not pres.in_filtration(degree, rho):
-            return degree, rho, pres.filtration_step(degree)
+    residues = [c.singular_residue() for c in candidate.components]
+    by_degree: dict[int, dict[int, Fraction]] = {}
+    for i, r in enumerate(residues):
+        for d, x in r.items():
+            by_degree.setdefault(d, {})[i] = x
+    for degree in sorted(by_degree):
+        step = pres.filtration_step(degree)
+        if not step.contains_support(integer_support(by_degree[degree])):
+            return degree, tuple(r.get(degree, ZERO) for r in residues), step
     return None
 
 

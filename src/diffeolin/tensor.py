@@ -36,7 +36,7 @@ from .hom import (
 )
 from .linalg import (
     Matrix,
-    Vector,
+    Support,
     identity,
     invert,
     kron,
@@ -138,25 +138,21 @@ class TensorDualIso:
         return self.injective  # equal dimensions: onto as well
 
 
-def _tensor_rows(v: DiffSpace, w: DiffSpace) -> Iterator[tuple[int, Vector]]:
+def _tensor_rows(v: DiffSpace, w: DiffSpace) -> Iterator[tuple[int, Support]]:
     """The block rows (d, r (x) e_j) and (d, e_i (x) r') of the definition of
     V (x) W, for every row r of v and r' of w presented at degree d, coarse
     rows included; those of degree <= e span F_e(V (x) W).  No presentation
     reads them: they are the independent reference of ``tensor_dual_iso``'s
-    certificate, and ``BilinearForm.verdict`` decides a form on them.  Their
-    zeros are the int 0, which ``Subspace.contains`` and ``matvec`` skip."""
+    certificate, and ``BilinearForm.verdict`` decides a form on them.  Each
+    is the factor row's support shifted to its block: r_i sits at i*m + j,
+    r'_k at i*m + k."""
     n, m = v.dim, w.dim
-    zero = (0,) * (n * m)
-    for d, r in presentation(v).rows:
+    for d, support in presentation(v).supports:
         for j in range(m):
-            row = list(zero)
-            row[j::m] = r
-            yield d, tuple(row)
-    for d, r in presentation(w).rows:
+            yield d, [(i * m + j, x) for i, x in support]
+    for d, support in presentation(w).supports:
         for i in range(n):
-            row = list(zero)
-            row[i * m:(i + 1) * m] = r
-            yield d, tuple(row)
+            yield d, [(i * m + k, x) for k, x in support]
 
 
 def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
@@ -171,7 +167,7 @@ def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
     t = tensor_product(v, w)
     dual_v, dual_w, dual_t = diffeological_dual(v), diffeological_dual(w), diffeological_dual(t)
     span = singular_span(t)
-    outside = sum(not span.contains(row) for _, row in _tensor_rows(v, w))
+    outside = sum(not span.contains_support(row) for _, row in _tensor_rows(v, w))
     if outside or span.dim + dual_v.dim * dual_w.dim != t.dim:
         raise DiffeolinError(
             "the singular span of the tensor product is not the block span: "

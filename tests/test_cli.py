@@ -453,6 +453,49 @@ def test_oversized_literals_and_exponent_strings_exit_2_at_once(run, tmp_path, a
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DEEP = "[" * 100_000  # nesting past Python's recursion limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "\u00b2"),
+    ("oracle", "\u0663*abs(x)"),
+    ("oracle", "x^\u00b2"),
+    ("check-plot", "kink2_1", "1/\u0663*abs(x)", "0"),
+    ("cross-validate", "kink3_1", "0,1,\u0663"),
+    ("hat-dual", "kink2_1", "--iso", '[["\u0661", "0"], ["0", "1"]]'),
+    ("-f", "{generator}", "dual", "g"),
+    ("-f", "{matrix}", "check-map", "m"),
+    ("-f", "{deep}", "dual", "f"),
+    ("hat-dual", "kink2_1", "--iso", DEEP),
+], ids=["superscript-two", "arabic-indic-three", "superscript-exponent",
+        "arabic-indic-denominator", "arabic-indic-functional", "arabic-indic-iso",
+        "superscript-generator", "arabic-indic-map-entry", "deep-space-file", "deep-iso"])
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
+def test_non_ascii_digits_and_deep_nesting_exit_2_with_one_error_line(run, tmp_path, argv, mode):
+    """Integers are ASCII digits only: a character that Unicode counts as a
+    digit, such as a superscript or an Arabic-Indic digit, is an input
+    error in an expression and in a rational.  JSON nested past the
+    recursion limit, in a space file or an --iso matrix, is an input error
+    too, not a RecursionError."""
+    fine = {"f": {"dim": 1, "diffeology": "fine"}}
+    texts = {
+        "generator": json.dumps({"spaces": {"g": {"dim": 1, "diffeology": {
+            "generated": [["\u00b2"]]}}}}),
+        "matrix": json.dumps({"spaces": fine, "maps": {"m": {
+            "from": "f", "to": "f", "matrix": [["\u0663"]]}}}),
+        "deep": DEEP,
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    code, out, err = run(*mode, *(arg.format(**paths) if arg.startswith("{") else arg
+                                  for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_degree_cap_is_input_error(run):
     code, _, err = run("oracle", "x^200")
     assert code == 2

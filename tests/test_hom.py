@@ -26,12 +26,16 @@ from diffeolin import (
     make_fine,
     make_generated,
     represent_dual,
+    row_plot,
+    separating_functional,
     singular_span,
     smooth_hom_basis,
     tensor_product,
 )
-from diffeolin.linalg import Subspace, identity, invert, matmul, transpose
+from diffeolin.hom import _COARSE_FAILURE
+from diffeolin.linalg import Subspace, dot, identity, invert, matmul, transpose
 from diffeolin.spaces import presentation
+from diffeolin.tensor import _tensor_rows
 
 
 def frac_matrix(rows):
@@ -251,10 +255,158 @@ def test_not_smooth_witnesses_are_plots_with_non_plot_images():
         seen["none"] += 1
         cod = presentation(w)
         failing = [(d, f.apply(r)) for d, r in presentation(v).rows
-                   if not cod.in_filtration(d, f.apply(r))]
+                   if not cod.filtration_step(d).contains(f.apply(r))]
         assert failing
-        assert all(d == -1 and cod.in_filtration(0, image) for d, image in failing)
+        assert all(d == -1 and cod.filtration_step(0).contains(image) for d, image in failing)
     assert seen["witness"] >= 100 and seen["none"] >= 3, seen
+
+
+def _reference_apply(matrix, v):
+    """M v by Fraction arithmetic over the dense row, the route the integer
+    column form replaced."""
+    return tuple(sum((a * Fraction(x) for a, x in zip(row, v) if a and x), Fraction(0))
+                 for row in matrix)
+
+
+def _reference_check_smooth_linear(f):
+    """``check_smooth_linear`` on dense Fraction images tested by
+    ``Subspace.contains``."""
+    pres, cod = presentation(f.domain), presentation(f.codomain)
+    coarse_failure = False
+    for degree, r in pres.rows:
+        image = _reference_apply(f.matrix, r)
+        if cod.filtration_step(degree).contains(image):
+            continue
+        if degree >= 0:
+            return (Verdict.NOT_SMOOTH, row_plot(r, degree),
+                    "image of a singular direction is not a plot")
+        coarse_failure = True
+        if not cod.filtration_step(0).contains(image):
+            return Verdict.NOT_SMOOTH, row_plot(r), _COARSE_FAILURE
+    if coarse_failure:
+        return Verdict.NOT_SMOOTH, None, _COARSE_FAILURE
+    return Verdict.SMOOTH, None, "all singular images are plots"
+
+
+def _reference_separating_functional(space, candidate):
+    """``separating_functional`` on the dense residue rows, tested by
+    ``Subspace.contains``."""
+    pres = presentation(space)
+    for degree, rho in candidate.residue_rows().items():
+        step = pres.filtration_step(degree)
+        if not step.contains(rho):
+            return next(phi for phi in step.annihilator().basis if dot(phi, rho))
+    return None
+
+
+def _rational_plot(rng, n, rows=(), stray=0.7):
+    """A curve with rational residues: a combination of presented rows at
+    their degrees (a plot) plus, with probability ``stray``, one stray
+    residue."""
+    comps = [FunctionExpr.monomial(rng.randint(0, 2), Fraction(rng.randint(-3, 3), 2))
+             for _ in range(n)]
+    for d, r in rows:
+        e, c = d + rng.randint(0, 1), Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        comps = [comp + FunctionExpr.abs_monomial(e, c * x) if x else comp
+                 for comp, x in zip(comps, r)]
+    if n and rng.random() < stray:
+        i = rng.randrange(n)
+        comps[i] = comps[i] + FunctionExpr.abs_monomial(
+            rng.randint(0, 3), Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 6)))
+    return Plot(comps)
+
+
+def test_integer_path_equals_the_fraction_route():
+    """On seeded fine, coarse, generated, sum, tensor, pushforward and dual
+    spaces, zero-dimensional domains and codomains included, the verdict,
+    witness and reason of ``check_smooth_linear`` and the functional of
+    ``separating_functional`` equal those of the dense Fraction route
+    (``LinearMap.apply`` as it was, and ``Subspace.contains``), and
+    ``apply`` still returns the exact image as Fractions."""
+    rng = random.Random(1907)
+    verdicts, functionals = set(), set()
+
+    def space():
+        roll = rng.random()
+        if roll < 0.08:
+            return make_fine(0)
+        if roll < 0.2:
+            return diffeological_dual(_random_hom_space(rng))
+        return _random_hom_space(rng)
+
+    for trial in range(300):
+        v, w = space(), space()
+        dens = [1, 1, 2, 3] if trial % 2 else [1]
+        matrix = tuple(tuple(Fraction(rng.choice([0, 0, 1, -1, 2, 5]), rng.choice(dens))
+                             for _ in range(v.dim)) for _ in range(w.dim))
+        for f in (LinearMap(v, w, matrix), LinearMap(v, make_fine(0), ()),
+                  LinearMap(make_fine(0), w, ((),) * w.dim)):
+            report = check_smooth_linear(f)
+            assert (report.verdict, report.witness, report.reason) == \
+                _reference_check_smooth_linear(f), (f.domain.describe(), f.codomain.describe())
+            verdicts.add(report.verdict)
+            for d, r in presentation(f.domain).rows:
+                image = f.apply(r)
+                assert image == _reference_apply(f.matrix, r)
+                assert all(type(x) is Fraction for x in image)
+        for target in (v, w):
+            rows = [(d, r) for d, r in presentation(target).rows if d >= 0]
+            candidate = _rational_plot(rng, target.dim, rng.sample(rows, min(len(rows), 2)))
+            phi = separating_functional(target, candidate)
+            assert phi == _reference_separating_functional(target, candidate)
+            functionals.add(phi is None)
+    assert verdicts == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
+    assert functionals == {True, False}
+
+
+FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__")
+
+
+def test_a_warm_query_does_no_fraction_arithmetic(monkeypatch):
+    """Once the presentations, filtration steps and column forms are built,
+    repeating ``check_smooth_linear`` (Smooth and NotSmooth, with its
+    witness), ``is_plot`` of a plot and the block-row check of
+    ``tensor_dual_iso`` multiplies, adds, subtracts and divides no
+    Fraction: the vectors reach ``Subspace`` as integer supports."""
+    rng = random.Random(2015)
+    spaces = [kink_space(4, 2), make_coarse(2),
+              direct_sum(kink_space(3, 1), make_coarse(2)),
+              hat_dual(kink_space(3, 2), ((1, 2, 0), (0, 1, 0), (Fraction(1, 3), 0, 1))),
+              tensor_product(kink_space(3, 1), kink_space(2, 1)),
+              diffeological_dual(kink_space(4, 1))]
+    spaces += [_random_hom_space(rng) for _ in range(12)]
+    line = make_fine(1)
+    maps = [identity_map(v) for v in spaces]
+    maps += [LinearMap(v, line, (tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                       for _ in range(v.dim)),)) for v in spaces]
+    maps += [LinearMap(v, w, tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                         for _ in range(v.dim)) for _ in range(w.dim)))
+             for v, w in zip(spaces, spaces[1:])]
+    plots = [(v, _rational_plot(rng, v.dim, [(d, r) for d, r in presentation(v).rows if d >= 0],
+                                stray=0)) for v in spaces]
+    pairs = [(kink_space(3, 1), kink_space(4, 2)), (direct_sum(kink_space(2, 1), make_coarse(1)),
+                                                    spaces[3])]
+    pairs = [(singular_span(tensor_product(v, w)), v, w) for v, w in pairs]
+
+    def queries():
+        return ([check_smooth_linear(f) for f in maps],
+                [is_plot(v, p) for v, p in plots],
+                [span.contains_support(row) for span, v, w in pairs
+                 for _, row in _tensor_rows(v, w)])
+
+    warm = queries()
+    assert {r.verdict for r in warm[0]} == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}
+    assert set(warm[1]) == {Verdict.SMOOTH} and all(warm[2])
+    counts = {}
+    for name in FRACTION_ARITHMETIC:
+        def counted(*args, real=getattr(Fraction, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    again = queries()
+    assert counts == {}
+    monkeypatch.undo()
+    assert again == warm
 
 
 # --- dual maps ---------------------------------------------------------------

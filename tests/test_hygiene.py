@@ -85,6 +85,27 @@ def test_functions_import_only_what_the_module_does_not(path):
     assert not nested, f"{path.name} imports inside a function: {', '.join(nested)}"
 
 
+# The modules above linalg that decide membership: they hand vectors to
+# linalg, which alone knows how a vector becomes integers.
+LINALG_CLIENTS = ("spaces", "hom", "bilinear", "tensor")
+
+
+@pytest.mark.parametrize("stem", LINALG_CLIENTS)
+def test_the_integer_format_stays_behind_linalg(stem):
+    """A membership client imports no private linalg name and reads no
+    ``.numerator`` or ``.denominator``: scaling a vector to integers is
+    linalg's ``integer_support`` and ``integer_family``."""
+    path = SOURCE / f"{stem}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    reads = [f".{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
+    assert not private + reads, f"{path.name} reaches into the integer format: " + ", ".join(
+        private + reads)
+
+
 TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 

@@ -26,7 +26,7 @@ from diffeolin import (
 )
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
-from diffeolin.linalg import Subspace, in_row_span, invert, matvec, rref
+from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec, rref
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
     Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
@@ -308,9 +308,10 @@ def test_presentation_is_built_once_per_space():
         tensor_product(v, make_fine(2)))
 
 
-def test_in_filtration_matches_row_span_membership():
+def test_filtration_membership_matches_row_span_membership():
     """The memoised filtration steps answer exactly as rank membership in the
-    spanning rows of F_e, on generated, sum, hat and tensor spaces."""
+    spanning rows of F_e, on generated, sum, hat and tensor spaces, for a
+    row given densely and as its integer support."""
     rng = random.Random(20150430)
     for _ in range(30):
         if rng.random() < 0.25:
@@ -325,8 +326,11 @@ def test_in_filtration_matches_row_span_membership():
                 tuple(_random_direction(rng, space.dim)) for _ in range(3)]
             if rows:
                 candidates.append(tuple(sum(c) for c in zip(*rows)))
+            step = pres.filtration_step(degree)
             for row in candidates:
-                assert pres.in_filtration(degree, row) is in_row_span(rows, row)
+                member = in_row_span(rows, row)
+                assert step.contains(row) is member
+                assert step.contains_support(integer_support(row)) is member
 
 
 # --- the normal form against the separate-coarse-part presentation -----------
