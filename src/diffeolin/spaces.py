@@ -38,9 +38,9 @@ from .linalg import (
     dot,
     identity,
     integer_support,
-    invert,
     kron_vector,
     matvec,
+    rank,
     vector,
     zero_vector,
 )
@@ -163,7 +163,10 @@ class Pushforward:
     matrix: Matrix
 
     def __post_init__(self) -> None:
-        if invert(self.matrix) is None:
+        n = self.base.dim
+        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+            raise DimensionMismatchError("pushforward matrix is not square of the base dimension")
+        if rank(self.matrix) < n:
             raise DiffeolinError("pushforward matrix is singular")
 
 

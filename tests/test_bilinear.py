@@ -32,7 +32,7 @@ from diffeolin import (
     uncurry,
 )
 from diffeolin.atoms import FunctionExpr
-from diffeolin import linalg, spaces, verify
+from diffeolin import cli, linalg, spaces, verify
 from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector, unit_vector
 from diffeolin.spaces import Plot, presentation
@@ -519,14 +519,27 @@ def test_a_not_smooth_form_is_decided_once(monkeypatch):
 
 
 def test_curry_correspondence_decides_each_zero_form_once_per_pair(monkeypatch):
-    """One check makes 3,261 decisions: the 2,600 draws, the uncurried form
-    of each of the 609 Smooth draws, and the zero form and its curried map
-    once for each of the 26 (V, W) pairs.  Deciding a fresh zero form on
-    every NotSmooth draw made 7,191."""
+    """One check makes 574 decisions over the 26 (V, W) pairs: the 336
+    basis rows and unit forms (93 + 243), the uncurried form of each of the
+    186 Smooth ones, and the zero form and its curried map once per pair
+    (52).  The 2,600 random draws it replaced made 3,261."""
     decided = _count_decisions(monkeypatch)
-    assert verify.check_curry_correspondence() == (
-        True, "2600 forms over 13 spaces round-trip with verdicts preserved")
-    assert len(decided) == 3261
+    assert verify.check_curry_correspondence() == (True, (
+        "smooth bases equal on 26 pairs; 336 basis and unit forms over 13 spaces "
+        "keep their verdicts and round-trip"))
+    assert len(decided) == 574
+    assert sum(map(_is_zero, decided)) == 2 * 26
+
+
+def test_curry_correspondence_fails_on_a_wrong_bilinear_decision(wrong_bilinear_block_rows):
+    """Every unit form with a kink index is NotSmooth.  With no block rows
+    the first kink line's form is judged Smooth; with the left rows only,
+    the first form b(e_1, e_0) on the plane kinked along e_0."""
+    n = {"no rows": 1, "left rows only": 2}[wrong_bilinear_block_rows]
+    assert verify.check_curry_correspondence() == (False, (
+        "block-row verdict disagrees with the smooth basis on "
+        f"generated R^{n} (1 generators) -> fine R^1"))
+    assert cli.main(["verify"]) == 1
 
 
 def _is_zero(b):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from diffeolin import (
+    DiffeolinError,
     DimensionMismatchError,
     FunctionExpr,
     Plot,
@@ -290,6 +291,25 @@ def test_pushforward_membership():
     assert is_plot(pushed, plot_of("0", "abs(x)")) is Verdict.SMOOTH
     assert is_plot(pushed, plot_of("abs(x)", "0")) is Verdict.NOT_SMOOTH
     assert singular_span(pushed) == Subspace.from_rows(2, [[0, 1]])
+
+
+NOT_SQUARE = (DimensionMismatchError, "pushforward matrix is not square")
+SINGULAR = (DiffeolinError, "pushforward matrix is singular")
+
+
+@pytest.mark.parametrize("matrix, error", [
+    (((1, 0, 0), (0, 1, 0)), NOT_SQUARE),
+    (((1, 0), (0, 1), (0, 0)), NOT_SQUARE),
+    (((1, 0, 0), (0, 1, 0), (0, 0, 1)), NOT_SQUARE),
+    (((1, 2), (2, 4)), SINGULAR),
+    (((0, 0), (0, 1)), SINGULAR),
+])
+def test_pushforward_rejects_a_matrix_that_is_not_invertible(matrix, error):
+    """A matrix that is not square of the base dimension is rejected before
+    the rank is taken, and a square one of rank below it as singular."""
+    v = make_generated(2, [kink_plot(2, 0)])
+    with pytest.raises(error[0], match=error[1]):
+        Pushforward(v, tuple(tuple(Fraction(x) for x in row) for row in matrix))
 
 
 def test_is_plot_rejects_wrong_dimension():
