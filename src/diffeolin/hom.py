@@ -214,9 +214,9 @@ def dual_map(f: LinearMap) -> LinearMap:
 
 def hat_dual(v: DiffSpace, iso: Matrix) -> DiffSpace:
     """The full linear dual carrying the diffeology pushed forward along a
-    chosen isomorphism v -> v^dual (the coordinate matrix of the iso)."""
-    if len(iso) != v.dim or any(len(r) != v.dim for r in iso):
-        raise DimensionMismatchError("iso must be a square matrix of the space dimension")
+    chosen isomorphism v -> v^dual (the coordinate matrix of the iso).
+    ``Pushforward`` rejects a matrix that is not square of the dimension, or
+    singular."""
     return DiffSpace(v.dim, Pushforward(v, iso))
 
 

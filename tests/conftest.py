@@ -37,3 +37,40 @@ def wrong_bilinear_block_rows(request, monkeypatch):
 
     monkeypatch.setattr(bilinear, "_tensor_rows", cut)
     return request.param
+
+
+@pytest.fixture
+def late_hom_basis(monkeypatch):
+    """A wrong hom basis for the verify suite: each row r presented at
+    degree d constrained to M r in F_(d+1)(W), one degree late, in place of
+    F_d(W).  Only ``verify.check_dual_map_smoothness`` sees it."""
+    import diffeolin.verify as verify
+    from diffeolin.linalg import Subspace, kron_vector, nullspace
+    from diffeolin.spaces import presentation
+
+    def late(v, w):
+        cod, total = presentation(w), v.dim * w.dim
+        constraints = [kron_vector(psi, r) for degree, r in presentation(v).rows
+                       for psi in cod.filtration_step(degree + 1).annihilator().basis]
+        return Subspace(total, nullspace(constraints, total))
+
+    monkeypatch.setattr(verify, "smooth_hom_basis", late)
+
+
+@pytest.fixture
+def transposed_pushforward(monkeypatch):
+    """A wrong pushforward presentation: the rows of the base mapped by the
+    transpose of the matrix.  Only pushforwards presented after the patch
+    see it."""
+    import diffeolin.spaces as spaces
+    from diffeolin.linalg import transpose
+
+    real = spaces._build_presentation
+
+    def transposed(space):
+        d = space.diffeology
+        if isinstance(d, spaces.Pushforward):
+            space = spaces.DiffSpace(space.dim, spaces.Pushforward(d.base, transpose(d.matrix)))
+        return real(space)
+
+    monkeypatch.setattr(spaces, "_build_presentation", transposed)

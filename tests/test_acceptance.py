@@ -52,8 +52,9 @@ def test_criterion_3_curry_correspondence():
 
 
 def test_criterion_4_dual_map_smoothness():
-    """200 random smooth maps dualise; the hat-dual transpose counterexample
-    is flagged NotSmooth with an explicit witness plot."""
+    """the smooth maps between every two flag classes with n <= 2 match the
+    level count and each basis map dualises; the hat-dual transpose
+    counterexample is flagged NotSmooth with an explicit witness plot."""
     run_criterion("dual map smoothness", 5.0, check_dual_map_smoothness)
 
 
@@ -81,8 +82,9 @@ def test_criterion_8_oracle_agreement():
 
 
 def test_criterion_9_hat_dual_wellposedness():
-    """the identity is smooth both ways between the hat duals of 20 seeded
-    isomorphism pairs; the swap on the kink plane changes the diffeology."""
+    """the identity is smooth both ways between the hat duals along iso1 and
+    iso1 * A on every flag class with n <= 2, where A keeps every F_e; the
+    swap on the kink plane changes the diffeology."""
     run_criterion("hat-dual well-posedness", 2.0, check_hat_dual_wellposedness)
 
 

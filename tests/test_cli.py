@@ -280,6 +280,7 @@ FILE_READERS = [
     ("oracle", "abs(x)", "--max-order", "0"),
     ("-f", os.path.dirname(os.path.abspath(__file__)), "dual", "fine2"),
     ("hat-dual", "kink2_1", "--iso", '[["1","1"],["1","1"]]'),
+    ("hat-dual", "kink2_1", "--iso", '[["1","0"]]'),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "0"),
     ("cross-validate", "kink3_1", "0,1,1", "--trials", "-3"),
     ("oracle", "x", "--max-order", "100000"),
