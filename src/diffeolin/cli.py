@@ -192,12 +192,12 @@ def _cmd_tensor(args, out):
         "dual_dim": dual.dim,
     }
     if args.dual_iso:
-        flags = {"injective": iso.injective, "isomorphism": iso.isomorphism}
+        flags = {"domain_dim": iso.domain_dim, "codomain_dim": iso.codomain_dim,
+                 "injective": iso.injective, "isomorphism": iso.isomorphism}
         out.human(
             f"dual isomorphism: {iso.domain_dim} x {iso.codomain_dim}, "
             f"injective={flags['injective']}, isomorphism={flags['isomorphism']}"
         )
-        result["dual_iso_matrix"] = iso.matrix
         result["dual_iso"] = flags
     out.payload(inputs={"left": args.left, "right": args.right}, result=result)
     return 0

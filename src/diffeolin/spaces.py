@@ -7,12 +7,13 @@ reduces to one normal form, the *presentation*: a flag of subspaces
 
     C = F_-1  <=  F_0  <=  F_1  <=  ...  <=  F_top = S(V)
 
-given by degree-indexed rows.  C is the coarse part of V (directions along
-which arbitrary set maps are plots); F_e adds the directions reachable as
-|x|*x^e residues.  Degrees matter because smooth multipliers and
-reparametrisations x -> c*x can only move residue content to higher
-degrees, never lower.  The top step S(V) is the *singular span*: a linear
-functional is smooth on V exactly when it annihilates S(V).
+given by degree-indexed rows and each constructor's closed form of F_e.  C
+is the coarse part of V (directions along which arbitrary set maps are
+plots); F_e adds the directions reachable as |x|*x^e residues.  Degrees
+matter because smooth multipliers and reparametrisations x -> c*x can only
+move residue content to higher degrees, never lower.  The top step S(V) is
+the *singular span*: a linear functional is smooth on V exactly when it
+annihilates S(V).
 
 Plot membership is decided exactly on the flag (see ``is_plot``): every
 answer is Plot or NotPlot, and every NotPlot comes with a separating
@@ -26,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .atoms import FunctionExpr
 from .linalg import (
@@ -262,33 +263,24 @@ def generating_plots(space: DiffSpace) -> tuple[Plot, ...]:
 
 @dataclass(frozen=True)
 class Presentation:
-    """The degree filtration of a space as one row list.
+    """The degree filtration of a space: spanning rows and closed-form steps.
 
     ``rows`` holds (degree, direction) pairs: |x|*x^e times the direction is
-    a plot for every e >= degree.  The rows of degree -1 come first and are
-    the RREF basis of the coarse part C = F_-1, along which every set map is
-    a plot; no row of degree >= 0 lies in C.  The filtration steps F_e are
-    built as subspaces on first use and kept, unless the constructor hands
-    them in as ``known_steps``: (degree, step) pairs at -1 and at every
-    presented degree, annihilators included, from a tensor's closed form.
-    ``supports`` holds the rows again with each direction as its integer
-    support, the form membership tests read, built on first use and kept.
+    a plot for every e >= degree.  The rows of degree -1 span the coarse part
+    C = F_-1, along which every set map is a plot; no other row lies in C.
+    ``step(e)`` is the constructor's closed form of F_e, at -1 and at each
+    presented degree, called on first use and kept.  ``supports`` holds the
+    rows as integer supports, the form membership tests read, also kept.
     """
 
     ambient_dim: int
     rows: tuple[tuple[int, Vector], ...]
-    known_steps: tuple[tuple[int, Subspace], ...] = field(default=(), compare=False, repr=False)
+    step: Callable[[int], Subspace] = field(compare=False, repr=False)
+    _steps: dict[int, Subspace] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @cached_property
     def supports(self) -> tuple[tuple[int, Support], ...]:
         return tuple((d, integer_support(r)) for d, r in self.rows)
-
-    @cached_property
-    def _steps(self) -> dict[int, Subspace]:
-        # The coarse rows are already reduced, and F_-1 (possibly zero) is
-        # the answer for every degree below the first presented row.
-        return dict(self.known_steps
-                    or [(-1, Subspace(self.ambient_dim, tuple(self.rows_up_to(-1))))])
 
     def singular_span(self) -> Subspace:
         return self.filtration_step(max((d for d, _ in self.rows), default=-1))
@@ -299,16 +291,12 @@ class Presentation:
 
     def filtration_step(self, degree: int) -> Subspace:
         """F_degree as a subspace.  Steps are keyed by the largest presented
-        degree <= ``degree``, so each distinct step is reduced once."""
+        degree <= ``degree`` (or -1), so each distinct step is built once."""
         key = max((d for d, _ in self.rows if d <= degree), default=-1)
         step = self._steps.get(key)
         if step is None:
-            step = self._steps[key] = Subspace.from_rows(self.ambient_dim, self.rows_up_to(key))
+            step = self._steps[key] = self.step(key)
         return step
-
-
-def _embed_row(row: Vector, offset: int, total: int) -> Vector:
-    return zero_vector(offset) + row + zero_vector(total - offset - len(row))
 
 
 def presentation(space: DiffSpace) -> Presentation:
@@ -318,61 +306,65 @@ def presentation(space: DiffSpace) -> Presentation:
 
 
 def _build_presentation(space: DiffSpace) -> Presentation:
-    """Spanning (degree, row) pairs per descriptor, then one normalising
-    step: the degree -1 rows are reduced to the RREF basis of C and put
-    first; summands are normalised and pushforwards invertible, so no
-    other row lies in C.  A tensor product is presented in closed form
-    instead (``_tensor_presentation``)."""
+    """Spanning (degree, row) pairs per descriptor, with the closed form of
+    each step: constant for fine and coarse, the summands' steps side by
+    side for a sum (``_sum_step``), ``_tensor_presentation`` for a tensor,
+    and the elimination of the rows of degree <= e for generated spaces
+    (residue rows) and pushforwards (the base's rows mapped by the matrix)."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Presentation(n, ())
+        return Presentation(n, (), lambda e: Subspace(n, ()))
     if isinstance(d, Coarse):
-        return Presentation(n, tuple((-1, r) for r in identity(n)))
-    if isinstance(d, Generated):
-        rows = []
-        for g in d.generators:
-            if g.target_dim != n:
-                raise DimensionMismatchError("generator dimension mismatch")
-            rows.extend(g.residue_rows().items())
-    elif isinstance(d, SumOf):
-        nl = d.left.dim
-        rows = ([(deg, _embed_row(r, 0, n)) for deg, r in presentation(d.left).rows]
-                + [(deg, _embed_row(r, nl, n)) for deg, r in presentation(d.right).rows])
-    elif isinstance(d, TensorOf):
+        return Presentation(n, tuple((-1, r) for r in identity(n)), lambda e: Subspace.full(n))
+    if isinstance(d, SumOf):
+        lp, rp = presentation(d.left), presentation(d.right)
+        left_pad, right_pad = zero_vector(d.right.dim), zero_vector(d.left.dim)
+        rows = (tuple((deg, r + left_pad) for deg, r in lp.rows)
+                + tuple((deg, right_pad + r) for deg, r in rp.rows))
+        return Presentation(n, rows,
+                            lambda e: _sum_step(lp.filtration_step(e), rp.filtration_step(e)))
+    if isinstance(d, TensorOf):
         return _tensor_presentation(d.left, d.right)
+    if isinstance(d, Generated):
+        if any(g.target_dim != n for g in d.generators):
+            raise DimensionMismatchError("generator dimension mismatch")
+        rows = tuple(row for g in d.generators for row in g.residue_rows().items())
     elif isinstance(d, Pushforward):
-        rows = [(deg, matvec(d.matrix, r)) for deg, r in presentation(d.base).rows]
+        rows = tuple((deg, matvec(d.matrix, r)) for deg, r in presentation(d.base).rows)
     else:
         raise TypeError(f"no presentation for descriptor {type(d).__name__}")
-    if any(deg < 0 for deg, _ in rows):
-        coarse = Subspace.from_rows(n, [r for deg, r in rows if deg < 0])
-        rows = [(-1, r) for r in coarse.basis] + [(deg, r) for deg, r in rows if deg >= 0]
-    return Presentation(n, tuple(rows))
+    return Presentation(n, rows, lambda e: Subspace.from_rows(n, [r for k, r in rows if k <= e]))
+
+
+def _sum_step(left: Subspace, right: Subspace) -> Subspace:
+    """A (+) B with no elimination: the RREF rows of A padded right, then
+    those of B padded left, are in RREF, and so is Ann A (+) Ann B, built the
+    same way on first use."""
+    left_pad, right_pad = zero_vector(right.ambient_dim), zero_vector(left.ambient_dim)
+    n = left.ambient_dim + right.ambient_dim
+
+    def block(a: Subspace, b: Subspace) -> Matrix:
+        return tuple(r + left_pad for r in a.basis) + tuple(right_pad + r for r in b.basis)
+
+    return Subspace(n, block(left, right),
+                    lambda: Subspace(n, block(left.annihilator(), right.annihilator())))
 
 
 def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
-    """The flag F_e(V (x) W) = F_e V (x) R^m + R^n (x) F_e W: the block
-    rows r (x) e_j and e_i (x) r' of the factors' rows of degree <= e, where
-    at e = -1 the coarse rows absorb everything they touch (split an
-    arbitrary coefficient onto the coarse leg).  ``_tensor_step`` builds
-    each step in RREF with its annihilator, at -1 and at every degree
-    either factor presents.  The rows are those of each step whose pivot is
-    new at that step: independent, dim S(V (x) W) of them, and those of
-    degree <= e span F_e."""
+    """The flag F_e(V (x) W) = F_e V (x) R^m + R^n (x) F_e W, each step from
+    ``_tensor_step`` at -1 (the coarse rows absorb everything they touch)
+    and at every degree either factor presents.  All are built here, since
+    the rows need them: those of each step whose pivot is new there, which
+    are dim S(V (x) W) independent rows, those of degree <= e spanning F_e."""
     lp, rp = presentation(left), presentation(right)
-    degrees = sorted({-1} | {d for d, _ in lp.rows + rp.rows})
-    rows: list[tuple[int, Vector]] = []
-    steps: list[tuple[int, Subspace]] = []
-    seen: set[int] = set()
-    for e in degrees:
-        step = _tensor_step(lp.filtration_step(e), rp.filtration_step(e))
-        new = [(e, r) for p, r in zip(step.pivots, step.basis) if p not in seen]
+    steps = {e: _tensor_step(lp.filtration_step(e), rp.filtration_step(e))
+             for e in sorted({-1} | {d for d, _ in lp.rows + rp.rows})}
+    rows, seen = [], set()
+    for e, step in steps.items():
+        rows.extend((e, r) for p, r in zip(step.pivots, step.basis) if p not in seen)
         seen.update(step.pivots)
-        rows.extend(new)
-        if new or not steps:
-            steps.append((e, step))
-    return Presentation(left.dim * right.dim, tuple(rows), tuple(steps))
+    return Presentation(left.dim * right.dim, tuple(rows), steps.__getitem__)
 
 
 def _tensor_step(left: Subspace, right: Subspace) -> Subspace:

@@ -244,9 +244,7 @@ def check_dual_map_smoothness() -> tuple[bool, str]:
         n = v.dim
         for flat in basis.basis:
             f = LinearMap(v, w, tuple(flat[k * n:(k + 1) * n] for k in range(w.dim)))
-            if is_smooth_linear(f) is not Verdict.SMOOTH:
-                return False, f"basis map not Smooth on {pair}"
-            try:
+            try:  # dual_map refuses a map whose verdict is not Smooth
                 star = dual_map(f)
             except DiffeolinError as exc:
                 return False, f"dual map failed on {pair}: {exc}"

@@ -74,3 +74,20 @@ def transposed_pushforward(monkeypatch):
         return real(space)
 
     monkeypatch.setattr(spaces, "_build_presentation", transposed)
+
+
+@pytest.fixture
+def block_swapped_distribute(monkeypatch):
+    """A wrong distributivity map for the verify suite: the permutation of
+    ``tensor.distribute`` with its V1 (x) V3 rows before its V1 (x) V2 rows,
+    so each block of the codomain reads the other summand's slots.  Only
+    ``verify.check_distributivity`` sees it."""
+    import diffeolin.verify as verify
+    from diffeolin.hom import LinearMap
+    from diffeolin.tensor import distribute
+
+    def swapped(v1, v2, v3):
+        f, split = distribute(v1, v2, v3), v1.dim * v2.dim
+        return LinearMap(f.domain, f.codomain, f.matrix[split:] + f.matrix[:split])
+
+    monkeypatch.setattr(verify, "distribute", swapped)

@@ -27,7 +27,7 @@ from diffeolin import (
 )
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
-from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec, rref
+from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
     Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
@@ -465,8 +465,8 @@ def _random_nested_space(rng, depth=0):
 def test_coarse_part_is_the_degree_minus_one_step_of_one_row_list():
     """On fixed coarse-bearing spaces and 60 seeded nested ones, every
     filtration step F_-1..F_6 equals the step of the presentation with a
-    separate coarse part; the degree -1 rows come first and are the RREF
-    basis of F_-1, and no row of degree >= 0 lies in F_-1."""
+    separate coarse part; the degree -1 rows span F_-1, and no row of
+    degree >= 0 lies in F_-1."""
     rng = random.Random(20150430)
     kink = make_generated(2, [plot_of("abs(x)", "abs(x)*x^2")])
     mixed = direct_sum(make_coarse(1), kink)
@@ -487,13 +487,76 @@ def test_coarse_part_is_the_degree_minus_one_step_of_one_row_list():
         for degree in range(-1, 7):
             assert pres.filtration_step(degree) == _reference_step(space, degree), (
                 space.describe(), degree)
-        coarse = tuple(r for d, r in pres.rows if d == -1)
-        assert pres.rows[:len(coarse)] == tuple((-1, r) for r in coarse)
-        assert rref(coarse) == coarse
         step = pres.filtration_step(-1)
-        assert step.basis == coarse
-        assert not any(step.contains(r) for d, r in pres.rows[len(coarse):])
-        assert all(d >= 0 for d, _ in pres.rows[len(coarse):])
+        assert Subspace.from_rows(space.dim, pres.rows_up_to(-1)) == step
+        assert not any(step.contains(r) for d, r in pres.rows if d >= 0)
+
+
+def _random_summand(rng):
+    """A coarse, generated, tensor or hat-dual space of dimension 1 to 4."""
+    kind = rng.choice(["coarse", "generated", "tensor", "hat"])
+    if kind == "coarse":
+        return make_coarse(rng.randint(1, 2))
+    if kind == "tensor":
+        left = rng.choice([make_coarse(1), _random_generated(rng, 2)[0]])
+        return tensor_product(left, _random_generated(rng, rng.randint(1, 2))[0])
+    base = _random_generated(rng, rng.randint(1, 3))[0]
+    if kind == "hat":
+        base = direct_sum(base, make_coarse(1)) if rng.random() < 0.5 else base
+        return hat_dual(base, _random_hat_iso(rng, base.dim))
+    return base
+
+
+def test_sum_steps_need_no_elimination_over_the_sum(monkeypatch):
+    """On 40 seeded sums, once the summands' steps are built, presenting the
+    sum and reading each step and its annihilator eliminates nothing over
+    the sum's coordinates; each step equals the elimination of its spanning
+    rows, and each annihilator the nullspace of the step."""
+    import diffeolin.linalg as linalg
+
+    widths = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, n: widths.append(n) or real(rows, n))
+    rng = random.Random(1703)
+    for _ in range(40):
+        v, w = _random_summand(rng), _random_summand(rng)
+        for side in (v, w):
+            for degree in range(-1, 7):
+                presentation(side).filtration_step(degree).annihilator()
+        space, n = direct_sum(v, w), v.dim + w.dim
+        widths.clear()
+        pres = presentation(space)
+        steps = [pres.filtration_step(e) for e in range(-1, 7)]
+        anns = [step.annihilator() for step in steps]
+        assert n not in widths, space.describe()
+        for degree, step, ann in zip(range(-1, 7), steps, anns):
+            assert step == Subspace.from_rows(n, pres.rows_up_to(degree))
+            assert ann == (Subspace(n, linalg.nullspace(step.basis, n)) if step.basis
+                           else Subspace.full(n))
+
+
+def test_steps_are_built_only_when_asked():
+    """Presenting a generated space, a sum or a pushforward builds no step,
+    and a query at degree e builds only the step of its key: the largest
+    presented degree <= e.  A pushforward eliminates its own rows and never
+    reads its base's steps."""
+    g = make_generated(3, [plot_of("abs(x)", "0", "abs(x)*x^2"), kink_plot(3, 1, 5)])
+    h = make_generated(2, [kink_plot(2, 0, 1)])
+    total = direct_sum(g, h)
+    hat = hat_dual(g, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    for space in (g, total, hat):
+        assert presentation(space)._steps == {}
+    assert presentation(h)._steps == {}
+    presentation(g).filtration_step(4)
+    assert set(presentation(g)._steps) == {2}
+    presentation(total).filtration_step(1)
+    assert set(presentation(total)._steps) == {1}
+    assert set(presentation(g)._steps) == {0, 2}
+    assert set(presentation(h)._steps) == {1}
+    presentation(hat).filtration_step(-1)
+    presentation(hat).filtration_step(7)
+    assert set(presentation(hat)._steps) == {-1, 5}
+    assert set(presentation(g)._steps) == {0, 2}
 
 
 def test_memos_do_not_keep_spaces_alive():

@@ -59,3 +59,21 @@ def test_hat_dual_wellposedness_fails_on_a_transposed_pushforward(transposed_pus
     assert verify.check_hat_dual_wellposedness() == (
         False, "diffeologies differ on levels (-1, 0)")
     assert cli.main(["verify"]) == 1
+
+
+def test_tensor_dual_multiplicativity_fails_on_left_block_rows_only(left_block_rows_only):
+    """Cut to F_e V (x) R^m, a tensor step misses the block rows
+    e_i (x) r' of the right factor, and the dual certificate says so."""
+    result = verify._timed("tensor-dual-multiplicativity",
+                           verify.check_tensor_dual_multiplicativity)
+    assert result.passed is False
+    assert result.detail.startswith(
+        "error: the singular span of the tensor product is not the block span")
+    assert cli.main(["verify"]) == 1
+
+
+def test_distributivity_fails_on_a_block_swapped_permutation(block_swapped_distribute):
+    """With the V1 (x) V3 rows first, the map mixes up the two blocks, and
+    on the first triple a presented row's image already leaves its step."""
+    assert verify.check_distributivity() == (False, "forward map not Smooth at trial 0")
+    assert cli.main(["verify"]) == 1
