@@ -9,6 +9,7 @@ combination of smooth functionals pairs smoothly with every plot of the
 base.  So V* is fine R^(dim V*) in those coordinates: ``DualSpace`` is a
 ``DiffSpace`` with the fine descriptor, and presentations, plot membership,
 map smoothness, tensor products and duals serve it like any other space.
+Each space keeps its dual (``spaces.DiffSpace._dual``) while it is held.
 In particular V** is fine R^(dim V*), which differs from V unless V is fine.
 """
 
@@ -29,45 +30,26 @@ from .linalg import (
     kron_vector,
     matmul,
     matvec,
-    nullspace,
     transpose,
 )
 from .spaces import (
     DiffSpace,
     DiffeolinError,
     DimensionMismatchError,
-    Fine,
+    DualSpace,
     Plot,
     Pushforward,
     Verdict,
     make_fine,
     presentation,
     row_plot,
-    singular_span,
 )
 
 
-@dataclass(frozen=True, init=False)
-class DualSpace(DiffSpace):
-    """The diffeological dual of ``base``: smooth linear functionals with the
-    functional diffeology, which is fine R^(dim V*) in coordinates over
-    ``annihilator_basis`` (rows, in RREF over the base coordinates)."""
-
-    base: DiffSpace
-    annihilator_basis: Subspace
-
-    def __init__(self, base: DiffSpace, annihilator_basis: Subspace):
-        super().__init__(annihilator_basis.dim, Fine())
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "annihilator_basis", annihilator_basis)
-
-    def describe(self) -> str:
-        return f"dual of {self.base.describe()}"
-
-
 def diffeological_dual(v: DiffSpace) -> DualSpace:
-    """Smooth linear functionals on v; dim = dim v - dim S(v)."""
-    return DualSpace(v, singular_span(v).annihilator())
+    """Smooth linear functionals on v; dim = dim v - dim S(v).  Built on
+    first use and kept on v while it is held anywhere."""
+    return v._dual()
 
 
 # A DualSpace is itself fine R^(dim V*), so the engine no longer calls this;
@@ -177,13 +159,13 @@ def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     the row-major flattened matrix coordinates: the maps M with M r in
     F_d(w) for each row r presented at degree d, ``check_smooth_linear``'s
     criterion, linear in M.  psi(M r) = kron(psi, r) . M for psi in
-    Ann(F_d(w)), so the smooth maps are the nullspace of those rows."""
+    Ann(F_d(w)), so the smooth maps are the annihilator of those rows."""
     cod = presentation(w)
     constraints = []
     for degree, r in presentation(v).rows:
         ann = cod.filtration_step(degree).annihilator()
         constraints.extend(kron_vector(psi, r) for psi in ann.basis)
-    return Subspace(v.dim * w.dim, nullspace(constraints, v.dim * w.dim))
+    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
 
 
 def dual_map(f: LinearMap) -> LinearMap:

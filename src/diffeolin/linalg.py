@@ -8,15 +8,21 @@ Fractions live only at the API boundary.  Elimination runs on Python ints:
 each input row is scaled by the lcm of its denominators, rows are combined
 fraction-free (a*r - b*p, with a and b the two entries in the pivot column
 divided by their gcd) and every new row is divided by its content, the gcd
-of its entries, so the integers stay small.  Only the finished rows turn
-back into Fractions, each divided by its pivot entry.
+of its entries, so the integers stay small.  ``rref``, ``solve`` and
+``invert`` turn the finished rows back into Fractions, each divided by its
+pivot entry.  A ``Subspace`` does not: it stores the integer RREF that
+elimination produces (``Form``: pivots, the lcm L of the denominators, and
+the nonzero entries of L times each RREF row), and builds Fraction rows
+only when ``basis`` is read.  The sum A (+) B, the tensor step
+A (x) R^m + R^n (x) B and the Kronecker product A (x) B of subspaces are
+read off their factors' forms with no elimination (``block_sum``,
+``tensor_span``, ``kron_span``), and so is each one's annihilator.
 
 Membership does no elimination.  A vector v lies in the span of RREF rows
 b_i with pivot columns p_i exactly when v = sum_i v[p_i] * b_i, so one pass
-of integer reduction against the pivot rows decides it, and the values
-v[p_i] are its coordinates.  Only the pivot rows that v hits enter, each
-over its own nonzero entries: a Subspace keeps a sparse integer form of its
-basis from the first query on.
+of integer reduction against the pivot rows of the form decides it, and
+the values v[p_i] are its coordinates.  Only the pivot rows that v hits
+enter, each over its own nonzero entries.
 
 A membership test reads its vector as a *support*: the nonzero entries of a
 positive multiple of the vector as (index, int) pairs (``integer_support``),
@@ -25,14 +31,13 @@ multiple, so callers build supports once and keep them: a presentation
 keeps one per row, a map keeps its matrix as integer columns and maps a
 support to the support of its image (``image_support``), a bilinear form
 reads its entries at the columns of a support (``matrix_image_support``),
-and tensor block rows are shifted supports.  A query on supports does no
-Fraction arithmetic.
+and tensor block rows are shifted supports.  The rows of a form are
+supports too (``Subspace.supports``), and ``Subspace.from_supports`` spans
+a list of them.  A query on supports does no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -41,7 +46,7 @@ from typing import Callable, Iterable, Sequence
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 # The nonzero entries of a positive multiple of a vector, as (index, int).
-Support = list[tuple[int, int]]
+Support = Sequence[tuple[int, int]]
 
 # Unit, zero, RREF and Kronecker rows hold this one zero object, so
 # ``x is not ZERO and x`` skips their zeros without Fraction.__bool__, a
@@ -243,26 +248,13 @@ def rank(m: Matrix) -> int:
 
 
 def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
-    """Basis (in RREF) of {v : m @ v = 0}, for an n_cols-dimensional domain."""
+    """Basis (in RREF) of {v : m @ v = 0}, for an n_cols-dimensional domain:
+    the annihilator of the row span of m, in the same coordinates."""
     if n_cols is None:
         if not m:
             raise ValueError("n_cols required for an empty matrix")
         n_cols = len(m[0])
-    reduced = _eliminate([_integer_row(r) for r in m], n_cols)
-    pivots = {c for c, _ in reduced}
-    basis = []
-    for j in range(n_cols):
-        if j in pivots:
-            continue
-        # v[j] = 1 and v[c] = -row[j] / row[c]; scaled to integers.
-        den = lcm(*[r[c] for c, r in reduced if r[j]])
-        v = [0] * n_cols
-        v[j] = den
-        for c, r in reduced:
-            if r[j]:
-                v[c] = -r[j] * (den // r[c])
-        basis.append(v)
-    return tuple(_fraction_row(r, col) for col, r in _eliminate(basis, n_cols))
+    return Subspace.from_rows(n_cols, m).annihilator().basis
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -301,20 +293,86 @@ def in_row_span(rows: Matrix, v: Vector) -> bool:
     return rank(rows) == rank(rows + (v,))
 
 
-@dataclass(frozen=True)
+
+
+# The stored form of a subspace: (pivots, L, rows), with L the lcm of the
+# denominators of its RREF basis and each row the nonzero (column, int)
+# pairs of L times an RREF row, in column order.  A row starts at its pivot,
+# where it holds L.
+Form = tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...]]
+
+
+def _reduced_form(reduced: list[tuple[int, list[int]]]) -> Form:
+    """The form of ``_eliminate``'s output.  Each row is divided by its
+    content; the RREF row is then row / row[pivot] in lowest terms, so L is
+    the lcm of the pivot entries, and L // row[pivot] carries the sign of a
+    negative pivot."""
+    rows = []
+    for col, r in reduced:
+        g = gcd(*r)
+        rows.append((col, r if g == 1 else [x // g for x in r]))
+    den = lcm(*[r[col] for col, r in rows])
+    return (tuple(col for col, _ in rows), den,
+            tuple(tuple((j, x * (den // r[col])) for j, x in enumerate(r) if x)
+                  for col, r in rows))
+
+
+def _scaled_form(pivots: tuple[int, ...], scale: int,
+                 rows: list[tuple[tuple[int, int], ...]]) -> Form:
+    """The form of rows holding scale times the RREF rows, whatever common
+    factor scale and the entries share: L = scale / gcd(scale, entries)."""
+    g = gcd(scale, *[x for row in rows for _, x in row])
+    if g > 1:
+        rows = [tuple((j, x // g) for j, x in row) for row in rows]
+    return tuple(pivots), scale // g, tuple(rows)
+
+
+def _annihilator_form(n: int, form: Form) -> Form:
+    """Ann of the span of a form's rows: for each free column j the vector
+    that is L at j and -row[j] at the pivot of each row, eliminated to RREF."""
+    pivots, den, rows = form
+    taken = set(pivots)
+    free = {j: [0] * n for j in range(n) if j not in taken}
+    for j, v in free.items():
+        v[j] = den
+    for p, row in zip(pivots, rows):
+        for j, x in row[1:]:
+            free[j][p] = -x
+    return _reduced_form(_eliminate(list(free.values()), n))
+
+
 class Subspace:
     """A subspace of Q^n, canonically represented by its RREF row basis.
+
+    What is stored is the integer form of that basis (``Form``):
+    ``from_rows`` and ``from_supports`` read it off elimination, and
+    ``block_sum``, ``tensor_span`` and ``kron_span`` build it in closed
+    form from the forms of their factors.  The form is canonical, so
+    equality and hashing compare it; ``dim``, ``pivots``, ``supports`` and
+    membership read it.  The Fraction rows of ``basis`` are built from it on
+    first read and kept.  ``Subspace(n, basis)`` takes RREF rows instead,
+    and builds its form from them on first use.
 
     A constructor that knows the annihilator in closed form hands it in as
     ``known_annihilator``: a function returning the subspace that
     ``annihilator`` would compute, called on first use instead of the
-    nullspace.  It takes no part in equality.
+    elimination.  It takes no part in equality.
     """
 
-    ambient_dim: int
-    basis: Matrix
-    known_annihilator: Callable[[], "Subspace"] | None = field(default=None, compare=False,
-                                                               repr=False)
+    def __init__(self, ambient_dim: int, basis: Iterable[Sequence],
+                 known_annihilator: Callable[[], "Subspace"] | None = None):
+        self.ambient_dim = ambient_dim
+        self.basis = tuple(basis)
+        self.known_annihilator = known_annihilator
+
+    @staticmethod
+    def _of(ambient_dim: int, form: Form,
+            known_annihilator: Callable[[], "Subspace"] | None = None) -> "Subspace":
+        space = Subspace.__new__(Subspace)
+        space.ambient_dim = ambient_dim
+        space._form = form
+        space.known_annihilator = known_annihilator
+        return space
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
@@ -322,42 +380,76 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError(f"row length {len(r)} != ambient dim {ambient_dim}")
-        return Subspace(ambient_dim, rref(rows))
+        return Subspace.from_supports(ambient_dim, [integer_support(r) for r in rows])
+
+    @staticmethod
+    def from_supports(ambient_dim: int, supports: Iterable[Support]) -> "Subspace":
+        """The span of vectors given by their supports."""
+        dense = []
+        for support in supports:
+            row = [0] * ambient_dim
+            for j, x in support:
+                row[j] = x
+            dense.append(row)
+        return Subspace._of(ambient_dim, _reduced_form(_eliminate(dense, ambient_dim)))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, identity(ambient_dim))
+        return Subspace._of(ambient_dim, (tuple(range(ambient_dim)), 1,
+                                          tuple(((j, 1),) for j in range(ambient_dim))))
+
+    @cached_property
+    def _form(self) -> Form:
+        """The form of a basis handed in as RREF rows."""
+        sparse = [[(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+                  for row in self.basis]
+        den = lcm(*[x.denominator for row in sparse for _, x in row])
+        return (tuple(row[0][0] for row in sparse), den,
+                tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
+                      for row in sparse))
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The RREF rows as Fractions: row / L for each row of the form."""
+        _, den, rows = self._form
+        basis = []
+        for row in rows:
+            dense = [ZERO] * self.ambient_dim
+            for j, x in row:
+                dense[j] = Fraction(x, den)
+            basis.append(tuple(dense))
+        return tuple(basis)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self._form == other._form
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self._form))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim}, basis={self.basis!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._form[0])
 
-    @cached_property
+    @property
     def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row.  They increase, so each scan
-        starts past the previous pivot."""
-        pivots, start = [], 0
-        for row in self.basis:
-            start = next(j for j in range(start, len(row)) if row[j] is not ZERO and row[j])
-            pivots.append(start)
-            start += 1
-        return tuple(pivots)
+        """The pivot column of each basis row, increasing."""
+        return self._form[0]
+
+    @property
+    def supports(self) -> tuple[Support, ...]:
+        """The support of each basis row, in pivot order: the rows of the form."""
+        return self._form[2]
 
     @cached_property
-    def _pivot_form(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-        """(common denominator L, pivot -> nonzero (column, entry) pairs of
-        the integer row S), basis row = S / L.  A row is 1 at its pivot and
-        can be nonzero only at the free (nonpivot) columns past it."""
-        pivots = self.pivots
-        taken = set(pivots)
-        free = [j for j in range(self.ambient_dim) if j not in taken]
-        sparse = [[(p, row[p])] + [(j, row[j]) for j in free[bisect(free, p):]
-                                   if row[j] is not ZERO and row[j]]
-                  for p, row in zip(pivots, self.basis)]
-        den = lcm(*[x.denominator for row in sparse for _, x in row])
-        rows = {p: tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
-                for p, row in zip(pivots, sparse)}
-        return den, rows
+    def _pivot_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """(L, pivot -> row of the form), the lookup membership reads."""
+        pivots, den, rows = self._form
+        return den, dict(zip(pivots, rows))
 
     def contains(self, v: Sequence) -> bool:
         """Whether the vector v lies in the subspace."""
@@ -369,7 +461,7 @@ class Subspace:
         """Pivot reduction over a support: v = sum_i v[p_i] * basis_i, checked
         on ints.  Each pivot that v hits subtracts its row; an entry of v off
         the pivots may cancel, so only the full remainder decides."""
-        den, rows = self._pivot_form
+        den, rows = self._pivot_rows
         rest = [0] * self.ambient_dim
         for j, x in support:
             rest[j] += den * x
@@ -387,28 +479,98 @@ class Subspace:
         return tuple(Fraction(v[p]) for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        return all(self.contains_support(s) for s in other.supports)
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return Subspace.from_rows(self.ambient_dim, self.basis + other.basis)
+        return Subspace.from_supports(self.ambient_dim, self.supports + other.supports)
 
     def map_by(self, m: Matrix) -> "Subspace":
         """Image under the linear map with the given matrix (rows -> m @ row)."""
-        target_dim = len(m)
-        return Subspace.from_rows(target_dim, [matvec(m, row) for row in self.basis])
+        _, columns = integer_columns(m, self.ambient_dim)
+        return Subspace.from_supports(len(m), [image_support(columns, s) for s in self.supports])
 
     @cached_property
     def _annihilator(self) -> "Subspace":
         if self.known_annihilator is not None:
             return self.known_annihilator()
-        if not self.basis:
+        if not self.dim:
             return Subspace.full(self.ambient_dim)
-        return Subspace(self.ambient_dim, nullspace(self.basis, self.ambient_dim))
+        return Subspace._of(self.ambient_dim, _annihilator_form(self.ambient_dim, self._form))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, as rows in the dual
         coordinates; computed on first use (or handed in) and kept on the
         subspace."""
         return self._annihilator
+
+
+def block_sum(left: Subspace, right: Subspace) -> Subspace:
+    """A (+) B in Q^(n+m), with no elimination: the rows of A, then those of
+    B shifted by n, are in RREF, and so is Ann A (+) Ann B, its annihilator,
+    built the same way on first use."""
+    (p, a, a_rows), (q, b, b_rows) = left._form, right._form
+    n, den = left.ambient_dim, lcm(a, b)
+    sa, sb = den // a, den // b
+    form = (p + tuple(n + j for j in q), den,
+            tuple(tuple((j, x * sa) for j, x in row) for row in a_rows)
+            + tuple(tuple((n + j, x * sb) for j, x in row) for row in b_rows))
+    return Subspace._of(n + right.ambient_dim, form,
+                        lambda: block_sum(left.annihilator(), right.annihilator()))
+
+
+def tensor_span(left: Subspace, right: Subspace) -> Subspace:
+    """The RREF of A (x) R^m + R^n (x) B, read off the RREF rows A_p of A
+    (pivots P) and B_q of B (pivots Q) with no elimination: one row per
+    pivot, in pivot order,
+
+        (p, j), p in P:              A_p (x) e_j                        if j not in Q,
+                                     A_p (x) (e_j - B_j) + e_p (x) B_j  if j in Q;
+        (q, k), q not in P, k in Q:  e_q (x) B_k.
+
+    Each row lies in the span, has a leading 1 at its pivot and is zero at
+    every other pivot, and there are a*m + n*b - a*b of them, the dimension
+    of the span.  The rows are built on ints at L_A * L_B times the RREF,
+    the product of the factors' L.  The annihilator Ann A (x) Ann B is
+    ``kron_span`` of the factors' annihilators, built on first use."""
+    n, m = left.ambient_dim, right.ambient_dim
+    (_, la, a_rows), (_, lb, b_rows) = left._form, right._form
+    scale = la * lb
+    # The entries of A_p off its pivot, and of e_q - B_q, which is zero at q
+    # and at every other pivot.
+    a = {row[0][0]: row[1:] for row in a_rows}
+    b = {row[0][0]: row for row in b_rows}
+    tails = {q: tuple((k, -y) for k, y in row[1:]) for q, row in b.items()}
+    pivots, rows = [], []
+    for c in range(n):
+        ac = a.get(c)
+        for j in range(m):
+            bj = b.get(j)
+            if ac is None and bj is None:
+                continue
+            if ac is None:
+                row = tuple((c * m + k, la * y) for k, y in bj)
+            elif bj is None:
+                row = ((c * m + j, scale),) + tuple((i * m + j, lb * x) for i, x in ac)
+            else:
+                # Block c is e_j (A_p is 1 at p); block i is A_p[i] * (e_j - B_j).
+                row = ((c * m + j, scale),) + tuple((i * m + k, x * y) for i, x in ac
+                                                    for k, y in tails[j])
+            pivots.append(c * m + j)
+            rows.append(row)
+    return Subspace._of(n * m, _scaled_form(tuple(pivots), scale, rows),
+                        lambda: kron_span(left.annihilator(), right.annihilator()))
+
+
+def kron_span(left: Subspace, right: Subspace) -> Subspace:
+    """A (x) B, with no elimination: the Kronecker product of RREF rows with
+    pivots p and q is an RREF row with pivot p*m + q, zero at every other
+    such pivot, so the row-major Kronecker products of the two bases are the
+    RREF basis, built on ints at L_A * L_B times it."""
+    m = right.ambient_dim
+    (p, la, a_rows), (q, lb, b_rows) = left._form, right._form
+    rows = [tuple((i * m + k, x * y) for i, x in ra for k, y in rb)
+            for ra in a_rows for rb in b_rows]
+    return Subspace._of(left.ambient_dim * m,
+                        _scaled_form(tuple(i * m + k for i in p for k in q), la * lb, rows))

@@ -24,6 +24,8 @@ f(F_e V) <= F_e W for every e >= -1.
 from __future__ import annotations
 
 import enum
+import weakref
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -36,12 +38,15 @@ from .linalg import (
     Subspace,
     Support,
     Vector,
+    block_sum,
     dot,
     identity,
+    image_support,
+    integer_columns,
     integer_support,
-    kron_vector,
     matvec,
     rank,
+    tensor_span,
     vector,
     zero_vector,
 )
@@ -170,6 +175,12 @@ class Pushforward:
         if rank(self.matrix) < n:
             raise DiffeolinError("pushforward matrix is singular")
 
+    @cached_property
+    def columns(self) -> tuple[Support, ...]:
+        """The supports of the columns of a positive multiple of the matrix,
+        which map a support of the base to the support of its image."""
+        return integer_columns(self.matrix, self.base.dim)[1]
+
 
 Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]
 
@@ -202,6 +213,37 @@ class DiffSpace:
     @cached_property
     def _presentation(self) -> Presentation:
         return _build_presentation(self)
+
+    def _dual(self) -> DualSpace:
+        """The dual, kept on the space for as long as anything holds it.  The
+        dual names the space as its base, so a strong memo would tie each
+        space and its dual into a cycle that only the collector frees."""
+        ref = self.__dict__.get("_dual_ref")
+        dual = ref() if ref is not None else None
+        if dual is None:
+            dual = DualSpace(self, singular_span(self).annihilator())
+            object.__setattr__(self, "_dual_ref", weakref.ref(dual))
+        return dual
+
+
+@dataclass(frozen=True, init=False)
+class DualSpace(DiffSpace):
+    """The diffeological dual of ``base`` (``hom.diffeological_dual``):
+    smooth linear functionals with the functional diffeology, which is fine
+    R^(dim V*) in coordinates over ``annihilator_basis`` (rows, in RREF over
+    the base coordinates).  Built by ``DiffSpace._dual``, which keeps it on
+    the base while it is held."""
+
+    base: DiffSpace
+    annihilator_basis: Subspace
+
+    def __init__(self, base: DiffSpace, annihilator_basis: Subspace):
+        super().__init__(annihilator_basis.dim, Fine())
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "annihilator_basis", annihilator_basis)
+
+    def describe(self) -> str:
+        return f"dual of {self.base.describe()}"
 
 
 def make_fine(n: int) -> DiffSpace:
@@ -261,29 +303,38 @@ def generating_plots(space: DiffSpace) -> tuple[Plot, ...]:
 
 # --- presentations -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
-    """The degree filtration of a space: spanning rows and closed-form steps.
+    """The degree filtration of a space: spanning directions and closed-form
+    steps.
 
-    ``rows`` holds (degree, direction) pairs: |x|*x^e times the direction is
-    a plot for every e >= degree.  The rows of degree -1 span the coarse part
-    C = F_-1, along which every set map is a plot; no other row lies in C.
-    ``step(e)`` is the constructor's closed form of F_e, at -1 and at each
-    presented degree, called on first use and kept.  ``supports`` holds the
-    rows as integer supports, the form membership tests read, also kept.
+    ``supports`` holds (degree, support) pairs: |x|*x^e times the direction
+    is a plot for every e >= degree.  The directions of degree -1 span the
+    coarse part C = F_-1, along which every set map is a plot; no other
+    direction lies in C.  ``rows`` holds the same pairs with the exact
+    directions as Fraction vectors, built by ``read_rows`` on first read (a
+    witness, ``smooth_hom_basis``) and kept; membership reads only the
+    supports.  ``step(e)`` is the constructor's closed form of F_e, at -1 and
+    at each presented degree, called on first use and kept in ``_steps``.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[int, Vector], ...]
-    step: Callable[[int], Subspace] = field(compare=False, repr=False)
-    _steps: dict[int, Subspace] = field(default_factory=dict, init=False, compare=False, repr=False)
+    supports: tuple[tuple[int, Support], ...]
+    step: Callable[[int], Subspace] = field(repr=False)
+    read_rows: Callable[[], tuple[tuple[int, Vector], ...]] = field(repr=False)
+    _steps: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
+    _asked: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def supports(self) -> tuple[tuple[int, Support], ...]:
-        return tuple((d, integer_support(r)) for d, r in self.rows)
+    def rows(self) -> tuple[tuple[int, Vector], ...]:
+        return self.read_rows()
+
+    @cached_property
+    def _degrees(self) -> list[int]:
+        return sorted({d for d, _ in self.supports})
 
     def singular_span(self) -> Subspace:
-        return self.filtration_step(max((d for d, _ in self.rows), default=-1))
+        return self.filtration_step(self._degrees[-1] if self._degrees else -1)
 
     def rows_up_to(self, degree: int) -> list[Vector]:
         """Spanning rows of the filtration step F_degree."""
@@ -291,11 +342,17 @@ class Presentation:
 
     def filtration_step(self, degree: int) -> Subspace:
         """F_degree as a subspace.  Steps are keyed by the largest presented
-        degree <= ``degree`` (or -1), so each distinct step is built once."""
-        key = max((d for d, _ in self.rows if d <= degree), default=-1)
-        step = self._steps.get(key)
+        degree <= ``degree`` (or -1), so each distinct step is built once;
+        each degree asked finds its key once, by bisection."""
+        step = self._asked.get(degree)
         if step is None:
-            step = self._steps[key] = self.step(key)
+            degrees = self._degrees
+            i = bisect(degrees, degree)
+            key = degrees[i - 1] if i else -1
+            step = self._steps.get(key)
+            if step is None:
+                step = self._steps[key] = self.step(key)
+            self._asked[degree] = step
         return step
 
 
@@ -306,115 +363,70 @@ def presentation(space: DiffSpace) -> Presentation:
 
 
 def _build_presentation(space: DiffSpace) -> Presentation:
-    """Spanning (degree, row) pairs per descriptor, with the closed form of
-    each step: constant for fine and coarse, the summands' steps side by
-    side for a sum (``_sum_step``), ``_tensor_presentation`` for a tensor,
-    and the elimination of the rows of degree <= e for generated spaces
-    (residue rows) and pushforwards (the base's rows mapped by the matrix)."""
+    """Spanning (degree, support) pairs per descriptor, with the closed form
+    of each step: constant for fine and coarse, the summands' steps side by
+    side for a sum (``block_sum``), ``_tensor_presentation`` for a tensor,
+    and the elimination of the supports of degree <= e for generated spaces
+    (residue rows) and pushforwards (the base's supports mapped by the
+    matrix on ints).  A sum, a pushforward and a tensor build their Fraction
+    rows only when they are read."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Presentation(n, (), lambda e: Subspace(n, ()))
+        return Presentation(n, (), lambda e: Subspace(n, ()), lambda: ())
     if isinstance(d, Coarse):
-        return Presentation(n, tuple((-1, r) for r in identity(n)), lambda e: Subspace.full(n))
+        return Presentation(n, tuple((-1, ((j, 1),)) for j in range(n)),
+                            lambda e: Subspace.full(n),
+                            lambda: tuple((-1, r) for r in identity(n)))
     if isinstance(d, SumOf):
-        lp, rp = presentation(d.left), presentation(d.right)
-        left_pad, right_pad = zero_vector(d.right.dim), zero_vector(d.left.dim)
-        rows = (tuple((deg, r + left_pad) for deg, r in lp.rows)
-                + tuple((deg, right_pad + r) for deg, r in rp.rows))
-        return Presentation(n, rows,
-                            lambda e: _sum_step(lp.filtration_step(e), rp.filtration_step(e)))
+        lp, rp, shift = presentation(d.left), presentation(d.right), d.left.dim
+        left_pad, right_pad = zero_vector(d.right.dim), zero_vector(shift)
+        return Presentation(
+            n, lp.supports + tuple((deg, [(shift + j, x) for j, x in s]) for deg, s in rp.supports),
+            lambda e: block_sum(lp.filtration_step(e), rp.filtration_step(e)),
+            lambda: (tuple((deg, r + left_pad) for deg, r in lp.rows)
+                     + tuple((deg, right_pad + r) for deg, r in rp.rows)))
     if isinstance(d, TensorOf):
         return _tensor_presentation(d.left, d.right)
     if isinstance(d, Generated):
         if any(g.target_dim != n for g in d.generators):
             raise DimensionMismatchError("generator dimension mismatch")
         rows = tuple(row for g in d.generators for row in g.residue_rows().items())
-    elif isinstance(d, Pushforward):
-        rows = tuple((deg, matvec(d.matrix, r)) for deg, r in presentation(d.base).rows)
-    else:
-        raise TypeError(f"no presentation for descriptor {type(d).__name__}")
-    return Presentation(n, rows, lambda e: Subspace.from_rows(n, [r for k, r in rows if k <= e]))
+        return _spanned(n, tuple((deg, integer_support(r)) for deg, r in rows), lambda: rows)
+    if isinstance(d, Pushforward):
+        base = presentation(d.base)
+        return _spanned(n, tuple((deg, image_support(d.columns, s)) for deg, s in base.supports),
+                        lambda: tuple((deg, matvec(d.matrix, r)) for deg, r in base.rows))
+    raise TypeError(f"no presentation for descriptor {type(d).__name__}")
 
 
-def _sum_step(left: Subspace, right: Subspace) -> Subspace:
-    """A (+) B with no elimination: the RREF rows of A padded right, then
-    those of B padded left, are in RREF, and so is Ann A (+) Ann B, built the
-    same way on first use."""
-    left_pad, right_pad = zero_vector(right.ambient_dim), zero_vector(left.ambient_dim)
-    n = left.ambient_dim + right.ambient_dim
-
-    def block(a: Subspace, b: Subspace) -> Matrix:
-        return tuple(r + left_pad for r in a.basis) + tuple(right_pad + r for r in b.basis)
-
-    return Subspace(n, block(left, right),
-                    lambda: Subspace(n, block(left.annihilator(), right.annihilator())))
+def _spanned(n: int, supports: tuple[tuple[int, Support], ...],
+             read_rows: Callable[[], tuple[tuple[int, Vector], ...]]) -> Presentation:
+    """The presentation whose step F_e is the span of its supports of degree
+    <= e, found by elimination."""
+    return Presentation(n, supports,
+                        lambda e: Subspace.from_supports(n, [s for k, s in supports if k <= e]),
+                        read_rows)
 
 
 def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
     """The flag F_e(V (x) W) = F_e V (x) R^m + R^n (x) F_e W, each step from
-    ``_tensor_step`` at -1 (the coarse rows absorb everything they touch)
+    ``tensor_span`` at -1 (the coarse rows absorb everything they touch)
     and at every degree either factor presents.  All are built here, since
-    the rows need them: those of each step whose pivot is new there, which
-    are dim S(V (x) W) independent rows, those of degree <= e spanning F_e."""
+    the supports need them: those of the rows of each step whose pivot is
+    new there, which are dim S(V (x) W) independent rows, those of degree
+    <= e spanning F_e."""
     lp, rp = presentation(left), presentation(right)
-    steps = {e: _tensor_step(lp.filtration_step(e), rp.filtration_step(e))
-             for e in sorted({-1} | {d for d, _ in lp.rows + rp.rows})}
-    rows, seen = [], set()
+    steps = {e: tensor_span(lp.filtration_step(e), rp.filtration_step(e))
+             for e in sorted({-1} | {d for d, _ in lp.supports + rp.supports})}
+    picked, seen = [], set()
     for e, step in steps.items():
-        rows.extend((e, r) for p, r in zip(step.pivots, step.basis) if p not in seen)
+        picked.extend((e, k) for k, p in enumerate(step.pivots) if p not in seen)
         seen.update(step.pivots)
-    return Presentation(left.dim * right.dim, tuple(rows), steps.__getitem__)
-
-
-def _tensor_step(left: Subspace, right: Subspace) -> Subspace:
-    """The RREF of A (x) R^m + R^n (x) B, read off the RREF rows A_p of A
-    (pivots P) and B_q of B (pivots Q) with no elimination: one row per
-    pivot, in pivot order,
-
-        (p, j), p in P:              A_p (x) e_j                        if j not in Q,
-                                     A_p (x) (e_j - B_j) + e_p (x) B_j  if j in Q;
-        (q, k), q not in P, k in Q:  e_q (x) B_k.
-
-    Each row lies in the span, has a leading 1 at its pivot and is zero at
-    every other pivot, and there are a*m + n*b - a*b of them, the dimension
-    of the span.  Every step carries its annihilator Ann A (x) Ann B,
-    built on first use: the row-major Kronecker products of the factor
-    bases are already in RREF."""
-    n, m = left.ambient_dim, right.ambient_dim
-    zero, one = zero_vector(n * m), Fraction(1)
-    a = {p: [(i, x) for i, x in enumerate(row) if x and i != p]
-         for p, row in zip(left.pivots, left.basis)}
-    b = dict(zip(right.pivots, right.basis))
-    # The entries of e_q - B_q, which is zero at q and at every other pivot.
-    tails = {q: [(k, -y) for k, y in enumerate(row) if y and k != q] for q, row in b.items()}
-    rows = []
-    for c in range(n):
-        ac = a.get(c)
-        for j in range(m):
-            bj = b.get(j)
-            if ac is None and bj is None:
-                continue
-            row = list(zero)
-            if ac is None:
-                row[c * m:(c + 1) * m] = bj
-            elif bj is None:
-                row[c * m + j] = one
-                for i, x in ac:
-                    row[i * m + j] = x
-            else:
-                # Block c is e_j (A_p is 1 at p); block i is A_p[i] * (e_j - B_j).
-                row[c * m + j] = one
-                for i, x in ac:
-                    for k, y in tails[j]:
-                        row[i * m + k] = x * y
-            rows.append(tuple(row))
-
-    def annihilator() -> Subspace:
-        return Subspace(n * m, tuple(kron_vector(phi, psi) for phi in left.annihilator().basis
-                                     for psi in right.annihilator().basis))
-
-    return Subspace(n * m, tuple(rows), annihilator)
+    return Presentation(left.dim * right.dim,
+                        tuple((e, steps[e].supports[k]) for e, k in picked),
+                        steps.__getitem__,
+                        lambda: tuple((e, steps[e].basis[k]) for e, k in picked))
 
 
 def singular_span(space: DiffSpace) -> Subspace:

@@ -10,16 +10,21 @@ with the coarse part at e = -1 and the singular span S(V) (x) R^m +
 R^n (x) S(W) at the top; pairs of singular generators only add
 |x|*|x| = x^2 terms, which are smooth (the test suite checks the residues of
 ``product_plot`` on generator pairs).  The presentation builds each step
-directly in RREF from the factors' RREF steps (``spaces._tensor_step``), so
+directly in RREF from the factors' RREF steps (``linalg.tensor_span``), so
 any two spaces tensor (fine, coarse, generated, sums, tensors, pushforwards
 (hat duals) and duals) with no elimination over the n*m coordinates.  The
 Kronecker product of RREF rows with pivots p and q is an RREF row with pivot
 p*m + q, zero at every other such pivot, so the RREF basis of Ann F_e(V (x) W)
 = Ann F_e V (x) Ann F_e W is the Kronecker products of the factor bases,
-row-major: every step carries it, and neither the dual nor a NotPlot
-certificate computes a nullspace.  ``tensor_dual_iso`` certifies the closed
-form against the block rows of the definition and is the one runtime check
-of it; ``tensor_product`` only builds the space.
+row-major (``linalg.kron_span``): every step carries it, and neither the
+dual nor a NotPlot certificate computes a nullspace.  Steps and
+annihilators are built on ints, as the integer RREF a ``Subspace`` stores,
+and the presentation's supports are the rows of the steps, so presenting,
+dualising and certifying a product builds no Fraction; the Fraction rows of
+a step or of the presentation are built only when read (a witness, a
+printed basis, ``smooth_hom_basis``).  ``tensor_dual_iso`` certifies the
+closed form against the block rows of the definition and is the one runtime
+check of it; ``tensor_product`` only builds the space.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .hom import (
     is_smooth_linear,
     smooth_hom_basis,
 )
-from .linalg import Subspace, identity, matmul, nullspace, transpose
+from .linalg import Subspace, identity, matmul, transpose
 from .oracle import classify
 from .spaces import (
     DiffSpace,
@@ -176,7 +176,7 @@ def _uncurried_smooth_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
             for i, si in enumerate(s):
                 left[k * n * n + i * n + t] = right[k * n * n + t * n + i] = si
             constraints += (left, right)
-    return Subspace(total, nullspace(constraints, total))
+    return Subspace.from_rows(total, constraints).annihilator()
 
 
 def check_curry_correspondence() -> tuple[bool, str]:

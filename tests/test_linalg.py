@@ -7,10 +7,12 @@ import pytest
 
 from diffeolin.linalg import (
     Subspace,
+    block_sum,
     identity,
     in_row_span,
     invert,
     kron,
+    kron_span,
     kron_vector,
     matmul,
     matvec,
@@ -19,6 +21,7 @@ from diffeolin.linalg import (
     rank,
     rref,
     solve,
+    tensor_span,
     transpose,
     unit_vector,
 )
@@ -299,3 +302,65 @@ def test_integer_kernel_agrees_with_the_fraction_reference(shape):
             expected = reference_solve(basis_t, v) if reduced else ()
             assert coords == expected
             assert all(isinstance(c, Fraction) for c in coords)
+
+
+def _random_row_set(rng, n):
+    """Rational rows over Q^n mixing zero rows, dependent rows, rows whose
+    first nonzero entry is negative and integer rows with content > 1."""
+    def entry():
+        return Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 6))
+
+    rows = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, n + 1))]
+    extra = [(Fraction(0),) * n]
+    if rows:
+        a, b = rng.choice(rows), rng.choice(rows)
+        extra.append(tuple(Fraction(rng.randint(-3, 3)) * x + Fraction(1, 2) * y
+                           for x, y in zip(a, b)))
+        extra.append(tuple(-abs(x) if i == 0 else x for i, x in enumerate(a)))
+    extra.append(tuple(Fraction(6 * rng.randint(-2, 2)) for _ in range(n)))
+    rows += rng.sample(extra, rng.randint(0, len(extra)))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_stored_form_matches_the_fraction_rref():
+    """``from_rows`` stores the integer RREF; ``Subspace(n, rref(rows))``
+    derives it from Fraction rows.  Both are one subspace: equal, with one
+    hash, basis, pivot tuple and annihilator, the annihilator being the
+    Fraction reference nullspace."""
+    rng = random.Random("linalg-form")
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = _random_row_set(rng, n)
+        stored, derived = Subspace.from_rows(n, rows), Subspace(n, rref(rows))
+        assert stored == derived and hash(stored) == hash(derived)
+        assert stored.basis == derived.basis == reference_rref(rows)
+        assert stored.pivots == derived.pivots and stored.dim == derived.dim
+        ann = stored.annihilator()
+        assert ann == derived.annihilator() and hash(ann) == hash(derived.annihilator())
+        assert ann.basis == (reference_nullspace(rows, n) if stored.dim else identity(n))
+
+
+def test_closed_form_constructors_store_the_form_elimination_finds():
+    """``block_sum``, ``tensor_span`` and ``kron_span`` build their forms
+    from their factors' forms with no elimination; each equals, with one
+    hash, the elimination of its spanning rows, and so does each
+    annihilator."""
+    rng = random.Random("linalg-closed-forms")
+    for _ in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = Subspace.from_rows(n, _random_row_set(rng, n))
+        b = Subspace.from_rows(m, _random_row_set(rng, m))
+        zero_n, zero_m = (Fraction(0),) * n, (Fraction(0),) * m
+        spans = {
+            block_sum: [r + zero_m for r in a.basis] + [zero_n + r for r in b.basis],
+            tensor_span: ([kron_vector(r, e) for r in a.basis for e in identity(m)]
+                          + [kron_vector(e, r) for e in identity(n) for r in b.basis]),
+            kron_span: [kron_vector(r, s) for r in a.basis for s in b.basis],
+        }
+        for build, rows in spans.items():
+            width = n + m if build is block_sum else n * m
+            closed, eliminated = build(a, b), Subspace.from_rows(width, rows)
+            assert closed == eliminated and hash(closed) == hash(eliminated)
+            assert closed.basis == eliminated.basis
+            assert closed.annihilator() == eliminated.annihilator()

@@ -579,8 +579,8 @@ def test_annihilator_is_kept_on_its_subspace(monkeypatch):
     import diffeolin.linalg as linalg
 
     calls = []
-    real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda *a: calls.append(a) or real(*a))
+    real = linalg._annihilator_form
+    monkeypatch.setattr(linalg, "_annihilator_form", lambda *a: calls.append(a) or real(*a))
     v = make_generated(3, [kink_plot(3, 0)])
     answers = {separating_functional(v, kink_plot(3, 1)) for _ in range(5)}
     assert len(answers) == 1 and None not in answers
@@ -627,3 +627,38 @@ def test_memos_under_concurrent_first_use():
             assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_pushforward_is_presented_on_ints(monkeypatch):
+    """Presenting a hat dual of a presented base, and building each of its
+    steps with its annihilator, constructs no Fraction: the base's supports
+    go through the integer columns of the matrix.  The rows read afterwards
+    are the base's rows mapped by the matrix, and each step is their span."""
+    rng = random.Random(1504)
+    hats = []
+    for _ in range(30):
+        base = _random_summand(rng)
+        iso = tuple(tuple(Fraction(x, rng.randint(1, 3)) for x in row)
+                    for row in _random_hat_iso(rng, base.dim))
+        presentation(base).rows
+        hats.append(hat_dual(base, iso))
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for hat in hats:
+        pres = presentation(hat)
+        for degree in range(-1, 7):
+            pres.filtration_step(degree).annihilator()
+    assert not built
+    monkeypatch.undo()
+    for hat in hats:
+        pres, d = presentation(hat), hat.diffeology
+        assert pres.rows == tuple((e, matvec(d.matrix, r)) for e, r in presentation(d.base).rows)
+        for degree in range(-1, 7):
+            assert pres.filtration_step(degree) == Subspace.from_rows(hat.dim,
+                                                                      pres.rows_up_to(degree))

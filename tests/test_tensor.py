@@ -265,40 +265,30 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
 def test_presenting_a_product_eliminates_nothing_over_its_coordinates(monkeypatch):
     """With both factors presented, presenting V (x) W, taking the
     annihilator of every step (the dual's among them) and certifying the
-    dual isomorphism call rref and nullspace on factor-sized matrices only,
-    never on the n*m product coordinates."""
+    dual isomorphism eliminate over factor-sized matrices only, never over
+    the n*m product coordinates: every ``linalg._eliminate`` call is
+    recorded with its width."""
     import diffeolin.linalg as linalg
 
     widths = []
-
-    def counted(name):
-        real = getattr(linalg, name)
-
-        def wrapper(m, *args):
-            m = tuple(m)
-            widths.append((name, args[0] if args else len(m[0]) if m else 0))
-            return real(m, *args)
-
-        monkeypatch.setattr(linalg, name, wrapper)
-
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, n: widths.append(n) or real(rows, n))
     pairs = [(v, w) for v, w in _closed_form_pairs(4669, 24) if v.dim > 1 and w.dim > 1]
     pairs.append((kink_space(8, 4), direct_sum(kink_space(5, 2), make_coarse(3))))
     for v, w in pairs:
         presentation(v), presentation(w)
-    counted("rref")
-    counted("nullspace")
-    seen = set()
+    seen = []
     for v, w in pairs:
         widths.clear()
         t = tensor_product(v, w)
         pres = presentation(t)
-        for e in {-1} | {d for d, _ in pres.rows}:
+        for e in {-1} | {d for d, _ in pres.supports}:
             pres.filtration_step(e).annihilator()
         diffeological_dual(t)
         tensor_dual_iso(v, w)
-        assert v.dim * w.dim not in {width for _, width in widths}, (v.describe(), w.describe())
-        seen.update(name for name, _ in widths)
-    assert seen == {"rref", "nullspace"}
+        assert v.dim * w.dim not in widths, (v.describe(), w.describe())
+        seen.extend(widths)
+    assert seen
 
 
 def _generator_pair_rows_outside_the_span(v, w):
@@ -516,3 +506,44 @@ def test_sum_factors_in_tensor():
     t = tensor_product(s, make_fine(2))
     assert singular_span(t).dim == 2
     assert diffeological_dual(t).dim == 2
+
+
+def test_a_product_is_presented_dualised_and_certified_without_fractions(monkeypatch):
+    """With both factors presented, presenting V (x) W, reading the
+    annihilator of every step, dualising it and certifying the dual
+    isomorphism construct no Fraction: steps, annihilators and supports stay
+    integer forms until ``basis`` or ``rows`` is read."""
+    pairs = _closed_form_pairs(2718, 24)
+    pairs.append((kink_space(8, 4), direct_sum(kink_space(5, 2), make_coarse(3))))
+    for v, w in pairs:
+        presentation(v), presentation(w)
+    built = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    products = []
+    for v, w in pairs:
+        t = tensor_product(v, w)
+        pres = presentation(t)
+        for degree in {-1} | {d for d, _ in pres.supports}:
+            pres.filtration_step(degree).annihilator()
+        dual = diffeological_dual(t)
+        iso = tensor_dual_iso(v, w)
+        assert iso.isomorphism and dual.dim == iso.codomain_dim
+        assert not built, (v.describe(), w.describe(), built[:3])
+        products.append((t, pres, dual))
+    for t, pres, dual in products:
+        if pres.supports:
+            pres.rows
+            dual.annihilator_basis.basis
+    assert built
+    monkeypatch.undo()
+    for t, pres, dual in products:
+        n = t.dim
+        assert Subspace.from_rows(n, [r for _, r in pres.rows]) == singular_span(t)
+        assert dual.annihilator_basis.basis == (nullspace(singular_span(t).basis, n)
+                                                if singular_span(t).dim else identity(n))
