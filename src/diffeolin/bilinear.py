@@ -23,9 +23,10 @@ from .linalg import (
     Subspace,
     Vector,
     identity,
+    image_support,
+    integer_columns,
     integer_family,
     kron_vector,
-    matrix_image_support,
     matvec,
     vector,
 )
@@ -61,9 +62,12 @@ class BilinearForm:
     @cached_property
     def verdict(self) -> Verdict:
         """``is_smooth_bilinear``'s answer, decided on first use and kept:
-        NotSmooth at the first block row (d, r) whose image leaves F_d(Z)."""
+        NotSmooth at the first block row (d, r) whose image leaves F_d(Z),
+        each image mapped on ints through the columns of the matrix, as
+        ``LinearMap`` maps supports."""
         cod = presentation(self.codomain)
-        smooth = all(cod.filtration_step(d).contains_support(matrix_image_support(self.matrix, s))
+        _, columns = integer_columns(self.matrix, self.left.dim * self.right.dim)
+        smooth = all(cod.filtration_step(d).contains_support(image_support(columns, s))
                      for d, s in _tensor_rows(self.left, self.right))
         return Verdict.SMOOTH if smooth else Verdict.NOT_SMOOTH
 
@@ -97,9 +101,8 @@ def is_smooth_bilinear(b: BilinearForm) -> Verdict:
 
 def smooth_bilinear_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth bilinear maps v x v -> w over the coordinates of
-    ``form_from_flat``: the smooth linear maps v (x) v -> w, constrained on
-    the closed-form presentation of v (x) v, whose dim S(v (x) v) rows are
-    independent (``tensor`` module docstring)."""
+    ``form_from_flat``: the smooth linear maps v (x) v -> w, spanned from
+    the closed-form flag of v (x) v and that of w (``smooth_hom_basis``)."""
     return smooth_hom_basis(tensor_product(v, v), w)
 
 

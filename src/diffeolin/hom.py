@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .linalg import (
     Matrix,
@@ -27,8 +28,6 @@ from .linalg import (
     identity,
     image_support,
     integer_columns,
-    kron_vector,
-    matmul,
     matvec,
     transpose,
 )
@@ -95,14 +94,23 @@ class LinearMap:
         return tuple(Fraction(y, den) for y in out)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other."""
+        """self after other, column by column: the images of other's
+        columns, one per domain dimension, so that a zero-dimensional middle
+        space still gives the product its width."""
         if other.codomain.dim != self.domain.dim:
             raise DimensionMismatchError("composition dimension mismatch")
-        return LinearMap(other.domain, self.codomain, matmul(self.matrix, other.matrix))
+        columns = [self.apply(tuple(row[j] for row in other.matrix))
+                   for j in range(other.domain.dim)]
+        return LinearMap(other.domain, self.codomain,
+                         tuple(tuple(c[i] for c in columns) for i in range(self.codomain.dim)))
 
 
 def identity_map(space: DiffSpace) -> LinearMap:
-    return LinearMap(space, space, identity(space.dim))
+    """The identity, handed its unit columns: ``integer_columns`` would scan
+    all n^2 entries of the matrix to find them."""
+    f = LinearMap(space, space, identity(space.dim))
+    object.__setattr__(f, "_integer_columns", (1, tuple(((j, 1),) for j in range(space.dim))))
+    return f
 
 
 @dataclass(frozen=True)
@@ -128,21 +136,23 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
     row r presented at degree d >= 0.  The map is smooth iff f(r) lies in
     F_d of the codomain for every row (d, r), coarse rows included.
 
-    A failing row r of degree d >= 0 has the witness |x|*x^d * r.  A coarse
-    row c with f(c) outside C is shown by the atom curve |x| * c only when
-    f(c) is also outside F_0 of the codomain; otherwise only non-smooth set
-    maps into C show it.  If no failing row has a witness, the NotSmooth
-    verdict carries none.
+    A failing row r of degree d >= 0 has the witness |x|*x^d * r, with r
+    the primitive integer vector of its support (the support divided by the
+    gcd of its entries).  A coarse row c with f(c) outside C is shown by the
+    atom curve |x| * c only when f(c) is also outside F_0 of the codomain;
+    otherwise only non-smooth set maps into C show it.  If no failing row
+    has a witness, the NotSmooth verdict carries none.
     """
     pres = presentation(f.domain)
     cod_pres = presentation(f.codomain)
     _, columns = f._integer_columns
     coarse_failure = False
-    for k, (degree, support) in enumerate(pres.supports):
+    for degree, support in pres.supports:
         image = image_support(columns, support)
         if cod_pres.filtration_step(degree).contains_support(image):
             continue
-        r = pres.rows[k][1]
+        content, entries = gcd(*[x for _, x in support]), dict(support)
+        r = [entries.get(j, 0) // content for j in range(f.domain.dim)]
         if degree >= 0:
             return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r, degree),
                                     reason="image of a singular direction is not a plot")
@@ -156,16 +166,26 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:
     """Basis of the smooth linear maps v -> w, as a subspace of L(v, w) over
-    the row-major flattened matrix coordinates: the maps M with M r in
-    F_d(w) for each row r presented at degree d, ``check_smooth_linear``'s
-    criterion, linear in M.  psi(M r) = kron(psi, r) . M for psi in
-    Ann(F_d(w)), so the smooth maps are the annihilator of those rows."""
-    cod = presentation(w)
-    constraints = []
-    for degree, r in presentation(v).rows:
-        ann = cod.filtration_step(degree).annihilator()
-        constraints.extend(kron_vector(psi, r) for psi in ann.basis)
-    return Subspace.from_rows(v.dim * w.dim, constraints).annihilator()
+    the row-major flattened matrix coordinates (entry (k, i) at k*n + i),
+    spanned from the two flags.  With A_e = F_e(v), B_e = F_e(w), A_-2 = 0
+    and B = R^m past the top step, the smooth maps are the sum over e of
+    B_e (x) Ann A_(e-1): b (x) psi kills A_f for f < e and maps A_f into
+    B_e <= B_f for f >= e, and the dimensions agree.  Ann A_(e-1) shrinks
+    as e grows, so B_e adds only its RREF rows whose pivot is new at e."""
+    dom, cod = presentation(v), presentation(w)
+    n, m = v.dim, w.dim
+    degrees = sorted({-1} | {d for d, _ in dom.supports + cod.supports})
+    products, seen, ann = [], set(), Subspace.full(n)
+    for e in degrees + [None]:
+        step = Subspace.full(m) if e is None else cod.filtration_step(e)
+        for p, b in zip(step.pivots, step.supports):
+            if p not in seen:
+                products.extend([(k * n + i, x * y) for k, x in b for i, y in psi]
+                                for psi in ann.supports)
+        seen.update(step.pivots)
+        if e is not None:
+            ann = dom.filtration_step(e).annihilator()
+    return Subspace.from_supports(n * m, products)
 
 
 def dual_map(f: LinearMap) -> LinearMap:

@@ -28,12 +28,12 @@ A membership test reads its vector as a *support*: the nonzero entries of a
 positive multiple of the vector as (index, int) pairs (``integer_support``),
 tested by ``Subspace.contains_support``.  Membership does not see the
 multiple, so callers build supports once and keep them: a presentation
-keeps one per row, a map keeps its matrix as integer columns and maps a
-support to the support of its image (``image_support``), a bilinear form
-reads its entries at the columns of a support (``matrix_image_support``),
-and tensor block rows are shifted supports.  The rows of a form are
-supports too (``Subspace.supports``), and ``Subspace.from_supports`` spans
-a list of them.  A query on supports does no Fraction arithmetic.
+holds its directions only as supports, a map or a bilinear form keeps its
+matrix as integer columns and maps a support to the support of its image
+(``image_support``), and tensor block rows are shifted supports.  The rows
+of a form are supports too (``Subspace.supports``), and
+``Subspace.from_supports`` spans a list of them.  A query on supports does
+no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -169,17 +169,6 @@ def image_support(columns: Sequence[Support], support: Support) -> Support:
     for j, x in support:
         for i, a in columns[j]:
             out[i] = out.get(i, 0) + a * x
-    return [(i, y) for i, y in out.items() if y]
-
-
-def matrix_image_support(m: Matrix, support: Support) -> Support:
-    """The support of M v, for the support of v, read off the entries of M
-    at the columns of that support only: no column form of M is built."""
-    hits = [(i, x, row[j]) for i, row in enumerate(m) for j, x in support]
-    out: dict[int, int] = {}
-    for k, a in integer_support([a for _, _, a in hits]):
-        i, x, _ = hits[k]
-        out[i] = out.get(i, 0) + a * x
     return [(i, y) for i, y in out.items() if y]
 
 
@@ -344,14 +333,13 @@ def _annihilator_form(n: int, form: Form) -> Form:
 class Subspace:
     """A subspace of Q^n, canonically represented by its RREF row basis.
 
-    What is stored is the integer form of that basis (``Form``):
-    ``from_rows`` and ``from_supports`` read it off elimination, and
-    ``block_sum``, ``tensor_span`` and ``kron_span`` build it in closed
-    form from the forms of their factors.  The form is canonical, so
-    equality and hashing compare it; ``dim``, ``pivots``, ``supports`` and
-    membership read it.  The Fraction rows of ``basis`` are built from it on
-    first read and kept.  ``Subspace(n, basis)`` takes RREF rows instead,
-    and builds its form from them on first use.
+    What is stored is the integer form of that basis (``Form``), the one
+    argument of the constructor: ``from_rows`` and ``from_supports`` read it
+    off elimination, and ``block_sum``, ``tensor_span`` and ``kron_span``
+    build it in closed form from the forms of their factors.  The form is
+    canonical, so equality and hashing compare it; ``dim``, ``pivots``,
+    ``supports`` and membership read it.  The Fraction rows of ``basis`` are
+    built from it on first read and kept.
 
     A constructor that knows the annihilator in closed form hands it in as
     ``known_annihilator``: a function returning the subspace that
@@ -359,20 +347,11 @@ class Subspace:
     elimination.  It takes no part in equality.
     """
 
-    def __init__(self, ambient_dim: int, basis: Iterable[Sequence],
+    def __init__(self, ambient_dim: int, form: Form,
                  known_annihilator: Callable[[], "Subspace"] | None = None):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(basis)
+        self._form = form
         self.known_annihilator = known_annihilator
-
-    @staticmethod
-    def _of(ambient_dim: int, form: Form,
-            known_annihilator: Callable[[], "Subspace"] | None = None) -> "Subspace":
-        space = Subspace.__new__(Subspace)
-        space.ambient_dim = ambient_dim
-        space._form = form
-        space.known_annihilator = known_annihilator
-        return space
 
     @staticmethod
     def from_rows(ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
@@ -384,29 +363,19 @@ class Subspace:
 
     @staticmethod
     def from_supports(ambient_dim: int, supports: Iterable[Support]) -> "Subspace":
-        """The span of vectors given by their supports."""
+        """The span of vectors given by their supports; () spans the zero space."""
         dense = []
         for support in supports:
             row = [0] * ambient_dim
             for j, x in support:
                 row[j] = x
             dense.append(row)
-        return Subspace._of(ambient_dim, _reduced_form(_eliminate(dense, ambient_dim)))
+        return Subspace(ambient_dim, _reduced_form(_eliminate(dense, ambient_dim)))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._of(ambient_dim, (tuple(range(ambient_dim)), 1,
-                                          tuple(((j, 1),) for j in range(ambient_dim))))
-
-    @cached_property
-    def _form(self) -> Form:
-        """The form of a basis handed in as RREF rows."""
-        sparse = [[(j, x) for j, x in enumerate(row) if x is not ZERO and x]
-                  for row in self.basis]
-        den = lcm(*[x.denominator for row in sparse for _, x in row])
-        return (tuple(row[0][0] for row in sparse), den,
-                tuple(tuple((j, x.numerator * (den // x.denominator)) for j, x in row)
-                      for row in sparse))
+        return Subspace(ambient_dim, (tuple(range(ambient_dim)), 1,
+                                      tuple(((j, 1),) for j in range(ambient_dim))))
 
     @cached_property
     def basis(self) -> Matrix:
@@ -497,7 +466,7 @@ class Subspace:
             return self.known_annihilator()
         if not self.dim:
             return Subspace.full(self.ambient_dim)
-        return Subspace._of(self.ambient_dim, _annihilator_form(self.ambient_dim, self._form))
+        return Subspace(self.ambient_dim, _annihilator_form(self.ambient_dim, self._form))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on the subspace, as rows in the dual
@@ -516,8 +485,8 @@ def block_sum(left: Subspace, right: Subspace) -> Subspace:
     form = (p + tuple(n + j for j in q), den,
             tuple(tuple((j, x * sa) for j, x in row) for row in a_rows)
             + tuple(tuple((n + j, x * sb) for j, x in row) for row in b_rows))
-    return Subspace._of(n + right.ambient_dim, form,
-                        lambda: block_sum(left.annihilator(), right.annihilator()))
+    return Subspace(n + right.ambient_dim, form,
+                    lambda: block_sum(left.annihilator(), right.annihilator()))
 
 
 def tensor_span(left: Subspace, right: Subspace) -> Subspace:
@@ -559,8 +528,8 @@ def tensor_span(left: Subspace, right: Subspace) -> Subspace:
                                                     for k, y in tails[j])
             pivots.append(c * m + j)
             rows.append(row)
-    return Subspace._of(n * m, _scaled_form(tuple(pivots), scale, rows),
-                        lambda: kron_span(left.annihilator(), right.annihilator()))
+    return Subspace(n * m, _scaled_form(tuple(pivots), scale, rows),
+                    lambda: kron_span(left.annihilator(), right.annihilator()))
 
 
 def kron_span(left: Subspace, right: Subspace) -> Subspace:
@@ -572,5 +541,5 @@ def kron_span(left: Subspace, right: Subspace) -> Subspace:
     (p, la, a_rows), (q, lb, b_rows) = left._form, right._form
     rows = [tuple((i * m + k, x * y) for i, x in ra for k, y in rb)
             for ra in a_rows for rb in b_rows]
-    return Subspace._of(left.ambient_dim * m,
-                        _scaled_form(tuple(i * m + k for i in p for k in q), la * lb, rows))
+    return Subspace(left.ambient_dim * m,
+                    _scaled_form(tuple(i * m + k for i in p for k in q), la * lb, rows))

@@ -40,15 +40,12 @@ from .linalg import (
     Vector,
     block_sum,
     dot,
-    identity,
     image_support,
     integer_columns,
     integer_support,
-    matvec,
     rank,
     tensor_span,
     vector,
-    zero_vector,
 )
 
 
@@ -311,23 +308,18 @@ class Presentation:
     ``supports`` holds (degree, support) pairs: |x|*x^e times the direction
     is a plot for every e >= degree.  The directions of degree -1 span the
     coarse part C = F_-1, along which every set map is a plot; no other
-    direction lies in C.  ``rows`` holds the same pairs with the exact
-    directions as Fraction vectors, built by ``read_rows`` on first read (a
-    witness, ``smooth_hom_basis``) and kept; membership reads only the
-    supports.  ``step(e)`` is the constructor's closed form of F_e, at -1 and
-    at each presented degree, called on first use and kept in ``_steps``.
+    direction lies in C.  A direction is kept only as its support, a
+    positive integer multiple of it: membership, a witness plot and
+    ``smooth_hom_basis`` read nothing else.  ``step(e)`` is the
+    constructor's closed form of F_e, at -1 and at each presented degree,
+    called on first use and kept in ``_steps``.
     """
 
     ambient_dim: int
     supports: tuple[tuple[int, Support], ...]
     step: Callable[[int], Subspace] = field(repr=False)
-    read_rows: Callable[[], tuple[tuple[int, Vector], ...]] = field(repr=False)
     _steps: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
     _asked: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, Vector], ...]:
-        return self.read_rows()
 
     @cached_property
     def _degrees(self) -> list[int]:
@@ -337,8 +329,9 @@ class Presentation:
         return self.filtration_step(self._degrees[-1] if self._degrees else -1)
 
     def rows_up_to(self, degree: int) -> list[Vector]:
-        """Spanning rows of the filtration step F_degree."""
-        return [r for d, r in self.rows if d <= degree]
+        """Spanning directions of F_degree, as the vectors of their supports."""
+        return [vector(dict(s).get(j, 0) for j in range(self.ambient_dim))
+                for d, s in self.supports if d <= degree]
 
     def filtration_step(self, degree: int) -> Subspace:
         """F_degree as a subspace.  Steps are keyed by the largest presented
@@ -368,45 +361,37 @@ def _build_presentation(space: DiffSpace) -> Presentation:
     side for a sum (``block_sum``), ``_tensor_presentation`` for a tensor,
     and the elimination of the supports of degree <= e for generated spaces
     (residue rows) and pushforwards (the base's supports mapped by the
-    matrix on ints).  A sum, a pushforward and a tensor build their Fraction
-    rows only when they are read."""
+    matrix on ints)."""
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Presentation(n, (), lambda e: Subspace(n, ()), lambda: ())
+        return Presentation(n, (), lambda e: Subspace.from_supports(n, ()))
     if isinstance(d, Coarse):
         return Presentation(n, tuple((-1, ((j, 1),)) for j in range(n)),
-                            lambda e: Subspace.full(n),
-                            lambda: tuple((-1, r) for r in identity(n)))
+                            lambda e: Subspace.full(n))
     if isinstance(d, SumOf):
         lp, rp, shift = presentation(d.left), presentation(d.right), d.left.dim
-        left_pad, right_pad = zero_vector(d.right.dim), zero_vector(shift)
         return Presentation(
             n, lp.supports + tuple((deg, [(shift + j, x) for j, x in s]) for deg, s in rp.supports),
-            lambda e: block_sum(lp.filtration_step(e), rp.filtration_step(e)),
-            lambda: (tuple((deg, r + left_pad) for deg, r in lp.rows)
-                     + tuple((deg, right_pad + r) for deg, r in rp.rows)))
+            lambda e: block_sum(lp.filtration_step(e), rp.filtration_step(e)))
     if isinstance(d, TensorOf):
         return _tensor_presentation(d.left, d.right)
     if isinstance(d, Generated):
         if any(g.target_dim != n for g in d.generators):
             raise DimensionMismatchError("generator dimension mismatch")
-        rows = tuple(row for g in d.generators for row in g.residue_rows().items())
-        return _spanned(n, tuple((deg, integer_support(r)) for deg, r in rows), lambda: rows)
+        return _spanned(n, tuple((deg, integer_support(r)) for g in d.generators
+                                 for deg, r in g.residue_rows().items()))
     if isinstance(d, Pushforward):
         base = presentation(d.base)
-        return _spanned(n, tuple((deg, image_support(d.columns, s)) for deg, s in base.supports),
-                        lambda: tuple((deg, matvec(d.matrix, r)) for deg, r in base.rows))
+        return _spanned(n, tuple((deg, image_support(d.columns, s)) for deg, s in base.supports))
     raise TypeError(f"no presentation for descriptor {type(d).__name__}")
 
 
-def _spanned(n: int, supports: tuple[tuple[int, Support], ...],
-             read_rows: Callable[[], tuple[tuple[int, Vector], ...]]) -> Presentation:
+def _spanned(n: int, supports: tuple[tuple[int, Support], ...]) -> Presentation:
     """The presentation whose step F_e is the span of its supports of degree
     <= e, found by elimination."""
     return Presentation(n, supports,
-                        lambda e: Subspace.from_supports(n, [s for k, s in supports if k <= e]),
-                        read_rows)
+                        lambda e: Subspace.from_supports(n, [s for k, s in supports if k <= e]))
 
 
 def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
@@ -419,14 +404,11 @@ def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
     lp, rp = presentation(left), presentation(right)
     steps = {e: tensor_span(lp.filtration_step(e), rp.filtration_step(e))
              for e in sorted({-1} | {d for d, _ in lp.supports + rp.supports})}
-    picked, seen = [], set()
+    supports, seen = [], set()
     for e, step in steps.items():
-        picked.extend((e, k) for k, p in enumerate(step.pivots) if p not in seen)
+        supports.extend((e, s) for p, s in zip(step.pivots, step.supports) if p not in seen)
         seen.update(step.pivots)
-    return Presentation(left.dim * right.dim,
-                        tuple((e, steps[e].supports[k]) for e, k in picked),
-                        steps.__getitem__,
-                        lambda: tuple((e, steps[e].basis[k]) for e, k in picked))
+    return Presentation(left.dim * right.dim, tuple(supports), steps.__getitem__)
 
 
 def singular_span(space: DiffSpace) -> Subspace:

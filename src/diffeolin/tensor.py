@@ -21,8 +21,8 @@ dual nor a NotPlot certificate computes a nullspace.  Steps and
 annihilators are built on ints, as the integer RREF a ``Subspace`` stores,
 and the presentation's supports are the rows of the steps, so presenting,
 dualising and certifying a product builds no Fraction; the Fraction rows of
-a step or of the presentation are built only when read (a witness, a
-printed basis, ``smooth_hom_basis``).  ``tensor_dual_iso`` certifies the
+a step are built only when its basis is read (a printed basis, a NotPlot
+certificate).  ``tensor_dual_iso`` certifies the
 closed form against the block rows of the definition and is the one runtime
 check of it; ``tensor_product`` only builds the space.
 """

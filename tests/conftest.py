@@ -1,6 +1,39 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and the references that several
+of them import."""
+
+from math import gcd
 
 import pytest
+
+from diffeolin.linalg import Subspace, vector
+from diffeolin.spaces import presentation
+
+
+def ray(support):
+    """A support divided by the gcd of its entries, in index order: equal
+    for positive multiples of one vector."""
+    content = gcd(*[x for _, x in support])
+    return sorted((j, x // content) for j, x in support)
+
+
+def presented_rows(space):
+    """The (degree, direction) pairs of the presentation of ``space``, each
+    direction the vector of its support."""
+    return [(d, vector(dict(s).get(j, 0) for j in range(space.dim)))
+            for d, s in presentation(space).supports]
+
+
+def constraint_hom_basis(v, w, late=0):
+    """The smooth maps v -> w by elimination, the route the spanned basis
+    replaced: the maps M with psi(M r) = 0 for each direction r presented at
+    degree d and each psi in Ann F_(d + late)(w), that is the annihilator of
+    the rows psi (x) r, with entry (k, i) at k*n + i.  ``late`` = 0 is
+    ``check_smooth_linear``'s criterion."""
+    cod, n = presentation(w), v.dim
+    constraints = [[(k * n + i, y * x) for k, y in psi for i, x in r]
+                   for degree, r in presentation(v).supports
+                   for psi in cod.filtration_step(degree + late).annihilator().supports]
+    return Subspace.from_supports(n * w.dim, constraints).annihilator()
 
 
 @pytest.fixture
@@ -14,7 +47,7 @@ def left_block_rows_only(monkeypatch):
     real = spaces.tensor_span
 
     def left_factor_only(left, right):
-        return real(left, spaces.Subspace(right.ambient_dim, ()))
+        return real(left, spaces.Subspace.from_supports(right.ambient_dim, ()))
 
     monkeypatch.setattr(spaces, "tensor_span", left_factor_only)
 
@@ -46,16 +79,8 @@ def late_hom_basis(monkeypatch):
     degree d constrained to M r in F_(d+1)(W), one degree late, in place of
     F_d(W).  Only ``verify.check_dual_map_smoothness`` sees it."""
     import diffeolin.verify as verify
-    from diffeolin.linalg import Subspace, kron_vector, nullspace
-    from diffeolin.spaces import presentation
 
-    def late(v, w):
-        cod, total = presentation(w), v.dim * w.dim
-        constraints = [kron_vector(psi, r) for degree, r in presentation(v).rows
-                       for psi in cod.filtration_step(degree + 1).annihilator().basis]
-        return Subspace(total, nullspace(constraints, total))
-
-    monkeypatch.setattr(verify, "smooth_hom_basis", late)
+    monkeypatch.setattr(verify, "smooth_hom_basis", lambda v, w: constraint_hom_basis(v, w, 1))
 
 
 @pytest.fixture

@@ -37,6 +37,8 @@ from diffeolin.bilinear import CurriedMap
 from diffeolin.linalg import Subspace, invert, kron_vector, unit_vector
 from diffeolin.spaces import Plot, presentation
 
+from conftest import presented_rows
+
 
 def kink_space(n, k):
     return make_generated(n, [kink_plot(n, i) for i in range(k)])
@@ -444,8 +446,8 @@ def _fraction_is_smooth_bilinear(b):
         )
 
     cod = presentation(b.codomain)
-    blocks = [(d, left_slice(r)) for d, r in presentation(b.left).rows]
-    blocks += [(d, right_slice(r)) for d, r in presentation(b.right).rows]
+    blocks = [(d, left_slice(r)) for d, r in presented_rows(b.left)]
+    blocks += [(d, right_slice(r)) for d, r in presented_rows(b.right)]
     for d, images in blocks:
         if not all(cod.filtration_step(d).contains(y) for y in images):
             return Verdict.NOT_SMOOTH

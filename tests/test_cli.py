@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -124,6 +125,34 @@ def test_closed_pipe_exits_1_without_a_traceback(tmp_path):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err, err.decode()
+
+
+def _dense_generated_32():
+    """Generated R^32 with 8 generators, each coordinate 0 with probability
+    2/5, else c*abs(x)*x^d with c in {1, -1, 2} and d in {0, 1, 2}, drawn
+    from random.Random(1).  Its flag has dimensions (0, 8, 16, 24)."""
+    rng = random.Random(1)
+    generators = [["0" if rng.random() < 0.4
+                   else f"{rng.choice([1, -1, 2])}*abs(x)*x^{rng.randint(0, 2)}"
+                   for _ in range(32)] for _ in range(8)]
+    return {"dim": 32, "diffeology": {"generated": generators}}
+
+
+@pytest.mark.parametrize("argv, key, expected", [
+    (("hom", "g32", "g32"), "hom_dim", 640),
+    (("bilinear", "g32", "f1"), "bilinear_dim", 64),
+], ids=["hom", "bilinear"])
+def test_hom_and_bilinear_at_the_unknowns_cap(run, tmp_path, argv, key, expected):
+    """hom and bilinear on a dense generated R^32 take 1,024 unknowns, the
+    cap, and answer: the 640 smooth endomorphisms are sum_e 8 * dim F_e over
+    the steps 8, 16, 24 and R^32, and the 64 smooth bilinear forms into the
+    line are (dim V*)^2 = 8^2."""
+    path = tmp_path / "g32.json"
+    path.write_text(json.dumps({"spaces": {"g32": _dense_generated_32(),
+                                           "f1": {"dim": 1, "diffeology": "fine"}}}))
+    code, out, err = run("--json", "-f", str(path), *argv)
+    assert code == 0 and err.count("error:") <= 1
+    assert json.loads(out)["result"][key] == expected
 
 
 def test_human_output_converts_nothing_to_json(run, monkeypatch):

@@ -1,7 +1,9 @@
 """Duals, smooth hom spaces, dual maps and the pushforward (hat) dual."""
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -32,10 +34,22 @@ from diffeolin import (
     smooth_hom_basis,
     tensor_product,
 )
+from diffeolin import verify
 from diffeolin.hom import _COARSE_FAILURE
-from diffeolin.linalg import Subspace, dot, identity, invert, matmul, transpose
+from diffeolin.linalg import (
+    Subspace,
+    dot,
+    identity,
+    integer_columns,
+    integer_support,
+    invert,
+    matmul,
+    transpose,
+)
 from diffeolin.spaces import presentation
 from diffeolin.tensor import _tensor_rows
+
+from conftest import constraint_hom_basis, presented_rows, ray
 
 
 def frac_matrix(rows):
@@ -102,6 +116,51 @@ def test_witness_plot_accompanies_not_smooth():
         assert is_plot(v, witness) is Verdict.SMOOTH
         image = witness.transform(frac_matrix([[1, 0]]))
         assert not image.components[0].is_smooth()
+
+
+def test_identity_map_carries_the_columns_of_its_matrix(monkeypatch):
+    """``identity_map`` hands in its unit columns, so deciding it scans no
+    matrix entry; they equal the integer columns read off the identity
+    matrix, and the map keeps its Smooth verdict."""
+    import diffeolin.hom as hom
+
+    def refuse(m, n_cols):
+        raise AssertionError("scanned the identity matrix")
+
+    for n in range(6):
+        v = kink_space(n, n // 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(hom, "integer_columns", refuse)
+            f = identity_map(v)
+            assert is_smooth_linear(f) is Verdict.SMOOTH
+        (den, columns), (ref_den, ref_columns) = f._integer_columns, integer_columns(identity(n), n)
+        assert den == ref_den and list(map(list, columns)) == list(map(list, ref_columns))
+        assert f.apply(tuple(Fraction(j + 1, 2) for j in range(n))) == tuple(
+            Fraction(j + 1, 2) for j in range(n))
+
+
+def test_compose_through_zero_dimensional_spaces():
+    """A composite keeps its shape when the middle space, or either end, is
+    zero-dimensional, and equals the matrix product on seeded matrices."""
+    fine = [make_fine(n) for n in range(4)]
+    through = LinearMap(fine[0], fine[3], ((),) * 3).compose(LinearMap(make_coarse(2), fine[0], ()))
+    assert through.domain == make_coarse(2) and through.codomain == fine[3]
+    assert through.matrix == ((Fraction(0),) * 2,) * 3
+    back = LinearMap(fine[0], fine[2], ((), ())).compose(LinearMap(fine[3], fine[0], ()))
+    assert back.matrix == ((Fraction(0),) * 3,) * 2
+    assert LinearMap(fine[2], fine[0], ()).compose(
+        LinearMap(fine[0], fine[2], ((), ()))).matrix == ()
+    assert LinearMap(fine[2], fine[3], ((1, 0), (0, 1), (1, 1))).compose(
+        LinearMap(fine[0], fine[2], ((), ()))).matrix == ((), (), ())
+    rng = random.Random(44)
+    for _ in range(30):
+        a, b, c = (rng.randint(1, 3) for _ in range(3))
+        g = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(a))
+                  for _ in range(b))
+        f = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(b))
+                  for _ in range(c))
+        composite = LinearMap(fine[b], fine[c], f).compose(LinearMap(fine[a], fine[b], g))
+        assert composite.matrix == matmul(f, g)
 
 
 # --- duals -----------------------------------------------------------------
@@ -224,6 +283,80 @@ def test_smooth_hom_basis_agrees_with_the_map_check():
             assert basis.contains(flat) == smooth, (v.describe(), w.describe(), matrix)
 
 
+def _seeded_pairs(seed, count):
+    """Seeded (v, w) pairs over fine, coarse, generated, sum, hat, tensor and
+    dual spaces, with zero-dimensional fine and coarse spaces among them."""
+    rng = random.Random(seed)
+
+    def space():
+        roll = rng.random()
+        if roll < 0.08:
+            return rng.choice([make_fine(0), make_coarse(0)])
+        if roll < 0.2:
+            return diffeological_dual(_random_hom_space(rng))
+        return _random_hom_space(rng)
+
+    return [(space(), space()) for _ in range(count)]
+
+
+def test_smooth_hom_basis_equals_the_constraint_elimination():
+    """The basis spanned from the two flags is, as a Subspace, the
+    annihilator of the constraint rows psi (x) r, the route it replaced, on
+    every ordered pair of flag classes with n <= 2 and on 150 seeded pairs
+    over all seven kinds, zero-dimensional spaces included."""
+    classes = [v for _, v in verify._flag_classes(2)]
+    seeded = _seeded_pairs(1703, 150)
+    kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in seeded for s in pair}
+    assert len(kinds) == 7 and any(0 in (v.dim, w.dim) for v, w in seeded)
+    for v, w in list(itertools.product(classes, repeat=2)) + seeded:
+        assert smooth_hom_basis(v, w) == constraint_hom_basis(v, w), (v.describe(), w.describe())
+
+
+def test_smooth_hom_basis_eliminates_once_over_the_map_coordinates(monkeypatch):
+    """On seeded pairs with n, m > 1, ``smooth_hom_basis`` runs one
+    ``linalg._eliminate`` over the n*m coordinates of L(v, w) and computes
+    no annihilator there: every elimination and annihilator is recorded
+    with its width."""
+    import diffeolin.linalg as linalg
+
+    widths, annihilated = [], []
+    eliminate, annihilator = linalg._eliminate, linalg._annihilator_form
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows, n: widths.append(n) or eliminate(rows, n))
+    monkeypatch.setattr(linalg, "_annihilator_form",
+                        lambda n, form: annihilated.append(n) or annihilator(n, form))
+    pairs = [(v, w) for v, w in _seeded_pairs(2718, 80) if v.dim > 1 and w.dim > 1]
+    pairs.append((kink_space(8, 4), direct_sum(kink_space(5, 2), make_coarse(3))))
+    for v, w in pairs:
+        widths.clear(), annihilated.clear()
+        smooth_hom_basis(v, w)
+        assert widths.count(v.dim * w.dim) == 1, (v.describe(), w.describe())
+        assert v.dim * w.dim not in annihilated, (v.describe(), w.describe())
+    assert len(pairs) >= 30
+
+
+def test_a_witness_is_the_primitive_multiple_of_a_presented_direction():
+    """On 600 seeded maps over all seven kinds, every NotSmooth witness is
+    |x|*x^e * r for a presented direction of degree d, e = max(d, 0), with
+    r the primitive integer vector on its ray (integer entries, gcd 1); it
+    is a plot of the domain and its image is not a plot."""
+    rng = random.Random(1618)
+    witnesses = 0
+    for v, w in _seeded_pairs(1618, 600):
+        matrix = tuple(tuple(Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 3))
+                             for _ in range(v.dim)) for _ in range(w.dim))
+        report = check_smooth_linear(LinearMap(v, w, matrix))
+        if report.witness is None:
+            continue
+        witnesses += 1
+        (e, r), = report.witness.residue_rows().items()
+        assert all(x.denominator == 1 for x in r) and gcd(*(int(x) for x in r)) == 1
+        assert any(max(d, 0) == e and ray(s) == ray(integer_support(r))
+                   for d, s in presentation(v).supports)
+        assert is_plot(v, report.witness) is Verdict.SMOOTH
+        assert is_plot(w, report.witness.transform(matrix)) is Verdict.NOT_SMOOTH
+    assert witnesses >= 100
+
+
 def test_not_smooth_witnesses_are_plots_with_non_plot_images():
     """On 240 seeded maps between fine, coarse, generated, sum, hat, tensor
     and dual spaces, every NotSmooth witness is a plot of the domain whose
@@ -254,7 +387,7 @@ def test_not_smooth_witnesses_are_plots_with_non_plot_images():
             continue
         seen["none"] += 1
         cod = presentation(w)
-        failing = [(d, f.apply(r)) for d, r in presentation(v).rows
+        failing = [(d, f.apply(r)) for d, r in presented_rows(v)
                    if not cod.filtration_step(d).contains(f.apply(r))]
         assert failing
         assert all(d == -1 and cod.filtration_step(0).contains(image) for d, image in failing)
@@ -268,15 +401,23 @@ def _reference_apply(matrix, v):
                  for row in matrix)
 
 
+def _primitive(r):
+    """An integer vector divided by the gcd of its entries."""
+    content = gcd(*(int(x) for x in r))
+    return tuple(x / content for x in r)
+
+
 def _reference_check_smooth_linear(f):
     """``check_smooth_linear`` on dense Fraction images tested by
-    ``Subspace.contains``."""
-    pres, cod = presentation(f.domain), presentation(f.codomain)
+    ``Subspace.contains``, the witness along the primitive integer vector
+    of the failing direction."""
+    cod = presentation(f.codomain)
     coarse_failure = False
-    for degree, r in pres.rows:
+    for degree, r in presented_rows(f.domain):
         image = _reference_apply(f.matrix, r)
         if cod.filtration_step(degree).contains(image):
             continue
+        r = _primitive(r)
         if degree >= 0:
             return (Verdict.NOT_SMOOTH, row_plot(r, degree),
                     "image of a singular direction is not a plot")
@@ -345,12 +486,12 @@ def test_integer_path_equals_the_fraction_route():
             assert (report.verdict, report.witness, report.reason) == \
                 _reference_check_smooth_linear(f), (f.domain.describe(), f.codomain.describe())
             verdicts.add(report.verdict)
-            for d, r in presentation(f.domain).rows:
+            for d, r in presented_rows(f.domain):
                 image = f.apply(r)
                 assert image == _reference_apply(f.matrix, r)
                 assert all(type(x) is Fraction for x in image)
         for target in (v, w):
-            rows = [(d, r) for d, r in presentation(target).rows if d >= 0]
+            rows = [(d, r) for d, r in presented_rows(target) if d >= 0]
             candidate = _rational_plot(rng, target.dim, rng.sample(rows, min(len(rows), 2)))
             phi = separating_functional(target, candidate)
             assert phi == _reference_separating_functional(target, candidate)
@@ -382,7 +523,7 @@ def test_a_warm_query_does_no_fraction_arithmetic(monkeypatch):
     maps += [LinearMap(v, w, tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3))
                                          for _ in range(v.dim)) for _ in range(w.dim)))
              for v, w in zip(spaces, spaces[1:])]
-    plots = [(v, _rational_plot(rng, v.dim, [(d, r) for d, r in presentation(v).rows if d >= 0],
+    plots = [(v, _rational_plot(rng, v.dim, [(d, r) for d, r in presented_rows(v) if d >= 0],
                                 stray=0)) for v in spaces]
     pairs = [(kink_space(3, 1), kink_space(4, 2)), (direct_sum(kink_space(2, 1), make_coarse(1)),
                                                     spaces[3])]
@@ -578,7 +719,7 @@ def _random_automorphism(rng, v):
     each basis vector to a combination of vectors of no higher level: a
     linear iso that maps every step onto itself."""
     pres = presentation(v)
-    steps = [pres.filtration_step(d) for d in sorted({-1} | {d for d, _ in pres.rows})]
+    steps = [pres.filtration_step(d) for d in sorted({-1} | {d for d, _ in pres.supports})]
     basis, levels = [], []
     for level, step in enumerate(steps + [Subspace.full(v.dim)]):
         for row in step.basis:
@@ -623,7 +764,7 @@ def test_hat_dual_wellposed_equals_step_equality():
         else:
             iso2 = _random_invertible(rng, v.dim)
         hat1, hat2 = hat_dual(v, iso1), hat_dual(v, iso2)
-        degrees = sorted({-1} | {d for d, _ in presentation(v).rows})
+        degrees = sorted({-1} | {d for d, _ in presentation(v).supports})
         report = hat_dual_wellposed(v, iso1, iso2)
         assert report.consistent == _steps_agree(hat1, hat2, degrees), v.describe()
         if report.consistent:

@@ -153,7 +153,7 @@ def test_in_row_span_edge_cases():
 
 def test_rank_of_zero_dimensional():
     assert rank(()) == 0
-    assert Subspace(0, ()).dim == 0
+    assert Subspace.from_supports(0, ()).dim == 0
 
 
 def test_contains_and_coordinates_reject_a_vector_of_the_wrong_length():
@@ -324,15 +324,15 @@ def _random_row_set(rng, n):
 
 
 def test_stored_form_matches_the_fraction_rref():
-    """``from_rows`` stores the integer RREF; ``Subspace(n, rref(rows))``
-    derives it from Fraction rows.  Both are one subspace: equal, with one
-    hash, basis, pivot tuple and annihilator, the annihilator being the
-    Fraction reference nullspace."""
+    """``from_rows`` stores the integer RREF of the rows, and again of the
+    Fraction rows of ``rref``.  Both are one subspace: equal, with one
+    hash, basis, pivot tuple and annihilator, the basis being the Fraction
+    reference RREF and the annihilator the reference nullspace."""
     rng = random.Random("linalg-form")
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = _random_row_set(rng, n)
-        stored, derived = Subspace.from_rows(n, rows), Subspace(n, rref(rows))
+        stored, derived = Subspace.from_rows(n, rows), Subspace.from_rows(n, rref(rows))
         assert stored == derived and hash(stored) == hash(derived)
         assert stored.basis == derived.basis == reference_rref(rows)
         assert stored.pivots == derived.pivots and stored.dim == derived.dim

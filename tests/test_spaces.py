@@ -33,6 +33,8 @@ from diffeolin.spaces import (
     Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
 from diffeolin.tensor import tensor_dual_iso, tensor_product
 
+from conftest import presented_rows, ray
+
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
 
@@ -342,7 +344,7 @@ def test_filtration_membership_matches_row_span_membership():
         pres = presentation(space)
         for degree in range(7):
             rows = tuple(pres.rows_up_to(degree))
-            candidates = [r for _, r in pres.rows] + [
+            candidates = [r for _, r in presented_rows(space)] + [
                 tuple(_random_direction(rng, space.dim)) for _ in range(3)]
             if rows:
                 candidates.append(tuple(sum(c) for c in zip(*rows)))
@@ -365,14 +367,14 @@ def _reference_presentation(space):
     n = space.dim
     d = space.diffeology
     if isinstance(d, Fine):
-        return Subspace(n, ()), ()
+        return Subspace.from_supports(n, ()), ()
     if isinstance(d, Coarse):
         return Subspace.full(n), ()
     if isinstance(d, Generated):
         rows = []
         for g in d.generators:
             rows.extend(g.residue_rows().items())
-        return Subspace(n, ()), tuple(rows)
+        return Subspace.from_supports(n, ()), tuple(rows)
     if isinstance(d, SumOf):
         (cl, rl), (cr, rr) = _reference_presentation(d.left), _reference_presentation(d.right)
         nl = d.left.dim
@@ -489,7 +491,7 @@ def test_coarse_part_is_the_degree_minus_one_step_of_one_row_list():
                 space.describe(), degree)
         step = pres.filtration_step(-1)
         assert Subspace.from_rows(space.dim, pres.rows_up_to(-1)) == step
-        assert not any(step.contains(r) for d, r in pres.rows if d >= 0)
+        assert not any(step.contains_support(r) for d, r in pres.supports if d >= 0)
 
 
 def _random_summand(rng):
@@ -531,7 +533,7 @@ def test_sum_steps_need_no_elimination_over_the_sum(monkeypatch):
         assert n not in widths, space.describe()
         for degree, step, ann in zip(range(-1, 7), steps, anns):
             assert step == Subspace.from_rows(n, pres.rows_up_to(degree))
-            assert ann == (Subspace(n, linalg.nullspace(step.basis, n)) if step.basis
+            assert ann == (Subspace.from_rows(n, linalg.nullspace(step.basis, n)) if step.basis
                            else Subspace.full(n))
 
 
@@ -632,15 +634,16 @@ def test_memos_under_concurrent_first_use():
 def test_a_pushforward_is_presented_on_ints(monkeypatch):
     """Presenting a hat dual of a presented base, and building each of its
     steps with its annihilator, constructs no Fraction: the base's supports
-    go through the integer columns of the matrix.  The rows read afterwards
-    are the base's rows mapped by the matrix, and each step is their span."""
+    go through the integer columns of the matrix.  Each support is a
+    positive multiple of the base's direction mapped by the matrix, and
+    each step is their span."""
     rng = random.Random(1504)
     hats = []
     for _ in range(30):
         base = _random_summand(rng)
         iso = tuple(tuple(Fraction(x, rng.randint(1, 3)) for x in row)
                     for row in _random_hat_iso(rng, base.dim))
-        presentation(base).rows
+        presentation(base)
         hats.append(hat_dual(base, iso))
     built = []
     real = Fraction.__new__
@@ -658,7 +661,10 @@ def test_a_pushforward_is_presented_on_ints(monkeypatch):
     monkeypatch.undo()
     for hat in hats:
         pres, d = presentation(hat), hat.diffeology
-        assert pres.rows == tuple((e, matvec(d.matrix, r)) for e, r in presentation(d.base).rows)
+        base_rows = presented_rows(d.base)
+        assert [e for e, _ in pres.supports] == [e for e, _ in base_rows]
+        assert [ray(s) for _, s in pres.supports] == [
+            ray(integer_support(matvec(d.matrix, r))) for _, r in base_rows]
         for degree in range(-1, 7):
             assert pres.filtration_step(degree) == Subspace.from_rows(hat.dim,
                                                                       pres.rows_up_to(degree))

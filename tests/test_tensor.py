@@ -47,6 +47,8 @@ from diffeolin.linalg import (
 )
 from diffeolin.spaces import generating_plots, presentation
 
+from conftest import presented_rows
+
 
 def kink_space(n, k):
     return make_generated(n, [kink_plot(n, i) for i in range(k)])
@@ -195,9 +197,9 @@ def _reference_tensor_step(v, w, degree):
     the route the closed form replaced."""
     n, m = v.dim, w.dim
     rows = [kron_vector(r, unit_vector(m, j))
-            for d, r in presentation(v).rows if d <= degree for j in range(m)]
+            for d, r in presented_rows(v) if d <= degree for j in range(m)]
     rows += [kron_vector(unit_vector(n, i), r)
-             for d, r in presentation(w).rows if d <= degree for i in range(n)]
+             for d, r in presented_rows(w) if d <= degree for i in range(n)]
     return Subspace.from_rows(n * m, rows)
 
 
@@ -243,7 +245,7 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
         n, m = v.dim, w.dim
         t = tensor_product(v, w)
         pres, lp, rp = presentation(t), presentation(v), presentation(w)
-        top = max((d for d, _ in lp.rows + rp.rows), default=-1)
+        top = max((d for d, _ in lp.supports + rp.supports), default=-1)
         for e in range(-1, top + 2):
             step = pres.filtration_step(e)
             assert step == _reference_tensor_step(v, w, e), (v.describe(), w.describe(), e)
@@ -255,8 +257,9 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
             assert step.known_annihilator is not None
             assert step.annihilator().basis == expected, (v.describe(), w.describe(), e)
         span = singular_span(t)
-        assert len(pres.rows) == span.dim
-        assert not pres.rows or rank(tuple(r for _, r in pres.rows)) == span.dim
+        rows = [r for _, r in presented_rows(t)]
+        assert len(rows) == span.dim
+        assert not rows or rank(tuple(rows)) == span.dim
         coarse += pres.filtration_step(-1).dim > 0
         wide += n * m >= 12 and 0 < span.dim < n * m
     assert coarse >= 10 and wide >= 10, (coarse, wide)
@@ -512,7 +515,7 @@ def test_a_product_is_presented_dualised_and_certified_without_fractions(monkeyp
     """With both factors presented, presenting V (x) W, reading the
     annihilator of every step, dualising it and certifying the dual
     isomorphism construct no Fraction: steps, annihilators and supports stay
-    integer forms until ``basis`` or ``rows`` is read."""
+    integer forms until ``basis`` or ``rows_up_to`` is read."""
     pairs = _closed_form_pairs(2718, 24)
     pairs.append((kink_space(8, 4), direct_sum(kink_space(5, 2), make_coarse(3))))
     for v, w in pairs:
@@ -538,12 +541,12 @@ def test_a_product_is_presented_dualised_and_certified_without_fractions(monkeyp
         products.append((t, pres, dual))
     for t, pres, dual in products:
         if pres.supports:
-            pres.rows
+            pres.rows_up_to(max(d for d, _ in pres.supports))
             dual.annihilator_basis.basis
     assert built
     monkeypatch.undo()
     for t, pres, dual in products:
         n = t.dim
-        assert Subspace.from_rows(n, [r for _, r in pres.rows]) == singular_span(t)
+        assert Subspace.from_rows(n, [r for _, r in presented_rows(t)]) == singular_span(t)
         assert dual.annihilator_basis.basis == (nullspace(singular_span(t).basis, n)
                                                 if singular_span(t).dim else identity(n))
