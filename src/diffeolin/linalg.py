@@ -16,7 +16,9 @@ the nonzero entries of L times each RREF row), and builds Fraction rows
 only when ``basis`` is read.  The sum A (+) B, the tensor step
 A (x) R^m + R^n (x) B and the Kronecker product A (x) B of subspaces are
 read off their factors' forms with no elimination (``block_sum``,
-``tensor_span``, ``kron_span``), and so is each one's annihilator.
+``tensor_span``, ``kron_span``), and so is each one's annihilator.  Any
+other Ann A eliminates min(k, n - k) rows, k = dim A: A's rows with the
+column order reversed, or the n - k free vectors read off A's RREF.
 
 Membership does no elimination.  A vector v lies in the span of RREF rows
 b_i with pivot columns p_i exactly when v = sum_i v[p_i] * b_i, so one pass
@@ -72,7 +74,12 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(unit_vector(n, i) for i in range(n))
+    row, rows = [ZERO] * n, []
+    for i in range(n):
+        row[i] = _ONE
+        rows.append(tuple(row))
+        row[i] = ZERO
+    return tuple(rows)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -80,6 +87,8 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def dot(a: Vector, b: Vector) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
@@ -91,7 +100,10 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b.  A 0 x n right factor is () and has no width: k x 0 times it is k empty rows."""
     bt = transpose(b)
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"matmul of a {len(a)}x{len(a[0])} and a {len(b)}x{len(bt)} matrix")
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
@@ -217,6 +229,13 @@ def _eliminate(rows: list[list[int]], n_cols: int) -> list[tuple[int, list[int]]
     return done
 
 
+def _dense(n: int, support: Support) -> list[int]:
+    row = [0] * n
+    for j, x in support:
+        row[j] = x
+    return row
+
+
 def _fraction_row(row: list[int], col: int) -> Vector:
     """row / row[col] as Fractions: back across the API boundary."""
     d = row[col]
@@ -317,16 +336,26 @@ def _scaled_form(pivots: tuple[int, ...], scale: int,
 
 
 def _annihilator_form(n: int, form: Form) -> Form:
-    """Ann of the span of a form's rows: for each free column j the vector
-    that is L at j and -row[j] at the pivot of each row, eliminated to RREF."""
+    """Ann A, k = dim A, eliminating min(k, n - k) rows.  Rows R_t of A that
+    hold L at their pivot t and 0 at the other pivots give, for each other
+    column c, w_c: L at c and -R_t[c] at each t.  Off A's RREF the w_c end
+    at c and are eliminated.  Off the form of A's rows eliminated with the
+    columns reversed, R_t ends at t, so w_c / L = e_c - sum_t (R_t[c] /
+    R_t[t]) e_t leads at c and is 0 at the other free columns: the RREF of
+    Ann A, its L exact because that form divides each R_t by its content."""
     pivots, den, rows = form
+    reverse = 2 * len(pivots) < n
+    if reverse:
+        back, den, back_rows = _reduced_form(_eliminate([_dense(n, r)[::-1] for r in rows], n))
+        pivots = tuple(n - 1 - t for t in reversed(back))
+        rows = [[(n - 1 - j, x) for j, x in r] for r in reversed(back_rows)]
     taken = set(pivots)
-    free = {j: [0] * n for j in range(n) if j not in taken}
-    for j, v in free.items():
-        v[j] = den
-    for p, row in zip(pivots, rows):
-        for j, x in row[1:]:
-            free[j][p] = -x
+    free = {c: {c: den} if reverse else _dense(n, ((c, den),)) for c in range(n) if c not in taken}
+    for t, row in zip(pivots, rows):
+        for c, x in row[1:]:
+            free[c][t] = -x
+    if reverse:
+        return tuple(free), den, tuple(tuple(v.items()) for v in free.values())
     return _reduced_form(_eliminate(list(free.values()), n))
 
 
@@ -364,12 +393,7 @@ class Subspace:
     @staticmethod
     def from_supports(ambient_dim: int, supports: Iterable[Support]) -> "Subspace":
         """The span of vectors given by their supports; () spans the zero space."""
-        dense = []
-        for support in supports:
-            row = [0] * ambient_dim
-            for j, x in support:
-                row[j] = x
-            dense.append(row)
+        dense = [_dense(ambient_dim, support) for support in supports]
         return Subspace(ambient_dim, _reduced_form(_eliminate(dense, ambient_dim)))
 
     @staticmethod
@@ -381,11 +405,12 @@ class Subspace:
     def basis(self) -> Matrix:
         """The RREF rows as Fractions: row / L for each row of the form."""
         _, den, rows = self._form
+        values = {}
         basis = []
         for row in rows:
             dense = [ZERO] * self.ambient_dim
             for j, x in row:
-                dense[j] = Fraction(x, den)
+                dense[j] = values[x] if x in values else values.setdefault(x, Fraction(x, den))
             basis.append(tuple(dense))
         return tuple(basis)
 

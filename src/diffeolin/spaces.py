@@ -124,8 +124,8 @@ def kink_plot(n: int, index: int, degree: int = 0) -> Plot:
 
 def row_plot(row: Sequence, degree: int = 0) -> Plot:
     """The plot |x|*x^degree * row."""
-    return Plot([FunctionExpr.abs_monomial(degree, c) if c else FunctionExpr.zero()
-                 for c in vector(row)])
+    zero = FunctionExpr.zero()
+    return Plot([FunctionExpr.abs_monomial(degree, c) if c else zero for c in row])
 
 
 # --- diffeology descriptors ---------------------------------------------

@@ -1,13 +1,19 @@
 """Exact rational linear algebra kernel."""
 
+import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from diffeolin import linalg
 from diffeolin.linalg import (
+    ZERO,
     Subspace,
+    _annihilator_form,
     block_sum,
+    dot,
     identity,
     in_row_span,
     invert,
@@ -144,6 +150,28 @@ def test_subspace_add_and_map():
     assert s == Subspace.full(2)
     swapped = Subspace.from_rows(2, [[1, 0]]).map_by(matrix([[0, 1], [1, 0]]))
     assert swapped == Subspace.from_rows(2, [[0, 1]])
+
+
+def test_dot_and_matmul_reject_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="lengths 3 and 2"):
+        dot(matrix([[1, 2, 3]])[0], matrix([[1, 1]])[0])
+    with pytest.raises(ValueError, match="2x3 and a 2x2 matrix"):
+        matmul(matrix([[1, 2, 3], [4, 5, 6]]), identity(2))
+    with pytest.raises(ValueError, match="1x2 and a 0x0 matrix"):
+        matmul(matrix([[1, 2]]), ())
+    # A 0 x n right factor is () and carries no width.
+    assert matmul(((), ()), ()) == ((), ())
+
+
+def test_identity_fills_rows_of_the_shared_zero():
+    """``identity`` equals its concatenated definition, and every zero entry
+    is the shared ``ZERO``."""
+    for n in range(71):
+        m = identity(n)
+        assert m == tuple((Fraction(0),) * i + (Fraction(1),) + (Fraction(0),) * (n - i - 1)
+                          for i in range(n))
+        assert all(type(row) is tuple for row in m)
+        assert all(x is ZERO for row in m for x in row if not x)
 
 
 def test_in_row_span_edge_cases():
@@ -364,3 +392,95 @@ def test_closed_form_constructors_store_the_form_elimination_finds():
             assert closed == eliminated and hash(closed) == hash(eliminated)
             assert closed.basis == eliminated.basis
             assert closed.annihilator() == eliminated.annihilator()
+
+
+def _reference_form(basis):
+    """The form of a Fraction RREF basis, built from its entries alone."""
+    den = lcm(1, *[x.denominator for row in basis for x in row])
+    return (tuple(_pivot(row) for row in basis), den,
+            tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x) for row in basis))
+
+
+def _rank_k_rows(rng, n, k):
+    """Rational rows spanning a k-dimensional subspace of Q^n: k rows kept
+    independent by a triangular pattern on k random columns, mixed, with
+    negative entries, an integer multiple of a row (content above 1), a
+    negated repeat and an exact repeat, shuffled."""
+    cols = rng.sample(range(n), k)
+    rows = []
+    for i, c in enumerate(cols):
+        # About four entries off the pattern per row, so that the Fraction
+        # reference stays quick at n = 64.
+        row = [Fraction(rng.randint(-9, 9) if rng.random() < 4 / max(n, 12) else 0,
+                        rng.randint(1, 4)) for _ in range(n)]
+        for d in cols[:i]:
+            row[d] = Fraction(0)
+        row[c] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        rows.append(row)
+    for _ in range(k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    if rows:
+        a = rng.choice(rows)
+        rows += [[6 * x for x in a], [-x for x in rng.choice(rows)], list(rng.choice(rows))]
+    rng.shuffle(rows)
+    return rows
+
+
+@functools.cache
+def _annihilator_cases():
+    """(n, k, form of A, reference nullspace of A), built once."""
+    rng = random.Random("linalg-annihilator")
+    shapes = [(n, k) for n in range(1, 13) for k in range(n + 1) for _ in range(3)]
+    shapes += [(64, 8), (64, 32), (64, 56), (64, 63)]
+    cases = []
+    for n, k in shapes:
+        rows = _rank_k_rows(rng, n, k)
+        cases.append((n, k, _reference_form(reference_rref(rows)), reference_nullspace(rows, n)))
+    return tuple(cases)
+
+
+def test_annihilator_form_equals_the_reference_nullspace():
+    """Whichever side it eliminates, ``_annihilator_form`` gives the form of
+    the Fraction reference nullspace: equal, with one hash, at every k from
+    0 to n for n <= 12 and at four shapes in Q^64."""
+    for n, k, form, expected in _annihilator_cases():
+        assert len(form[0]) == k and len(expected) == n - k
+        got = _annihilator_form(n, form)
+        assert got == _reference_form(expected)
+        ann, ref = Subspace(n, got), Subspace.from_rows(n, expected)
+        assert ann == ref and hash(ann) == hash(ref)
+        assert ann.basis == expected
+
+
+def test_an_annihilator_eliminates_the_smaller_side(monkeypatch):
+    """One elimination, of min(k, n - k) rows: A's k rows when 2k < n, else
+    the n - k free vectors."""
+    real, sizes = linalg._eliminate, []
+
+    def counted(rows, n_cols):
+        sizes.append(len(rows))
+        return real(rows, n_cols)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    for n, k, form, _ in _annihilator_cases():
+        sizes.clear()
+        _annihilator_form(n, form)
+        assert sizes == [min(k, n - k)]
+
+
+def test_basis_entries_are_shared_fractions():
+    """``Subspace.basis`` is row / L entry by entry, builds one Fraction per
+    distinct entry and keeps every zero the shared ``ZERO``."""
+    rng = random.Random("linalg-basis-entries")
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        s = Subspace.from_rows(n, _random_row_set(rng, n))
+        _, den, rows = s._form
+        assert s.basis == tuple(tuple(Fraction(dict(row).get(j, 0), den) for j in range(n))
+                                for row in rows)
+        assert all(x is ZERO for row in s.basis for x in row if not x)
+        entries = [x for row in s.basis for x in row if x]
+        assert len({id(x) for x in entries}) == len(set(entries))

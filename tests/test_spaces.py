@@ -22,12 +22,13 @@ from diffeolin import (
     make_fine,
     make_generated,
     parse_expr,
+    row_plot,
     separating_functional,
     singular_span,
 )
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
-from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec
+from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec, vector
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
     Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
@@ -259,6 +260,20 @@ def test_monotonicity_of_spans():
         v1 = make_generated(n, [kink_plot(n, i) for i in range(k1)])
         if all(is_plot(v2, g) is Verdict.SMOOTH for g in v1.diffeology.generators):
             assert singular_span(v2).contains_subspace(singular_span(v1))
+
+
+def test_row_plot_matches_the_converted_construction():
+    """``row_plot`` takes int, Fraction and string rows as they are, with the
+    plot that converting them to Fractions first gave."""
+    rows = [(0, 1, -2, 0), (Fraction(1, 2), Fraction(0), Fraction(-3, 4)),
+            ("1/2", "0", "-3", "0/5", "7"), ()]
+    for row in rows:
+        for degree in (0, 3):
+            plot = row_plot(row, degree)
+            assert plot == Plot([A(degree, c) if c else FunctionExpr.zero()
+                                 for c in vector(row)])
+            assert all(comp == FunctionExpr.zero()
+                       for comp, c in zip(plot.components, vector(row)) if not c)
 
 
 def test_direct_sum_examples():
