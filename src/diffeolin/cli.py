@@ -175,15 +175,8 @@ def _cmd_tensor(args, out):
     spaces = _load(args)
     v, w = spaces.space(args.left), spaces.space(args.right)
     _check_unknowns("tensor", v.dim * w.dim)
-    if args.dual_iso:
-        # The certificate carries the product's dual, and the dual its base:
-        # V (x) W is built once.
-        iso = tensor_dual_iso(v, w)
-        dual = iso.tensor_dual
-    else:
-        dual = diffeological_dual(tensor_product(v, w))
-    t = dual.base
-    span = singular_span(t)
+    t = tensor_product(v, w)
+    dual, span = diffeological_dual(t), singular_span(t)
     out.human(f"tensor product: {t.describe()}")
     out.human(f"dim = {t.dim}, singular span dim = {span.dim}, dual dim = {dual.dim}")
     result = {
@@ -192,6 +185,7 @@ def _cmd_tensor(args, out):
         "dual_dim": dual.dim,
     }
     if args.dual_iso:
+        iso = tensor_dual_iso(v, w)
         flags = {"domain_dim": iso.domain_dim, "codomain_dim": iso.codomain_dim,
                  "injective": iso.injective, "isomorphism": iso.isomorphism}
         out.human(

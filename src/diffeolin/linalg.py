@@ -93,6 +93,8 @@ def dot(a: Vector, b: Vector) -> Fraction:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
+    if any(len(row) != len(v) for row in m):
+        raise ValueError(f"matvec of a {len(m)}x{len(m[0])} matrix and a vector of length {len(v)}")
     # Presentation rows and many maps are sparse; skipping the zeros of both
     # keeps images of rows under large maps cheap.
     support = [(j, x) for j, x in enumerate(v) if x]
@@ -102,6 +104,8 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """a @ b.  A 0 x n right factor is () and has no width: k x 0 times it is k empty rows."""
     bt = transpose(b)
+    if any(len(row) != len(bt) for row in b):
+        raise ValueError(f"matmul by a ragged {len(b)}-row matrix of row lengths {[len(r) for r in b]}")
     if any(len(row) != len(b) for row in a):
         raise ValueError(f"matmul of a {len(a)}x{len(a[0])} and a {len(b)}x{len(bt)} matrix")
     return tuple(tuple(dot(row, col) for col in bt) for row in a)

@@ -22,13 +22,17 @@ annihilators are built on ints, as the integer RREF a ``Subspace`` stores,
 and the presentation's supports are the rows of the steps, so presenting,
 dualising and certifying a product builds no Fraction; the Fraction rows of
 a step are built only when its basis is read (a printed basis, a NotPlot
-certificate).  ``tensor_dual_iso`` certifies the
-closed form against the block rows of the definition and is the one runtime
-check of it; ``tensor_product`` only builds the space.
+certificate).  ``tensor_product(v, w)`` is one space per live factor pair:
+a memo on ``v`` maps ``id(w)`` to a weak reference to the product, and the
+product's death removes the entry (the product holds ``w``, so the key is
+not reused while it lives).  Callers of one pair share its presentation and
+dual.  ``tensor_dual_iso`` certifies the closed form against the block rows
+of the definition on every call and is the one runtime check of it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -61,9 +65,15 @@ from .spaces import (
 
 
 def tensor_product(v: DiffSpace, w: DiffSpace) -> DiffSpace:
-    """The tensor product space; its presentation is the closed-form block
-    flag (module docstring), built on first use."""
-    return DiffSpace(v.dim * w.dim, TensorOf(v, w))
+    """The tensor product space, the one still held for these two factor
+    objects if any; its presentation is the closed-form block flag."""
+    products = v.__dict__.setdefault("_products", {})
+    ref = products.get(id(w))
+    t = ref() if ref is not None else None
+    if t is None:
+        t = DiffSpace(v.dim * w.dim, TensorOf(v, w))
+        products[id(w)] = weakref.ref(t, lambda _, key=id(w): products.pop(key, None))
+    return t
 
 
 def product_plot(p: Plot, q: Plot) -> Plot:

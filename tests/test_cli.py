@@ -78,24 +78,30 @@ def test_tensor_dual_iso_json_flags_and_dimensions(run):
 
 
 def test_tensor_dual_iso_builds_the_product_once(run, monkeypatch):
-    """The dual-iso certificate carries V (x) W's dual, and the dual its
-    base, so the command reads the product off it instead of building a
-    second one."""
+    """The command holds V (x) W while ``tensor_dual_iso`` certifies it, so
+    the iso reaches the same product: one space, presented once."""
     import diffeolin.cli as cli
+    import diffeolin.spaces as spaces
     import diffeolin.tensor as tensor
 
-    calls = []
-    real = tensor.tensor_product
+    products, presented = [], []
+    real_product, real_presentation = tensor.tensor_product, spaces._tensor_presentation
 
-    def counted(v, w):
-        calls.append((v, w))
-        return real(v, w)
+    def counted_product(v, w):
+        products.append(real_product(v, w))
+        return products[-1]
 
-    monkeypatch.setattr(tensor, "tensor_product", counted)
-    monkeypatch.setattr(cli, "tensor_product", counted)
+    def counted_presentation(v, w):
+        presented.append((v, w))
+        return real_presentation(v, w)
+
+    monkeypatch.setattr(tensor, "tensor_product", counted_product)
+    monkeypatch.setattr(spaces, "_tensor_presentation", counted_presentation)
+    monkeypatch.setattr(cli, "tensor_product", counted_product)
     code, out, _ = run("tensor", "kink3_1", "fine2", "--dual-iso")
     assert code == 0 and "dim = 6, singular span dim = 2, dual dim = 4" in out
-    assert len(calls) == 1
+    assert len(products) == 2 and products[0] is products[1]
+    assert len(presented) == 1
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])

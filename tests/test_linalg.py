@@ -30,6 +30,7 @@ from diffeolin.linalg import (
     tensor_span,
     transpose,
     unit_vector,
+    vector,
 )
 
 
@@ -161,6 +162,19 @@ def test_dot_and_matmul_reject_mismatched_inner_dimensions():
         matmul(matrix([[1, 2]]), ())
     # A 0 x n right factor is () and carries no width.
     assert matmul(((), ()), ()) == ((), ())
+
+
+def test_matvec_and_matmul_reject_mismatched_shapes():
+    """A vector shorter than the rows, and a ragged right factor, raise
+    instead of reading a prefix of each row."""
+    with pytest.raises(ValueError, match="2x3 matrix and a vector of length 2"):
+        matvec(matrix([[1, 2, 3], [4, 5, 6]]), vector([1, 2]))
+    with pytest.raises(ValueError, match="length 4"):
+        matvec(matrix([[1, 2, 3]]), vector([1, 2, 3, 4]))
+    with pytest.raises(ValueError, match=r"ragged 2-row matrix of row lengths \[3, 2\]"):
+        matmul(matrix([[1, 1]]), (vector([1, 2, 3]), vector([4, 5])))
+    assert matvec(matrix([[1, 2, 3], [4, 5, 6]]), vector([1, 0, 2])) == vector([7, 16])
+    assert matvec((), vector([1, 2])) == ()
 
 
 def test_identity_fills_rows_of_the_shared_zero():

@@ -1,7 +1,11 @@
 """Tensor product diffeology: block spans, dual multiplicativity, canonical maps."""
 
+import gc
 import itertools
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -45,7 +49,9 @@ from diffeolin.linalg import (
     rank,
     unit_vector,
 )
+from diffeolin import spaces
 from diffeolin.spaces import generating_plots, presentation
+from diffeolin.tensor import _tensor_rows
 
 from conftest import presented_rows
 
@@ -355,12 +361,132 @@ def test_injective_equals_the_rank_of_the_matrix():
 def test_tensor_dual_iso_rejects_a_wrong_block_formula(left_block_rows_only):
     """Without the right factor's block rows, S(fine 2 (x) coarse 2) is zero
     and its dual has dim 4, but dim V* * dim W* = 2 * 0.  tensor_product
-    only builds the space, so the wrong dual comes out; tensor_dual_iso is
-    the check that rejects it."""
+    does not check the closed form, so the wrong dual comes out;
+    tensor_dual_iso is the check that rejects it."""
     v, w = make_fine(2), make_coarse(2)
     assert diffeological_dual(tensor_product(v, w)).dim == 4
     with pytest.raises(DiffeolinError, match="is not the block span"):
         tensor_dual_iso(v, w)
+
+
+def test_tensor_dual_iso_presents_the_held_product_once(monkeypatch):
+    """While the caller holds V (x) W, the iso certifies that product: it is
+    presented once, and the certificate's dual is the held product's."""
+    presented = []
+    real = spaces._tensor_presentation
+
+    def counted(v, w):
+        presented.append((v, w))
+        return real(v, w)
+
+    monkeypatch.setattr(spaces, "_tensor_presentation", counted)
+    v, w = kink_space(3, 1), direct_sum(kink_space(2, 1), make_coarse(1))
+    t = tensor_product(v, w)
+    dual = diffeological_dual(t)
+    iso = tensor_dual_iso(v, w)
+    assert presented == [(v, w)]
+    assert iso.tensor_dual is dual and iso.tensor_dual.base is t
+    assert tensor_dual_iso(v, w).tensor_dual.base is t and len(presented) == 1
+
+
+def test_tensor_dual_iso_certifies_a_held_product_on_every_call(monkeypatch):
+    """A second iso on the held product tests every block row again."""
+    v, w = kink_space(3, 2), make_fine(2)
+    t = tensor_product(v, w)
+    tensor_dual_iso(v, w)
+    tested = []
+    real = Subspace.contains_support
+
+    def counted(self, support):
+        tested.append(support)
+        return real(self, support)
+
+    monkeypatch.setattr(Subspace, "contains_support", counted)
+    assert tensor_dual_iso(v, w).tensor_dual.base is t
+    assert tested == [row for _, row in _tensor_rows(v, w)] and tested
+
+
+def test_tensor_dual_iso_rejects_a_wrong_formula_on_every_call(left_block_rows_only):
+    """A held product presented under a wrong block formula is rejected by
+    each certificate, not only by the first."""
+    v, w = make_fine(2), make_coarse(2)
+    t = tensor_product(v, w)
+    assert diffeological_dual(t).dim == 4
+    for _ in range(2):
+        with pytest.raises(DiffeolinError, match="is not the block span"):
+            tensor_dual_iso(v, w)
+    assert tensor_product(v, w) is t
+
+
+def test_tensor_product_memo_is_weak():
+    """A held product is returned again; a dropped one dies with its last
+    holder, without the cycle collector, and leaves no memo entry behind."""
+    v, w = kink_space(3, 1), kink_space(2, 1)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = tensor_product(v, w)
+        assert tensor_product(v, w) is t
+        tensor_dual_iso(v, w)
+        is_smooth_linear(identity_map(t))
+        dead = weakref.ref(t)
+        del t
+        assert dead() is None
+        for i in range(1000):
+            tensor_product(v, make_fine(1 + i % 3))
+        assert len(v.__dict__["_products"]) == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_equal_or_swapped_factors_give_distinct_products():
+    """The memo is keyed by the factor objects: an equal but distinct factor,
+    or the swapped pair, gives another product."""
+    v, w = kink_space(2, 1), kink_space(3, 1)
+    v2, w2 = kink_space(2, 1), kink_space(3, 1)
+    assert v2 == v and v2 is not v and w2 == w and w2 is not w
+    t = tensor_product(v, w)
+    for other in (tensor_product(v2, w), tensor_product(v, w2), tensor_product(v2, w2)):
+        assert other is not t and other == t
+    swapped = tensor_product(w, v)
+    assert swapped is not t and swapped != t
+    assert swapped.diffeology.left is w and swapped.diffeology.right is v
+
+
+def test_threads_racing_on_one_pair_get_equal_products():
+    """Threads that race on the memo, while their products die and drop
+    their entries, may build two products of one pair; each is a valid
+    space equal to the others, and no entry outlives its product."""
+    def pair():
+        return kink_space(3, 1), direct_sum(kink_space(2, 1), make_fine(1))
+
+    v, w = pair()
+    reference = tensor_product(*pair())
+    expected = diffeological_dual(v).dim * diffeological_dual(w).dim
+    results, errors = [], []
+
+    def work():
+        try:
+            for _ in range(200):
+                t = tensor_product(v, w)
+                results.append(t == reference and diffeological_dual(t).dim == expected)
+        except Exception as exc:  # re-raised by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and len(results) == 800 and all(results)
+    assert len(v.__dict__["_products"]) == 0
 
 
 def test_oracle_validates_the_block_formula():
