@@ -3,11 +3,12 @@
 By the universal property of the tensor product diffeology, a bilinear map
 b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
 is smooth, so a ``BilinearForm`` is that map's matrix, and its verdict is
-``check_smooth_linear``'s criterion on the block rows of the definition of
-V (x) W (``tensor._tensor_rows``), with no presentation of V (x) W.  Pairing
-a row of one factor (coarse rows included) with a constant plot of the other
-gives the block rows, and diagonal generator pairs only contribute
-|x|*|x| = x^2 terms, which impose nothing.
+the engine's one test (``spaces.first_outside``) on the block rows of the
+definition of V (x) W (``tensor._tensor_rows``) mapped by that matrix, with
+no presentation of V (x) W.  Pairing a row of one factor (coarse rows
+included) with a constant plot of the other gives the block rows, and
+diagonal generator pairs only contribute |x|*|x| = x^2 terms, which impose
+nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .spaces import (
     DiffeolinError,
     DimensionMismatchError,
     Verdict,
-    presentation,
+    first_outside,
 )
 from .tensor import _tensor_rows, tensor_product
 
@@ -57,19 +58,21 @@ class BilinearForm:
             raise DimensionMismatchError("matrix columns != left dimension * right dimension")
 
     def apply(self, u: Sequence, w: Sequence) -> Vector:
+        if len(u) != self.left.dim or len(w) != self.right.dim:
+            raise DimensionMismatchError(
+                f"arguments have {len(u)} and {len(w)} entries, "
+                f"the spaces have dimensions {self.left.dim} and {self.right.dim}")
         return matvec(self.matrix, kron_vector(vector(u), vector(w)))
 
     @cached_property
     def verdict(self) -> Verdict:
         """``is_smooth_bilinear``'s answer, decided on first use and kept:
-        NotSmooth at the first block row (d, r) whose image leaves F_d(Z),
-        each image mapped on ints through the columns of the matrix, as
-        ``LinearMap`` maps supports."""
-        cod = presentation(self.codomain)
+        ``first_outside`` on the block rows (d, r) of V (x) W, each image
+        mapped on ints through the columns of the matrix, as ``LinearMap``
+        maps supports."""
         _, columns = integer_columns(self.matrix, self.left.dim * self.right.dim)
-        smooth = all(cod.filtration_step(d).contains_support(image_support(columns, s))
-                     for d, s in _tensor_rows(self.left, self.right))
-        return Verdict.SMOOTH if smooth else Verdict.NOT_SMOOTH
+        rows = ((d, image_support(columns, s)) for d, s in _tensor_rows(self.left, self.right))
+        return Verdict.SMOOTH if first_outside(self.codomain, rows) is None else Verdict.NOT_SMOOTH
 
     def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:
         """A positive integer multiple of the family b(u, w_j) for all j."""

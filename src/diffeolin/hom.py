@@ -39,6 +39,7 @@ from .spaces import (
     Plot,
     Pushforward,
     Verdict,
+    first_outside,
     make_fine,
     presentation,
     row_plot,
@@ -85,6 +86,9 @@ class LinearMap:
     def apply(self, v: Vector) -> Vector:
         """M v, accumulated over the support of v only: presented rows are
         sparse, and so are many maps."""
+        if len(v) != self.domain.dim:
+            raise DimensionMismatchError(
+                f"vector has {len(v)} entries, domain dimension is {self.domain.dim}")
         den, columns = self._integer_columns
         out = [0] * len(self.matrix)
         for x, column in zip(v, columns):
@@ -134,34 +138,29 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
     The presentation of the domain spans its plots (see ``is_plot``):
     arbitrary maps into the coarse part C = F_-1, and |x|*x^d * r for each
     row r presented at degree d >= 0.  The map is smooth iff f(r) lies in
-    F_d of the codomain for every row (d, r), coarse rows included.
+    F_d of the codomain for every row (d, r): one pass of ``first_outside``.
 
-    A failing row r of degree d >= 0 has the witness |x|*x^d * r, with r
-    the primitive integer vector of its support (the support divided by the
-    gcd of its entries).  A coarse row c with f(c) outside C is shown by the
-    atom curve |x| * c only when f(c) is also outside F_0 of the codomain;
-    otherwise only non-smooth set maps into C show it.  If no failing row
-    has a witness, the NotSmooth verdict carries none.
-    """
-    pres = presentation(f.domain)
-    cod_pres = presentation(f.codomain)
+    A failing row (d, r) has the witness |x|*x^max(d, 0) * r, r the
+    primitive integer vector of its support, exactly when f(r) also lies
+    outside F_max(d, 0): always for d >= 0.  A coarse row failing inside F_0
+    is shown only by non-smooth set maps into C, so the rows are then read
+    again at max(d, 0), and the first failing there is the witness."""
+    rows = presentation(f.domain).supports
     _, columns = f._integer_columns
-    coarse_failure = False
-    for degree, support in pres.supports:
-        image = image_support(columns, support)
-        if cod_pres.filtration_step(degree).contains_support(image):
-            continue
-        content, entries = gcd(*[x for _, x in support]), dict(support)
-        r = [entries.get(j, 0) // content for j in range(f.domain.dim)]
-        if degree >= 0:
-            return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r, degree),
-                                    reason="image of a singular direction is not a plot")
-        coarse_failure = True
-        if not cod_pres.filtration_step(0).contains_support(image):
-            return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r), reason=_COARSE_FAILURE)
-    if coarse_failure:
-        return SmoothnessReport(Verdict.NOT_SMOOTH, reason=_COARSE_FAILURE)
-    return SmoothnessReport(Verdict.SMOOTH, reason="all singular images are plots")
+    # Rows as (degree tested, image support, degree presented, support).
+    failure = first_outside(f.codomain, ((d, image_support(columns, s), d, s) for d, s in rows))
+    if failure is None:
+        return SmoothnessReport(Verdict.SMOOTH, reason="all singular images are plots")
+    if failure[0] < 0:
+        failure = first_outside(f.codomain, ((d if d > 0 else 0, image_support(columns, s), d, s)
+                                             for d, s in rows))
+        if failure is None:
+            return SmoothnessReport(Verdict.NOT_SMOOTH, reason=_COARSE_FAILURE)
+    tested, _, degree, support = failure
+    content, entries = gcd(*[x for _, x in support]), dict(support)
+    r = [entries.get(j, 0) // content for j in range(f.domain.dim)]
+    reason = _COARSE_FAILURE if degree < 0 else "image of a singular direction is not a plot"
+    return SmoothnessReport(Verdict.NOT_SMOOTH, witness=row_plot(r, tested), reason=reason)
 
 
 def smooth_hom_basis(v: DiffSpace, w: DiffSpace) -> Subspace:

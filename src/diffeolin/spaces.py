@@ -15,10 +15,11 @@ move residue content to higher degrees, never lower.  The top step S(V) is
 the *singular span*: a linear functional is smooth on V exactly when it
 annihilates S(V).
 
-Plot membership is decided exactly on the flag (see ``is_plot``): every
-answer is Plot or NotPlot, and every NotPlot comes with a separating
-functional.  Smoothness of linear and bilinear maps is one test per row:
-f(F_e V) <= F_e W for every e >= -1.
+One test decides every question on the flag: ``first_outside`` returns the
+first (degree d, support) row outside F_d of the target.  A plot, a linear
+map and a bilinear map are smooth exactly when it finds none among their
+rows: the candidate's residue rows (``is_plot``), the domain's rows mapped
+by the matrix (``hom``), and the block rows of V (x) W mapped (``bilinear``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .atoms import FunctionExpr
 from .linalg import (
@@ -39,7 +40,6 @@ from .linalg import (
     Support,
     Vector,
     block_sum,
-    dot,
     image_support,
     integer_columns,
     integer_support,
@@ -89,22 +89,27 @@ class Plot:
     def target_dim(self) -> int:
         return len(self.components)
 
+    def residues(self) -> dict[int, dict[int, Fraction]]:
+        """Map degree d -> {coordinate: nonzero |x|*x^d coefficient}, d ascending."""
+        by_degree: dict[int, dict[int, Fraction]] = {}
+        for i, c in enumerate(self.components):
+            for d, x in c.singular_residue().items():
+                by_degree.setdefault(d, {})[i] = x
+        return dict(sorted(by_degree.items()))
+
     def residue_rows(self) -> dict[int, Vector]:
         """Map degree d -> row of |x|*x^d coefficients across coordinates."""
-        degrees: set[int] = set()
-        residues = [c.singular_residue() for c in self.components]
-        for r in residues:
-            degrees.update(r)
-        return {
-            d: tuple(r.get(d, ZERO) for r in residues)
-            for d in sorted(degrees)
-        }
+        n = self.target_dim
+        return {d: tuple(r.get(i, ZERO) for i in range(n)) for d, r in self.residues().items()}
 
     def slice(self, start: int, stop: int) -> "Plot":
         return Plot(self.components[start:stop])
 
     def transform(self, m: Matrix) -> "Plot":
         """Compose with the linear map given by m (rows of m = output coords)."""
+        if any(len(row) != self.target_dim for row in m):
+            raise DimensionMismatchError(
+                f"matrix row length differs from the plot's {self.target_dim} coordinates")
         out = []
         for row in m:
             acc = FunctionExpr.zero()
@@ -113,6 +118,15 @@ class Plot:
                     acc = acc + comp.scale(coeff)
             out.append(acc)
         return Plot(out)
+
+
+def residue_supports(n: int, plot: Plot) -> Iterator[tuple[int, Support]]:
+    """(d, support of the |x|*x^d residue row of ``plot``) by ascending d,
+    each built when reached: the rows a generated space on R^n presents for
+    the generator ``plot``, and those ``is_plot`` tests for a candidate."""
+    if plot.target_dim != n:
+        raise DimensionMismatchError(f"plot has {plot.target_dim} coordinates, space has dimension {n}")
+    return ((d, integer_support(r)) for d, r in plot.residues().items())
 
 
 def kink_plot(n: int, index: int, degree: int = 0) -> Plot:
@@ -377,10 +391,7 @@ def _build_presentation(space: DiffSpace) -> Presentation:
     if isinstance(d, TensorOf):
         return _tensor_presentation(d.left, d.right)
     if isinstance(d, Generated):
-        if any(g.target_dim != n for g in d.generators):
-            raise DimensionMismatchError("generator dimension mismatch")
-        return _spanned(n, tuple((deg, integer_support(r)) for g in d.generators
-                                 for deg, r in g.residue_rows().items()))
+        return _spanned(n, tuple(row for g in d.generators for row in residue_supports(n, g)))
     if isinstance(d, Pushforward):
         base = presentation(d.base)
         return _spanned(n, tuple((deg, image_support(d.columns, s)) for deg, s in base.supports))
@@ -417,7 +428,20 @@ def singular_span(space: DiffSpace) -> Subspace:
     return presentation(space).singular_span()
 
 
-# --- plot membership -----------------------------------------------------
+# --- the decision procedure ----------------------------------------------
+
+def first_outside(space: DiffSpace, rows: Iterable[tuple]) -> tuple | None:
+    """The first row (degree, support, ...) whose support lies outside
+    F_degree of ``space``, returned as given, or None.  The engine's one
+    membership test: ``is_plot``, ``hom.check_smooth_linear`` and
+    ``bilinear.BilinearForm.verdict`` each run it on their own rows, read
+    one at a time, so a lazy iterable builds only the rows it reaches."""
+    step = presentation(space).filtration_step
+    for row in rows:
+        if not step(row[0]).contains_support(row[1]):
+            return row
+    return None
+
 
 # Nothing calls this; perfbench/tracer.py looks the name up and needs it.
 def default_slack_degree(pres: Presentation, plot: Plot) -> int:
@@ -430,7 +454,8 @@ def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
     Let F_e = span{rows of degree <= e} be the degree filtration of the
     presentation, with F_-1 = C the coarse part, and rho_e the |x|*x^e
     residue row of the candidate.  The candidate is a plot iff rho_e lies in
-    F_e for every e >= 0.
+    F_e for every e >= 0: ``first_outside`` on the rows of <candidate> =
+    ``make_generated(n, [candidate])``, as for the identity <candidate> -> space.
 
     Sufficiency: a generator g with rows r_d at degrees d has, after the
     reparametrisation x -> c*x (c > 0), residues c^(d+1) * r_d.  Combining
@@ -447,37 +472,18 @@ def is_plot(space: DiffSpace, candidate: Plot) -> Verdict:
     |x|*x^e plus higher terms, which is only C^e: the oracle sees it fail at
     order e + 2.  ``separating_functional`` returns that psi.
     """
-    return Verdict.SMOOTH if _first_failure(space, candidate) is None else Verdict.NOT_SMOOTH
-
-
-def _first_failure(space: DiffSpace, candidate: Plot) -> tuple[int, Vector, Subspace] | None:
-    """(e, rho_e, F_e) at the least degree e where the candidate leaves the
-    filtration, or None for a plot.  Each rho_e is tested as the integer
-    support of its entries; only the failing one is built as a row."""
-    if candidate.target_dim != space.dim:
-        raise DimensionMismatchError(
-            f"plot has {candidate.target_dim} coordinates, space has dimension {space.dim}"
-        )
-    pres = presentation(space)
-    residues = [c.singular_residue() for c in candidate.components]
-    by_degree: dict[int, dict[int, Fraction]] = {}
-    for i, r in enumerate(residues):
-        for d, x in r.items():
-            by_degree.setdefault(d, {})[i] = x
-    for degree in sorted(by_degree):
-        step = pres.filtration_step(degree)
-        if not step.contains_support(integer_support(by_degree[degree])):
-            return degree, tuple(r.get(degree, ZERO) for r in residues), step
-    return None
+    failure = first_outside(space, residue_supports(space.dim, candidate))
+    return Verdict.SMOOTH if failure is None else Verdict.NOT_SMOOTH
 
 
 def separating_functional(space: DiffSpace, candidate: Plot) -> Vector | None:
     """The NotPlot certificate of ``is_plot``: a functional that kills F_e but
     not rho_e at the least degree e where the candidate leaves the
-    filtration.  None exactly when the candidate is a plot."""
-    failure = _first_failure(space, candidate)
+    filtration, tested on the support of rho_e, a positive multiple of it.
+    None exactly when the candidate is a plot."""
+    failure = first_outside(space, residue_supports(space.dim, candidate))
     if failure is None:
         return None
-    _, rho, step = failure
-    ann = step.annihilator()
-    return next(phi for phi in ann.basis if dot(phi, rho))
+    degree, support = failure
+    ann = presentation(space).filtration_step(degree).annihilator()
+    return next(phi for phi in ann.basis if sum(phi[j] * x for j, x in support))

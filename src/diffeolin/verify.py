@@ -91,15 +91,16 @@ _ABS_ATOMS, _ATOMS = (tuple(kind(d) for d in range(7)) for kind in (abs_mono, mo
 FINE = math.inf
 
 
-def _flag_classes(max_dim: int, levels=(-1, 0, 1, FINE)) -> list[tuple[tuple, DiffSpace]]:
+def _flag_classes(max_dim: int) -> list[tuple[tuple, DiffSpace]]:
     """(levels, space) for every normal form of dimension 1 to ``max_dim``
-    over ``levels``: a coarse block (level -1), then |x|*x^e along each
-    direction of level e, then fine directions (level FINE).  F_e of the
-    space is spanned by the directions of level <= e, and every space of the
-    atom class is isomorphic to the normal form of its levels."""
+    over the levels -1, 0, 1 and FINE: a coarse block (level -1), then
+    |x|*x^e along each direction of level e, then fine directions (level
+    FINE).  F_e of the space is spanned by the directions of level <= e, and
+    every space of the atom class is isomorphic to the normal form of its
+    levels."""
     classes = []
     for m in range(1, max_dim + 1):
-        for ls in itertools.combinations_with_replacement(levels, m):
+        for ls in itertools.combinations_with_replacement((-1, 0, 1, FINE), m):
             c = ls.count(-1)
             rest = make_generated(m - c, [kink_plot(m - c, i, e)
                                           for i, e in enumerate(ls[c:]) if e != FINE])
@@ -113,8 +114,8 @@ def _kink_space(n: int, k: int) -> DiffSpace:
     return make_generated(n, [kink_plot(n, i) for i in range(k)])
 
 
-def _random_space(rng: random.Random, max_dim: int, kinds=("fine", "coarse", "generated")):
-    kind = rng.choice(kinds)
+def _random_space(rng: random.Random, max_dim: int) -> DiffSpace:
+    kind = rng.choice(("fine", "coarse", "generated"))
     n = rng.randint(1, max_dim)
     if kind == "fine":
         return make_fine(n)

@@ -67,7 +67,7 @@ def wrong_bilinear_block_rows(request, monkeypatch):
     def cut(v, w):
         if request.param == "no rows":
             return iter(())
-        return itertools.islice(real(v, w), len(bilinear.presentation(v).supports) * w.dim)
+        return itertools.islice(real(v, w), len(presentation(v).supports) * w.dim)
 
     monkeypatch.setattr(bilinear, "_tensor_rows", cut)
     return request.param

@@ -10,6 +10,7 @@ from diffeolin import (
     BilinearForm,
     Coarse,
     DiffeolinError,
+    DimensionMismatchError,
     LinearMap,
     Verdict,
     classify,
@@ -412,6 +413,18 @@ def test_apply_is_the_induced_matrix_on_the_kronecker_product():
             w = [rng.choice([0, 2, Fraction(-1, 3)]) for _ in range(m)]
             assert b.apply(u, w) == _reference_apply(b, u, w)
             assert all(type(x) is Fraction for x in b.apply(u, w))
+
+
+@pytest.mark.parametrize("u, w", [([1], [1, 1, 1, 1]), ([1, 1, 1, 1], [1]), ([1, 1], [1]),
+                                  ([1, 1, 1], [1, 1])])
+def test_apply_rejects_arguments_of_the_wrong_length(u, w):
+    """Each argument must have its own factor's dimension: on R^2 x R^2,
+    ([1], [1, 1, 1, 1]) has the right Kronecker length and once read as
+    b(e_1, (1, 1, 1, 1))."""
+    b = form_from_flat(make_fine(2), make_fine(2), make_fine(1), [1, 2, 3, 4])
+    with pytest.raises(DimensionMismatchError):
+        b.apply(u, w)
+    assert b.apply([1, 1], [1, 1]) == (10,)
 
 
 def test_form_from_flat_reads_back_the_induced_matrix():

@@ -9,6 +9,7 @@ import pytest
 
 from diffeolin import (
     DiffeolinError,
+    DimensionMismatchError,
     Fine,
     FunctionExpr,
     LinearMap,
@@ -161,6 +162,16 @@ def test_compose_through_zero_dimensional_spaces():
                   for _ in range(c))
         composite = LinearMap(fine[b], fine[c], f).compose(LinearMap(fine[a], fine[b], g))
         assert composite.matrix == matmul(f, g)
+
+
+@pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 1), ()])
+def test_apply_rejects_a_vector_of_the_wrong_length(v):
+    """A vector shorter or longer than the domain is refused, not cut to
+    fit: on R^3, (1, 1) once came out as the image of (1, 1, 0)."""
+    f = LinearMap(make_fine(3), make_fine(2), ((1, 1, 1), (4, 5, 6)))
+    with pytest.raises(DimensionMismatchError):
+        f.apply(v)
+    assert f.apply((1, 1, 0)) == (2, 9)
 
 
 # --- duals -----------------------------------------------------------------

@@ -106,6 +106,29 @@ def test_the_integer_format_stays_behind_linalg(stem):
         private + reads)
 
 
+def membership_calls(node):
+    """The calls under ``node`` that test a vector against a subspace."""
+    return {sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in ("contains", "contains_support", "contains_subspace")}
+
+
+def test_one_test_decides_plots_maps_and_forms():
+    """``spaces.first_outside`` is the one place where the modules that
+    decide plots, linear maps and bilinear forms test a row against a step
+    of a flag: a second copy of the test could drift from the first.
+    (``tensor_dual_iso`` checks its certificate on its own, as the
+    independent reference.)"""
+    trees = {stem: ast.parse((SOURCE / f"{stem}.py").read_text())
+             for stem in ("spaces", "hom", "bilinear")}
+    the_test = next(membership_calls(node) for name, node, _ in defined_functions(trees["spaces"])
+                    if name == "first_outside")
+    assert the_test
+    stray = [f"{stem}.py line {call.lineno}" for stem, tree in trees.items()
+             for call in membership_calls(tree) if call not in the_test]
+    assert not stray, "membership tested outside spaces.first_outside: " + ", ".join(stray)
+
+
 TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,11 @@ from diffeolin import (
 )
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
-from diffeolin.linalg import Subspace, in_row_span, integer_support, invert, matvec, vector
+from diffeolin.linalg import (
+    Subspace, dot, identity, in_row_span, integer_support, invert, matvec, vector)
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
-    Coarse, DiffSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
+    Coarse, DiffSpace, DualSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
 from diffeolin.tensor import tensor_dual_iso, tensor_product
 
 from conftest import presented_rows, ray
@@ -334,6 +336,16 @@ def test_is_plot_rejects_wrong_dimension():
         is_plot(make_fine(2), plot_of("x"))
 
 
+@pytest.mark.parametrize("m", [((1,), (2,)), ((1, 0, 1),), ((1, 1), (1,))])
+def test_transform_rejects_a_row_of_the_wrong_length(m):
+    """Each row of the matrix reads every coordinate of the plot: a 2 x 1
+    matrix on a plot of R^2 once dropped the second coordinate."""
+    p = plot_of("abs(x)", "x")
+    with pytest.raises(DimensionMismatchError):
+        p.transform(m)
+    assert p.transform(((1, 1),)) == plot_of("abs(x) + x")
+
+
 # --- scope of the presentation memos ------------------------------------------
 
 def test_presentation_is_built_once_per_space():
@@ -477,6 +489,59 @@ def _random_nested_space(rng, depth=0):
     # Nested tensors stay small: one factor of a tensor is a leaf.
     v, w = _random_nested_space(rng, depth + 1), _random_nested_space(rng, 2)
     return direct_sum(v, w) if kind == "sum" else tensor_product(v, w)
+
+
+def _random_candidate(rng, space):
+    """A curve of R^n: smooth terms plus up to three kinks, most along a
+    presented row of ``space`` one degree below, at or above its own, the
+    rest along a random direction."""
+    n, rows = space.dim, presented_rows(space)
+    comps = [M(rng.randint(0, 2), rng.randint(-2, 2)) for _ in range(n)]
+    for _ in range(rng.randint(0, 3) if n else 0):
+        if rows and rng.random() < 0.7:
+            d, r = rng.choice(rows)
+            degree = max(0, d + rng.choice((-1, 0, 1)))
+        else:
+            r, degree = _random_direction(rng, n), rng.randint(0, 3)
+        c = rng.choice((1, -1, 2, Fraction(1, 2)))
+        comps = [a + A(degree, c * x) for a, x in zip(comps, r)]
+    return Plot(comps)
+
+
+def _kind(space):
+    return "Dual" if isinstance(space, DualSpace) else type(space.diffeology).__name__
+
+
+def test_is_plot_is_smoothness_of_the_identity_from_the_candidates_space():
+    """On all seven kinds of space, ``is_plot(V, c)`` is the verdict of
+    ``check_smooth_linear`` on the identity <c> -> V, <c> =
+    ``make_generated(n, [c])``: both run the one test on the rows <c>
+    presents.  A NotPlot certificate separates the residue of the degree of
+    that check's witness, and the witness runs along that residue."""
+    rng = random.Random(29)
+    kinds, verdicts = Counter(), Counter()
+    for _ in range(160):
+        space = _random_nested_space(rng)
+        kinds[_kind(space)] += 1
+        n = space.dim
+        for _ in range(4):
+            candidate = _random_candidate(rng, space)
+            report = check_smooth_linear(
+                LinearMap(make_generated(n, [candidate]), space, identity(n)))
+            verdicts[report.verdict] += 1
+            assert is_plot(space, candidate) is report.verdict
+            phi = separating_functional(space, candidate)
+            assert (phi is None) == (report.verdict is Verdict.SMOOTH)
+            if phi is None:
+                continue
+            residues = candidate.residue_rows()
+            degree = min(d for d, rho in residues.items() if dot(phi, rho))
+            (witness_degree, r), = report.witness.residue_rows().items()
+            assert witness_degree == degree
+            assert ray(integer_support(r)) == ray(integer_support(residues[degree]))
+    assert set(kinds) == {"Fine", "Coarse", "Generated", "SumOf", "TensorOf", "Pushforward",
+                          "Dual"}
+    assert sum(verdicts.values()) >= 600 and min(verdicts.values()) >= 150
 
 
 def test_coarse_part_is_the_degree_minus_one_step_of_one_row_list():
