@@ -16,7 +16,6 @@ In particular V** is fine R^(dim V*), which differs from V unless V is fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -84,18 +83,10 @@ class LinearMap:
         return integer_columns(self.matrix, self.domain.dim)
 
     def apply(self, v: Vector) -> Vector:
-        """M v, accumulated over the support of v only: presented rows are
-        sparse, and so are many maps."""
         if len(v) != self.domain.dim:
             raise DimensionMismatchError(
                 f"vector has {len(v)} entries, domain dimension is {self.domain.dim}")
-        den, columns = self._integer_columns
-        out = [0] * len(self.matrix)
-        for x, column in zip(v, columns):
-            if x:
-                for i, a in column:
-                    out[i] += a * x
-        return tuple(Fraction(y, den) for y in out)
+        return matvec(self.matrix, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other, column by column: the images of other's

@@ -8,9 +8,10 @@ Fractions live only at the API boundary.  Elimination runs on Python ints:
 each input row is scaled by the lcm of its denominators, rows are combined
 fraction-free (a*r - b*p, with a and b the two entries in the pivot column
 divided by their gcd) and every new row is divided by its content, the gcd
-of its entries, so the integers stay small.  ``rref``, ``solve`` and
-``invert`` turn the finished rows back into Fractions, each divided by its
-pivot entry.  A ``Subspace`` does not: it stores the integer RREF that
+of its entries, so the integers stay small.  ``Subspace.from_supports`` and
+the annihilator are the only ways into that elimination, and ``rref``,
+``rank``, ``solve``, ``invert`` and ``in_row_span`` are views of the
+``Subspace`` of their rows.  A ``Subspace`` stores the integer RREF that
 elimination produces (``Form``: pivots, the lcm L of the denominators, and
 the nonzero entries of L times each RREF row), and builds Fraction rows
 only when ``basis`` is read.  The sum A (+) B, the tensor step
@@ -65,10 +66,6 @@ def matrix(rows: Iterable[Sequence]) -> Matrix:
     return tuple(vector(r) for r in rows)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return (ZERO,) * i + (_ONE,) + (ZERO,) * (n - i - 1)
 
@@ -121,30 +118,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_vector(a: Vector, b: Vector) -> Vector:
-    # Multiply only the nonzero entries of both factors, as matvec does:
-    # RREF rows are mostly zero.
-    m = len(b)
-    support = [(k, y) for k, y in enumerate(b) if y is not ZERO and y]
-    out = [ZERO] * (len(a) * m)
-    for i, x in enumerate(a):
-        if x is not ZERO and x:
-            for k, y in support:
-                out[i * m + k] = x * y
-    return tuple(out)
-
-
-def _integer_row(row: Sequence) -> list[int]:
-    """The row scaled by the lcm of its denominators, as Python ints."""
-    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*[x.denominator for x in q])
-    if den == 1:
-        return [x.numerator for x in q]
-    return [x.numerator * (den // x.denominator) for x in q]
+    return kron((a,), (b,))[0]
 
 
 def integer_family(family: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """The vectors times the lcm of all their denominators, as ints."""
-    entries = iter(_integer_row([x for value in family for x in value]))
+    flat = [x for value in family for x in value]
+    entries = iter(_dense(len(flat), _scaled_support(flat)[1]))
     return tuple(tuple(next(entries) for _ in value) for value in family)
 
 
@@ -240,23 +220,14 @@ def _dense(n: int, support: Support) -> list[int]:
     return row
 
 
-def _fraction_row(row: list[int], col: int) -> Vector:
-    """row / row[col] as Fractions: back across the API boundary."""
-    d = row[col]
-    return tuple(Fraction(x, d) if x else ZERO for x in row)
-
-
 def rref(rows: Iterable[Sequence]) -> Matrix:
     """Reduced row echelon form with zero rows dropped."""
-    work = [_integer_row(r) for r in rows]
-    if not work:
-        return ()
-    return tuple(_fraction_row(r, col) for col, r in _eliminate(work, len(work[0])))
+    rows = list(rows)
+    return Subspace.from_rows(len(rows[0]), rows).basis if rows else ()
 
 
 def rank(m: Matrix) -> int:
-    work = [_integer_row(r) for r in m]
-    return len(_eliminate(work, len(work[0]))) if work else 0
+    return Subspace.from_rows(len(m[0]), m).dim if m else 0
 
 
 def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
@@ -270,41 +241,37 @@ def nullspace(m: Matrix, n_cols: int | None = None) -> Matrix:
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of a @ x = b, or None if inconsistent."""
-    n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    if n_rows == 0:
-        return zero_vector(n_cols) if not any(b) else None
-    augmented = [_integer_row(tuple(row) + (bi,)) for row, bi in zip(a, b)]
-    x = [ZERO] * n_cols
-    for col, row in _eliminate(augmented, n_cols + 1):
-        if col == n_cols:
-            return None
-        x[col] = Fraction(row[n_cols], row[col])
+    """One exact solution of a @ x = b, or None if inconsistent: x is the
+    last column of the augmented RREF at the pivots, unless that column is
+    itself a pivot.  With no rows there are no unknowns, and only b = 0."""
+    if not a:
+        return None if any(b) else ()
+    n = len(a[0])
+    reduced = Subspace.from_rows(n + 1, [tuple(row) + (bi,) for row, bi in zip(a, b)])
+    if reduced.pivots and reduced.pivots[-1] == n:
+        return None
+    x = [ZERO] * n
+    for col, row in zip(reduced.pivots, reduced.basis):
+        x[col] = row[n]
     return tuple(x)
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the right half of
+    the RREF of [m | I], whose pivots are the first n columns exactly when
+    m is invertible."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    augmented = [_integer_row(tuple(row) + unit_vector(n, i)) for i, row in enumerate(m)]
-    reduced = _eliminate(augmented, 2 * n)
-    if [col for col, _ in reduced] != list(range(n)):
+    reduced = Subspace.from_rows(2 * n, [tuple(row) + unit_vector(n, i) for i, row in enumerate(m)])
+    if reduced.pivots != tuple(range(n)):
         return None
-    return tuple(_fraction_row(row, i)[n:] for i, (_, row) in enumerate(reduced))
+    return tuple(row[n:] for row in reduced.basis)
 
 
 def in_row_span(rows: Matrix, v: Vector) -> bool:
-    """Exact membership of v in the rational row span of rows, by rank."""
-    if not any(v):
-        return True
-    if not rows:
-        return False
-    return rank(rows) == rank(rows + (v,))
-
-
+    """Exact membership of v in the rational row span of rows."""
+    return Subspace.from_rows(len(v), rows).contains(v)
 
 
 # The stored form of a subspace: (pivots, L, rows), with L the lcm of the

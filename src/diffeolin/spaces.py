@@ -43,8 +43,8 @@ from .linalg import (
     image_support,
     integer_columns,
     integer_support,
-    rank,
     tensor_span,
+    unit_vector,
     vector,
 )
 
@@ -131,9 +131,7 @@ def residue_supports(n: int, plot: Plot) -> Iterator[tuple[int, Support]]:
 
 def kink_plot(n: int, index: int, degree: int = 0) -> Plot:
     """The plot |x|*x^degree * e_index in R^n."""
-    comps = [FunctionExpr.zero()] * n
-    comps[index] = FunctionExpr.abs_monomial(degree)
-    return Plot(comps)
+    return row_plot(unit_vector(n, index), degree)
 
 
 def row_plot(row: Sequence, degree: int = 0) -> Plot:
@@ -183,7 +181,8 @@ class Pushforward:
         n = self.base.dim
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise DimensionMismatchError("pushforward matrix is not square of the base dimension")
-        if rank(self.matrix) < n:
+        # The columns span Q^n exactly when the matrix is invertible.
+        if Subspace.from_supports(n, self.columns).dim < n:
             raise DiffeolinError("pushforward matrix is singular")
 
     @cached_property

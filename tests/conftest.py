@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules, and the references that several
 of them import."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,6 +15,58 @@ def ray(support):
     for positive multiples of one vector."""
     content = gcd(*[x for _, x in support])
     return sorted((j, x // content) for j, x in support)
+
+
+def reference_rref(rows):
+    """Fraction Gauss-Jordan elimination, sharing no code with the integer
+    kernel that ``Subspace`` and every dense routine of ``linalg`` run on."""
+    work = [list(map(Fraction, r)) for r in rows]
+    if not work:
+        return ()
+    n_cols = len(work[0])
+    pivot_row = 0
+    for col in range(n_cols):
+        pivot = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
+
+
+def _pivot(row):
+    """The column of the first nonzero entry of a nonzero row."""
+    return next(j for j, x in enumerate(row) if x)
+
+
+def reference_nullspace(m, n_cols):
+    """The RREF basis of {v : m @ v = 0}, from the free columns of the
+    reference RREF."""
+    reduced = reference_rref(m)
+    pivots = [_pivot(row) for row in reduced]
+    basis = []
+    for j in range(n_cols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[j] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[j]
+        basis.append(v)
+    return reference_rref(basis)
+
+
+def reference_contains(rows, v):
+    """Membership of v in the row span of rows, by reference rank."""
+    return len(reference_rref(list(rows) + [v])) == len(reference_rref(rows))
 
 
 def presented_rows(space):

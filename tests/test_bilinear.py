@@ -639,16 +639,15 @@ def test_forms_are_decided_without_presenting_the_tensor_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("presented V (x) W")
 
-    reduce = linalg.rref
+    eliminate = linalg._eliminate
     width = None
 
-    def rref(rows):
-        rows = list(rows)
-        assert not rows or len(rows[0]) != width, f"rref over the {width} coordinates of V (x) W"
-        return reduce(rows)
+    def checked(rows, n_cols):
+        assert n_cols != width, f"elimination over the {width} coordinates of V (x) W"
+        return eliminate(rows, n_cols)
 
     monkeypatch.setattr(spaces, "_tensor_presentation", refuse)
-    monkeypatch.setattr(linalg, "rref", rref)
+    monkeypatch.setattr(linalg, "_eliminate", checked)
     rng = random.Random(6400)
     verdicts = []
     for n, m in [(8, 8)] + [(rng.randint(2, 8), rng.randint(2, 8)) for _ in range(59)]:

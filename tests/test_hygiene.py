@@ -129,6 +129,32 @@ def test_one_test_decides_plots_maps_and_forms():
     assert not stray, "membership tested outside spaces.first_outside: " + ", ".join(stray)
 
 
+def eliminations(tree):
+    """(innermost function around it, line) for every call of ``_eliminate``."""
+    owner = {}
+    for qualname, node, _ in defined_functions(tree):
+        for sub in ast.walk(node):
+            owner[sub] = qualname
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Call) and "_eliminate" in (getattr(sub.func, "id", None),
+                                                          getattr(sub.func, "attr", None)):
+            yield owner.get(sub, "<module>"), sub.lineno
+
+
+def test_only_subspace_reaches_the_elimination():
+    """``linalg._eliminate`` has one way in: ``Subspace.from_supports`` spans
+    rows and ``_annihilator_form`` computes an annihilator.  ``rref``,
+    ``rank``, ``solve``, ``invert`` and ``in_row_span`` are views of the
+    ``Subspace`` of their rows, so a second conversion into and out of the
+    integer rows could drift from the first."""
+    callers = {}
+    for path in SOURCE.glob("*.py"):
+        for owner, line in eliminations(ast.parse(path.read_text())):
+            callers.setdefault(f"{path.stem}.{owner}", []).append(line)
+    assert set(callers) == {"linalg.Subspace.from_supports", "linalg._annihilator_form"}, (
+        f"_eliminate called from {callers}")
+
+
 TRACER = SOURCE.parent.parent / "perfbench" / "tracer.py"
 
 
@@ -176,22 +202,21 @@ def tracer_names():
     return {f"{module}.{name}" for module, names in table.items() for name in names}
 
 
-def test_every_function_has_a_caller():
-    """Every function and method under src/diffeolin is referenced in src/
-    outside its own body, exported from __init__.py, or looked up by the
-    benchmark tracer; dunder methods are called by Python itself.  A method
-    counts as referenced only through an attribute (``x.name``), so a bare
-    name that happens to match it does not keep it alive, and a staticmethod
-    only through its class (``Class.name``), so a method of the same name on
-    another class does not keep it alive either."""
+def uncalled_functions():
+    """``module.qualified name`` -> line of every function and method under
+    src/diffeolin that nothing in src/ references outside its own body and
+    __init__.py does not export; dunder methods are called by Python itself.
+    A method counts as referenced only through an attribute (``x.name``), so
+    a bare name that happens to match it does not keep it alive, and a
+    staticmethod only through its class (``Class.name``), so a method of the
+    same name on another class does not keep it alive either."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCE.glob("*.py")}
     uses = Counter(name for tree in trees.values() for name in referenced_names(tree))
     attribute_uses = Counter(name for tree in trees.values()
                              for name in referenced_names(tree, attributes_only=True))
     class_uses = Counter(name for tree in trees.values() for name in class_attributes(tree))
     exported = {name for name, _ in imported_names(trees["__init__"])}
-    traced = tracer_names()
-    orphans = []
+    uncalled = {}
     for module, tree in trees.items():
         for qualname, node, method in defined_functions(tree):
             name = node.name
@@ -203,11 +228,42 @@ def test_every_function_has_a_caller():
             else:
                 counted = attribute_uses if method else uses
                 own = Counter(referenced_names(node, attributes_only=method))[name]
-            if (counted[name] > own or (not method and name in exported)
-                    or f"{module}.{qualname}" in traced):
-                continue
-            orphans.append(f"{module}.{qualname} (line {node.lineno})")
+            if not (counted[name] > own or (not method and name in exported)):
+                uncalled[f"{module}.{qualname}"] = node.lineno
+    return uncalled
+
+
+def test_every_function_has_a_caller():
+    """Every function and method under src/diffeolin has a caller in src/,
+    is exported from __init__.py, or is looked up by the benchmark tracer."""
+    traced = tracer_names()
+    orphans = [f"{name} (line {line})" for name, line in uncalled_functions().items()
+               if name not in traced]
     assert not orphans, "defined but never called: " + ", ".join(orphans)
+
+
+# The functions that only the tracer's PUBLIC table keeps alive: nothing in
+# src/ calls them and __init__.py does not export them.  Each goes when the
+# tracer stops looking it up.
+TRACER_ONLY = {
+    "atoms.FunctionExpr.evaluate", "atoms.FunctionExpr.evaluate_float",
+    "bilinear.BilinearForm.left_slice", "bilinear.BilinearForm.right_slice",
+    "hom.LinearMap.compose", "linalg.Subspace.add", "linalg.Subspace.contains_subspace",
+    "linalg.Subspace.map_by", "linalg.in_row_span", "linalg.nullspace", "linalg.rank",
+    "linalg.rref", "linalg.solve", "spaces.Plot.residue_rows", "spaces.Plot.slice",
+    "spaces.Presentation.rows_up_to", "spaces.default_slack_degree",
+}
+
+
+def test_the_tracer_keeps_alive_only_the_pinned_functions():
+    """A function that loses its last caller in src/ but stays in the
+    tracer's PUBLIC table passes the test above; here it changes this set
+    and fails, so it is deleted or pinned on purpose.  A pinned function that
+    gains a caller, or leaves the table, must leave the set too."""
+    traced = tracer_names()
+    kept = {name for name in uncalled_functions() if name in traced}
+    assert kept == TRACER_ONLY, (f"newly kept only by the tracer: {sorted(kept - TRACER_ONLY)}; "
+                                 f"no longer: {sorted(TRACER_ONLY - kept)}")
 
 
 def test_every_traced_name_exists():

@@ -33,6 +33,8 @@ from diffeolin.linalg import (
     vector,
 )
 
+from conftest import _pivot, reference_contains, reference_nullspace, reference_rref
+
 
 def test_rref_is_canonical():
     m1 = matrix([[2, 4], [1, 3]])
@@ -209,49 +211,6 @@ def test_contains_and_coordinates_reject_a_vector_of_the_wrong_length():
 
 # --- the integer kernel against a Fraction reference -------------------------
 
-def reference_rref(rows):
-    """Fraction Gauss-Jordan elimination: the kernel before integer rows."""
-    work = [list(map(Fraction, r)) for r in rows]
-    if not work:
-        return ()
-    n_cols = len(work[0])
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if any(r))
-
-
-def _pivot(row):
-    return next(j for j, x in enumerate(row) if x)
-
-
-def reference_nullspace(m, n_cols):
-    reduced = reference_rref(m)
-    pivots = [_pivot(row) for row in reduced]
-    basis = []
-    for j in range(n_cols):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * n_cols
-        v[j] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[j]
-        basis.append(v)
-    return reference_rref(basis)
-
-
 def reference_solve(a, b):
     n_cols = len(a[0]) if a else 0
     if not a:
@@ -271,10 +230,6 @@ def reference_invert(m):
     if [_pivot(row) for row in reduced] != list(range(n)):
         return None
     return tuple(row[n:] for row in reduced)
-
-
-def reference_contains(rows, v):
-    return len(reference_rref(list(rows) + [v])) == len(reference_rref(rows))
 
 
 def _random_matrix(rng, shape):
@@ -319,12 +274,17 @@ def test_integer_kernel_agrees_with_the_fraction_reference(shape):
     rng = random.Random(f"linalg-kernel:{shape}")
     for _ in range(60):
         m, n_cols = _random_matrix(rng, shape)
-        reduced = rref(m)
-        assert reduced == reference_rref(m)
+        reduced, expected = rref(m), reference_rref(m)
+        assert reduced == expected
+        assert rank(m) == len(expected)
         assert nullspace(m, n_cols) == reference_nullspace(m, n_cols)
         x = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n_cols))
         for b in (matvec(m, x), tuple(Fraction(rng.randint(-5, 5)) for _ in m)):
             assert solve(m, b) == reference_solve(m, b)
+        if not m:
+            # No rows, no unknowns: only the zero right side is solved.
+            b = (Fraction(rng.randint(1, 5)),)
+            assert solve(m, b) is None and reference_solve(m, b) is None
         if m and len(m) == n_cols:
             assert invert(m) == reference_invert(m)
         s = Subspace.from_rows(n_cols, m)
@@ -334,6 +294,7 @@ def test_integer_kernel_agrees_with_the_fraction_reference(shape):
         for v in (inside, outside, (Fraction(0),) * n_cols):
             member = reference_contains(m, v)
             assert s.contains(v) is member
+            assert in_row_span(m, v) is member
             coords = s.coordinates(v)
             if not member:
                 assert coords is None
@@ -367,14 +328,14 @@ def _random_row_set(rng, n):
 
 def test_stored_form_matches_the_fraction_rref():
     """``from_rows`` stores the integer RREF of the rows, and again of the
-    Fraction rows of ``rref``.  Both are one subspace: equal, with one
+    Fraction rows of the reference RREF.  Both are one subspace: equal, with one
     hash, basis, pivot tuple and annihilator, the basis being the Fraction
     reference RREF and the annihilator the reference nullspace."""
     rng = random.Random("linalg-form")
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = _random_row_set(rng, n)
-        stored, derived = Subspace.from_rows(n, rows), Subspace.from_rows(n, rref(rows))
+        stored, derived = Subspace.from_rows(n, rows), Subspace.from_rows(n, reference_rref(rows))
         assert stored == derived and hash(stored) == hash(derived)
         assert stored.basis == derived.basis == reference_rref(rows)
         assert stored.pivots == derived.pivots and stored.dim == derived.dim

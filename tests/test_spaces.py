@@ -30,13 +30,13 @@ from diffeolin import (
 from diffeolin.atoms import mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
 from diffeolin.linalg import (
-    Subspace, dot, identity, in_row_span, integer_support, invert, matvec, vector)
+    Subspace, dot, identity, integer_support, invert, matvec, vector)
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
     Coarse, DiffSpace, DualSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
 from diffeolin.tensor import tensor_dual_iso, tensor_product
 
-from conftest import presented_rows, ray
+from conftest import presented_rows, ray, reference_contains, reference_rref
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
@@ -331,6 +331,38 @@ def test_pushforward_rejects_a_matrix_that_is_not_invertible(matrix, error):
         Pushforward(v, tuple(tuple(Fraction(x) for x in row) for row in matrix))
 
 
+def test_pushforward_is_singular_exactly_below_the_reference_rank():
+    """The singularity test reads the integer columns: on small random
+    matrices, many of them singular, it rejects exactly those whose
+    Fraction reference RREF has fewer rows than the dimension."""
+    rng = random.Random("pushforward-rank")
+    v = make_generated(3, [kink_plot(3, 0)])
+    rejected = 0
+    for _ in range(60):
+        m = tuple(tuple(Fraction(rng.choice([0, 0, 1, -1, 2]), rng.randint(1, 2)) for _ in range(3))
+                  for _ in range(3))
+        singular = len(reference_rref(m)) < 3
+        rejected += singular
+        if singular:
+            with pytest.raises(DiffeolinError, match="singular"):
+                Pushforward(v, m)
+        else:
+            Pushforward(v, m)
+    assert 0 < rejected < 60
+
+
+def test_a_dual_describes_its_base():
+    """``DualSpace.describe`` names its base, so it nests for the dual of a
+    dual and reads through the factors of a tensor product."""
+    v = make_generated(2, [kink_plot(2, 0)])
+    dual = diffeological_dual(v)
+    assert dual.describe() == "dual of generated R^2 (1 generators)"
+    assert diffeological_dual(dual).describe() == "dual of dual of generated R^2 (1 generators)"
+    t = tensor_product(dual, make_fine(1))
+    assert diffeological_dual(t).describe() == (
+        "dual of (dual of generated R^2 (1 generators)) (x) (fine R^1)")
+
+
 def test_is_plot_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatchError):
         is_plot(make_fine(2), plot_of("x"))
@@ -358,8 +390,8 @@ def test_presentation_is_built_once_per_space():
 
 
 def test_filtration_membership_matches_row_span_membership():
-    """The memoised filtration steps answer exactly as rank membership in the
-    spanning rows of F_e, on generated, sum, hat and tensor spaces, for a
+    """The memoised filtration steps answer exactly as Fraction reference
+    membership in the spanning rows of F_e, on generated, sum, hat and tensor spaces, for a
     row given densely and as its integer support."""
     rng = random.Random(20150430)
     for _ in range(30):
@@ -377,7 +409,7 @@ def test_filtration_membership_matches_row_span_membership():
                 candidates.append(tuple(sum(c) for c in zip(*rows)))
             step = pres.filtration_step(degree)
             for row in candidates:
-                member = in_row_span(rows, row)
+                member = reference_contains(rows, row)
                 assert step.contains(row) is member
                 assert step.contains_support(integer_support(row)) is member
 
