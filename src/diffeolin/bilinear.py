@@ -3,17 +3,16 @@
 By the universal property of the tensor product diffeology, a bilinear map
 b: V x W -> Z is smooth exactly when the linear map V (x) W -> Z it induces
 is smooth, so a ``BilinearForm`` is that map's matrix, and its verdict is
-the engine's one test (``spaces.first_outside``) on the block rows of the
-definition of V (x) W (``tensor._tensor_rows``) mapped by that matrix, with
-no presentation of V (x) W.  Pairing a row of one factor (coarse rows
-included) with a constant plot of the other gives the block rows, and
-diagonal generator pairs only contribute |x|*|x| = x^2 terms, which impose
-nothing.
+the engine's one test (``spaces.first_outside``) on the rows V (x) W
+presents, the block rows of its definition, mapped by that matrix; no step
+of V (x) W is built.  Pairing a row of one factor with a constant plot of
+the other gives the block rows, and diagonal generator pairs only
+contribute |x|*|x| = x^2 terms, which impose nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -37,25 +36,28 @@ from .spaces import (
     DimensionMismatchError,
     Verdict,
     first_outside,
+    presentation,
 )
-from .tensor import _tensor_rows, tensor_product
+from .tensor import tensor_product
 
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """Bilinear map left x right -> codomain, stored as its induced map
-    V (x) W -> Z: entry (k, i*m + j) of ``matrix`` is b(v_i, w_j)_k."""
+    """Bilinear map left x right -> codomain, stored as its induced map on
+    ``product`` = V (x) W: entry (k, i*m + j) of ``matrix`` is b(v_i, w_j)_k."""
 
     left: DiffSpace
     right: DiffSpace
     codomain: DiffSpace
     matrix: Matrix
+    product: DiffSpace = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.matrix) != self.codomain.dim:
             raise DimensionMismatchError("matrix rows != codomain dimension")
         if any(len(row) != self.left.dim * self.right.dim for row in self.matrix):
             raise DimensionMismatchError("matrix columns != left dimension * right dimension")
+        object.__setattr__(self, "product", tensor_product(self.left, self.right))
 
     def apply(self, u: Sequence, w: Sequence) -> Vector:
         if len(u) != self.left.dim or len(w) != self.right.dim:
@@ -67,11 +69,11 @@ class BilinearForm:
     @cached_property
     def verdict(self) -> Verdict:
         """``is_smooth_bilinear``'s answer, decided on first use and kept:
-        ``first_outside`` on the block rows (d, r) of V (x) W, each image
-        mapped on ints through the columns of the matrix, as ``LinearMap``
-        maps supports."""
-        _, columns = integer_columns(self.matrix, self.left.dim * self.right.dim)
-        rows = ((d, image_support(columns, s)) for d, s in _tensor_rows(self.left, self.right))
+        ``first_outside`` on the presented rows (d, r) of ``product``, the
+        block rows of its definition, each image mapped on ints through the
+        columns of the matrix, as ``LinearMap`` maps supports."""
+        _, columns = integer_columns(self.matrix, self.product.dim)
+        rows = ((d, image_support(columns, s)) for d, s in presentation(self.product).supports)
         return Verdict.SMOOTH if first_outside(self.codomain, rows) is None else Verdict.NOT_SMOOTH
 
     def left_slice(self, u: Sequence) -> tuple[tuple[int, ...], ...]:

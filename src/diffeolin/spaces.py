@@ -405,20 +405,22 @@ def _spanned(n: int, supports: tuple[tuple[int, Support], ...]) -> Presentation:
 
 
 def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
-    """The flag F_e(V (x) W) = F_e V (x) R^m + R^n (x) F_e W, each step from
-    ``tensor_span`` at -1 (the coarse rows absorb everything they touch)
-    and at every degree either factor presents.  All are built here, since
-    the supports need them: those of the rows of each step whose pivot is
-    new there, which are dim S(V (x) W) independent rows, those of degree
-    <= e spanning F_e."""
+    """The block rows (d, r (x) e_j), then (d, e_i (x) r'), of the definition
+    of V (x) W, for the rows (d, r) of V and (d, r') of W, less those of
+    degree >= 0 whose unit factor lies in the other side's coarse part C:
+    e_j lies in C exactly when the RREF row of C at pivot j is e_j.  The
+    step F_e = F_e V (x) R^m + R^n (x) F_e W is ``tensor_span`` of the
+    factors' steps, built on first ask."""
     lp, rp = presentation(left), presentation(right)
-    steps = {e: tensor_span(lp.filtration_step(e), rp.filtration_step(e))
-             for e in sorted({-1} | {d for d, _ in lp.supports + rp.supports})}
-    supports, seen = [], set()
-    for e, step in steps.items():
-        supports.extend((e, s) for p, s in zip(step.pivots, step.supports) if p not in seen)
-        seen.update(step.pivots)
-    return Presentation(left.dim * right.dim, tuple(supports), steps.__getitem__)
+    n, m = left.dim, right.dim
+    units = [{p for p, s in zip(c.pivots, c.supports) if len(s) == 1}
+             for c in (lp.filtration_step(-1), rp.filtration_step(-1))]
+    supports = ([(d, [(i * m + j, x) for i, x in s]) for d, s in lp.supports
+                 for j in range(m) if d < 0 or j not in units[1]]
+                + [(d, [(i * m + k, x) for k, x in s]) for d, s in rp.supports
+                   for i in range(n) if d < 0 or i not in units[0]])
+    return Presentation(n * m, tuple(supports),
+                        lambda e: tensor_span(lp.filtration_step(e), rp.filtration_step(e)))
 
 
 def singular_span(space: DiffSpace) -> Subspace:

@@ -9,32 +9,30 @@ flag is the block flag
 with the coarse part at e = -1 and the singular span S(V) (x) R^m +
 R^n (x) S(W) at the top; pairs of singular generators only add
 |x|*|x| = x^2 terms, which are smooth (the test suite checks the residues of
-``product_plot`` on generator pairs).  The presentation builds each step
-directly in RREF from the factors' RREF steps (``linalg.tensor_span``), so
-any two spaces tensor (fine, coarse, generated, sums, tensors, pushforwards
-(hat duals) and duals) with no elimination over the n*m coordinates.  The
-Kronecker product of RREF rows with pivots p and q is an RREF row with pivot
-p*m + q, zero at every other such pivot, so the RREF basis of Ann F_e(V (x) W)
-= Ann F_e V (x) Ann F_e W is the Kronecker products of the factor bases,
-row-major (``linalg.kron_span``): every step carries it, and neither the
-dual nor a NotPlot certificate computes a nullspace.  Steps and
-annihilators are built on ints, as the integer RREF a ``Subspace`` stores,
-and the presentation's supports are the rows of the steps, so presenting,
-dualising and certifying a product builds no Fraction; the Fraction rows of
-a step are built only when its basis is read (a printed basis, a NotPlot
-certificate).  ``tensor_product(v, w)`` is one space per live factor pair:
-a memo on ``v`` maps ``id(w)`` to a weak reference to the product, and the
-product's death removes the entry (the product holds ``w``, so the key is
-not reused while it lives).  Callers of one pair share its presentation and
-dual.  ``tensor_dual_iso`` certifies the closed form against the block rows
-of the definition on every call and is the one runtime check of it.
+``product_plot`` on generator pairs).  Like every other space, a product
+is presented by the block rows of its definition
+(``spaces._tensor_presentation``), and each step is built on first ask, in
+RREF from the factors' RREF steps (``linalg.tensor_span``), so any two
+spaces tensor with no elimination over the n*m coordinates.  The Kronecker
+product of RREF rows with pivots p and q is an RREF row with pivot
+p*m + q, zero at every other such pivot, so the RREF basis of
+Ann F_e(V (x) W) = Ann F_e V (x) Ann F_e W is the Kronecker products of the
+factor bases, row-major (``linalg.kron_span``): every step carries it, and
+neither the dual nor a NotPlot certificate computes a nullspace.  Rows,
+steps and annihilators are built on ints, so presenting, dualising and
+certifying a product builds no Fraction.  ``tensor_product(v, w)`` is one
+space per live factor pair: a memo on ``v`` maps ``id(w)`` to a weak
+reference to the product, and the product's death removes the entry (the
+product holds ``w``, so the key is not reused while it lives).  Callers of
+one pair share its presentation and dual.  ``tensor_dual_iso`` certifies
+the closed-form top step against the presented block rows on every call
+and is the one runtime check of it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterator
 
 from .hom import (
     DualSpace,
@@ -45,7 +43,6 @@ from .hom import (
 )
 from .linalg import (
     Matrix,
-    Support,
     identity,
     invert,
     kron,
@@ -153,36 +150,20 @@ class TensorDualIso:
         return self.injective  # equal dimensions: onto as well
 
 
-def _tensor_rows(v: DiffSpace, w: DiffSpace) -> Iterator[tuple[int, Support]]:
-    """The block rows (d, r (x) e_j) and (d, e_i (x) r') of the definition of
-    V (x) W, for every row r of v and r' of w presented at degree d, coarse
-    rows included; those of degree <= e span F_e(V (x) W).  No presentation
-    reads them: they are the independent reference of ``tensor_dual_iso``'s
-    certificate, and ``BilinearForm.verdict`` decides a form on them.  Each
-    is the factor row's support shifted to its block: r_i sits at i*m + j,
-    r'_k at i*m + k."""
-    n, m = v.dim, w.dim
-    for d, support in presentation(v).supports:
-        for j in range(m):
-            yield d, [(i * m + j, x) for i, x in support]
-    for d, support in presentation(w).supports:
-        for i in range(n):
-            yield d, [(i * m + k, x) for k, x in support]
-
-
 def tensor_dual_iso(v: DiffSpace, w: DiffSpace) -> TensorDualIso:
     """The canonical map, certified with no elimination over the n*m
-    coordinates of V (x) W: (i) every block row of the definition lies in
-    S(V (x) W), by pivot reduction, and (ii) dim S(V (x) W) + dim V* * dim W*
-    = n*m.  (i) puts the block span inside S, and (ii) gives S its dimension
-    n*m - (n - dim S(V))*(m - dim S(W)), so S is the block span.  Its
-    annihilator is then ann S(V) (x) ann S(W), whose Kronecker basis is the
-    RREF basis of (V (x) W)* (module docstring): the map is the identity.
-    A failure signals a bug in the closed-form presentation."""
+    coordinates of V (x) W: (i) every row V (x) W presents lies in the
+    closed-form S(V (x) W), by pivot reduction (the block rows it leaves out
+    lie in C, spanned by those kept), and (ii) dim S(V (x) W) + dim V* *
+    dim W* = n*m.  (i) puts the block span inside S, and (ii) gives S its
+    dimension n*m - (n - dim S(V))*(m - dim S(W)), so S is the block span.
+    Its annihilator is then ann S(V) (x) ann S(W), whose Kronecker basis is
+    the RREF basis of (V (x) W)* (module docstring): the map is the
+    identity.  A failure signals a bug in the closed-form steps."""
     t = tensor_product(v, w)
     dual_v, dual_w, dual_t = diffeological_dual(v), diffeological_dual(w), diffeological_dual(t)
     span = singular_span(t)
-    outside = sum(not span.contains_support(row) for _, row in _tensor_rows(v, w))
+    outside = sum(not span.contains_support(row) for _, row in presentation(t).supports)
     if outside or span.dim + dual_v.dim * dual_w.dim != t.dim:
         raise DiffeolinError(
             "the singular span of the tensor product is not the block span: "

@@ -76,6 +76,21 @@ def presented_rows(space):
             for d, s in presentation(space).supports]
 
 
+def block_rows(v, w):
+    """The block rows (d, r (x) e_j) and (d, e_i (x) r') of the definition of
+    V (x) W, for every row r of v and r' of w presented at degree d, coarse
+    rows included; those of degree <= e span F_e(V (x) W).  Each is the
+    factor row's support shifted to its block: r_i sits at i*m + j, r'_k at
+    i*m + k."""
+    n, m = v.dim, w.dim
+    for d, support in presentation(v).supports:
+        for j in range(m):
+            yield d, [(i * m + j, x) for i, x in support]
+    for d, support in presentation(w).supports:
+        for i in range(n):
+            yield d, [(i * m + k, x) for k, x in support]
+
+
 def constraint_hom_basis(v, w, late=0):
     """The smooth maps v -> w by elimination, the route the spanned basis
     replaced: the maps M with psi(M r) = 0 for each direction r presented at
@@ -93,8 +108,7 @@ def constraint_hom_basis(v, w, late=0):
 def left_block_rows_only(monkeypatch):
     """A wrong block formula: each closed-form step of a tensor product
     (``linalg.tensor_span`` as ``spaces`` calls it) cut to F_e V (x) R^m,
-    without R^n (x) F_e W.  Only tensor products presented after the patch
-    see it."""
+    without R^n (x) F_e W.  Only steps built after the patch see it."""
     import diffeolin.spaces as spaces
 
     real = spaces.tensor_span
@@ -107,22 +121,29 @@ def left_block_rows_only(monkeypatch):
 
 @pytest.fixture(params=["no rows", "left rows only"])
 def wrong_bilinear_block_rows(request, monkeypatch):
-    """A wrong bilinear decision: the block rows a form is decided on
-    (``bilinear._tensor_rows``) cut to none, so every form is judged
-    Smooth, or to the rows r (x) e_j of the left factor, without
-    e_i (x) r'.  ``tensor_dual_iso`` and the presentations do not see it."""
+    """A wrong tensor presentation: the rows that
+    ``spaces._tensor_presentation`` presents cut to none, or to the rows
+    r (x) e_j of the left factor, without e_i (x) r'.  The steps stay
+    right.  Forms are decided on these rows, and the smooth bilinear basis
+    reads their degrees; only tensor products presented after the patch
+    see it."""
     import itertools
 
-    import diffeolin.bilinear as bilinear
+    import diffeolin.spaces as spaces
 
-    real = bilinear._tensor_rows
+    real = spaces._tensor_presentation
 
     def cut(v, w):
-        if request.param == "no rows":
-            return iter(())
-        return itertools.islice(real(v, w), len(presentation(v).supports) * w.dim)
+        pres = real(v, w)
+        rows = ()
+        if request.param == "left rows only":
+            coarse = pres.filtration_step(-1)
+            rows = tuple((d, s) for d, s in itertools.islice(
+                block_rows(v, w), len(presentation(v).supports) * w.dim)
+                if d < 0 or not coarse.contains_support(s))
+        return spaces.Presentation(pres.ambient_dim, rows, pres.step)
 
-    monkeypatch.setattr(bilinear, "_tensor_rows", cut)
+    monkeypatch.setattr(spaces, "_tensor_presentation", cut)
     return request.param
 
 

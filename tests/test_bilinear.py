@@ -136,6 +136,16 @@ def test_curry_requires_smooth_form():
         curry(b)
 
 
+def test_curry_requires_matching_factors():
+    """The zero form on fine R^2 x <|x| e_0> is Smooth, but its factors
+    differ, so it is no map v -> L(v, w)."""
+    v, w = make_fine(2), kink_space(2, 1)
+    b = BilinearForm(v, w, make_fine(1), matrix_with(2, 2, 1, {}))
+    assert is_smooth_bilinear(b) is Verdict.SMOOTH
+    with pytest.raises(DiffeolinError, match="matching left and right spaces"):
+        curry(b)
+
+
 def test_zero_form_round_trip():
     v, w = make_fine(1), make_fine(1)
     b = BilinearForm(v, v, w, matrix_with(1, 1, 1, {}))
@@ -548,12 +558,16 @@ def test_curry_correspondence_decides_each_zero_form_once_per_pair(monkeypatch):
 
 def test_curry_correspondence_fails_on_a_wrong_bilinear_decision(wrong_bilinear_block_rows):
     """Every unit form with a kink index is NotSmooth.  With no block rows
-    the first kink line's form is judged Smooth; with the left rows only,
-    the first form b(e_1, e_0) on the plane kinked along e_0."""
-    n = {"no rows": 1, "left rows only": 2}[wrong_bilinear_block_rows]
+    the smooth bilinear basis of the first kink line reads no degree of
+    V (x) V and differs from the uncurried one, before any form is decided;
+    with the left rows only, the first form b(e_1, e_0) on the plane kinked
+    along e_0 is judged Smooth."""
+    detail = {
+        "no rows": "smooth bilinear basis differs from the uncurried one on generated R^1",
+        "left rows only": "block-row verdict disagrees with the smooth basis on generated R^2",
+    }[wrong_bilinear_block_rows]
     assert verify.check_curry_correspondence() == (False, (
-        "block-row verdict disagrees with the smooth basis on "
-        f"generated R^{n} (1 generators) -> fine R^1"))
+        f"{detail} (1 generators) -> fine R^1"))
     assert cli.main(["verify"]) == 1
 
 
@@ -633,11 +647,11 @@ def _tensor_free_space(rng, n):
 
 def test_forms_are_decided_without_presenting_the_tensor_product(monkeypatch):
     """A decision reads the factor presentations and the block rows of the
-    definition: on tensor-free factors with n*m up to 64 it neither presents
-    V (x) W nor reduces rows over its n*m coordinates, and the verdict equals
-    the Fraction-slice reference."""
+    definition: on tensor-free factors with n*m up to 64 it builds no step
+    of V (x) W and reduces no rows over its n*m coordinates, and the verdict
+    equals the Fraction-slice reference."""
     def refuse(*args):
-        raise AssertionError("presented V (x) W")
+        raise AssertionError("built a step of V (x) W")
 
     eliminate = linalg._eliminate
     width = None
@@ -646,7 +660,7 @@ def test_forms_are_decided_without_presenting_the_tensor_product(monkeypatch):
         assert n_cols != width, f"elimination over the {width} coordinates of V (x) W"
         return eliminate(rows, n_cols)
 
-    monkeypatch.setattr(spaces, "_tensor_presentation", refuse)
+    monkeypatch.setattr(spaces, "tensor_span", refuse)
     monkeypatch.setattr(linalg, "_eliminate", checked)
     rng = random.Random(6400)
     verdicts = []

@@ -286,6 +286,13 @@ def test_cross_validate_subcommand(run):
     assert records and set(records[0]) >= {"expression", "order", "scale", "value", "verdict"}
 
 
+def test_cross_validate_skips_a_coarse_space(run):
+    """A coarse part has no atom plot to sample, so human mode prints one
+    ``skipped:`` line and exits 0."""
+    assert run("cross-validate", "coarse2", "0,1") == (
+        0, "skipped: a coarse part has no sampled representation\n", "")
+
+
 def test_input_errors_exit_2(run):
     assert run("dual", "nope")[0] == 2
     assert run("check-plot", "kink2_1", "abs(x)")[0] == 2
@@ -360,6 +367,11 @@ FILE_READERS = [
     *[("-f", "{%s}" % name) + reader for name in ("wide", "many")
       for reader in FILE_READERS if reader[0] != "dual"],
     ("-f", "{big}", "tensor", "f32", "f33", "--dual-iso"),
+    # Iso matrices that are JSON but not a list of rows (braces doubled for
+    # ``str.format``), and a functional of the wrong length.
+    ("hat-dual", "kink2_1", "--iso", '{{"a": 1}}'),
+    ("hat-dual", "kink2_1", "--iso", '[1, 2]'),
+    ("cross-validate", "kink3_1", "0,1"),
 ])
 def test_bad_input_exits_2_with_one_error_line(run, tmp_path, argv):
     # Space files past the bounds: dim 65, 65 generators (or no generator

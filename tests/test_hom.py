@@ -48,9 +48,8 @@ from diffeolin.linalg import (
     transpose,
 )
 from diffeolin.spaces import presentation
-from diffeolin.tensor import _tensor_rows
 
-from conftest import constraint_hom_basis, presented_rows, ray
+from conftest import block_rows, constraint_hom_basis, presented_rows, ray
 
 
 def frac_matrix(rows):
@@ -544,7 +543,7 @@ def test_a_warm_query_does_no_fraction_arithmetic(monkeypatch):
         return ([check_smooth_linear(f) for f in maps],
                 [is_plot(v, p) for v, p in plots],
                 [span.contains_support(row) for span, v, w in pairs
-                 for _, row in _tensor_rows(v, w)])
+                 for _, row in block_rows(v, w)])
 
     warm = queries()
     assert {r.verdict for r in warm[0]} == {Verdict.SMOOTH, Verdict.NOT_SMOOTH}

@@ -85,6 +85,18 @@ def test_functions_import_only_what_the_module_does_not(path):
     assert not nested, f"{path.name} imports inside a function: {', '.join(nested)}"
 
 
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_from_another(path):
+    """A leading underscore keeps a name inside its module: no library
+    module imports one from another, so a private helper has one module's
+    callers only, and a second module that needs it needs a public name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{alias.name} from .{node.module or ''} (line {node.lineno})"
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{path.name} imports private names: " + ", ".join(private)
+
+
 # The modules above linalg that decide membership: they hand vectors to
 # linalg, which alone knows how a vector becomes integers.
 LINALG_CLIENTS = ("spaces", "hom", "bilinear", "tensor")
@@ -92,18 +104,15 @@ LINALG_CLIENTS = ("spaces", "hom", "bilinear", "tensor")
 
 @pytest.mark.parametrize("stem", LINALG_CLIENTS)
 def test_the_integer_format_stays_behind_linalg(stem):
-    """A membership client imports no private linalg name and reads no
-    ``.numerator`` or ``.denominator``: scaling a vector to integers is
-    linalg's ``integer_support`` and ``integer_family``."""
+    """A membership client reads no ``.numerator`` or ``.denominator``:
+    scaling a vector to integers is linalg's ``integer_support`` and
+    ``integer_family``.  (Nor does it import a private linalg name, by the
+    test above.)"""
     path = SOURCE / f"{stem}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    private = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "linalg" and node.level
-               for alias in node.names if alias.name.startswith("_")]
     reads = [f".{node.attr} (line {node.lineno})" for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")]
-    assert not private + reads, f"{path.name} reaches into the integer format: " + ", ".join(
-        private + reads)
+    assert not reads, f"{path.name} reaches into the integer format: " + ", ".join(reads)
 
 
 def membership_calls(node):

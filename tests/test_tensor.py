@@ -49,9 +49,8 @@ from diffeolin.linalg import (
 )
 from diffeolin import spaces
 from diffeolin.spaces import generating_plots, presentation
-from diffeolin.tensor import _tensor_rows
 
-from conftest import presented_rows, reference_nullspace, reference_rref
+from conftest import block_rows, presented_rows, reference_nullspace, reference_rref
 
 
 def kink_space(n, k):
@@ -238,9 +237,8 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
     """On seeded pairs over fine, coarse, generated, sum, hat, dual and
     tensor spaces, every step of the closed-form presentation of V (x) W is
     the elimination of the block rows, with dimension a*m + n*b - a*b; the
-    presented rows are independent, dim S(V (x) W) of them, those of
-    degree <= e span F_e, and every step hands in its annihilator, the
-    nullspace of the step."""
+    presented rows of degree <= e span F_e, and every step hands in its
+    annihilator, the nullspace of the step."""
     pairs = _closed_form_pairs(161803, 60)
     kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in pairs for s in pair}
     assert len(kinds) == 7, kinds
@@ -255,18 +253,51 @@ def test_closed_form_steps_equal_elimination_over_the_block_rows():
             assert step == _reference_tensor_step(v, w, e), (v.describe(), w.describe(), e)
             a, b = lp.filtration_step(e).dim, rp.filtration_step(e).dim
             assert step.dim == a * m + n * b - a * b
-            rows = pres.rows_up_to(e)
-            assert len(rows) == step.dim and Subspace.from_rows(n * m, rows) == step
+            assert Subspace.from_rows(n * m, pres.rows_up_to(e)) == step
             expected = reference_nullspace(step.basis, n * m) if step.basis else identity(n * m)
             assert step.known_annihilator is not None
             assert step.annihilator().basis == expected, (v.describe(), w.describe(), e)
         span = singular_span(t)
-        rows = [r for _, r in presented_rows(t)]
-        assert len(rows) == span.dim
-        assert len(reference_rref(rows)) == span.dim
         coarse += pres.filtration_step(-1).dim > 0
         wide += n * m >= 12 and 0 < span.dim < n * m
     assert coarse >= 10 and wide >= 10, (coarse, wide)
+
+
+def test_a_product_presents_its_block_rows_and_builds_each_step_on_first_ask(monkeypatch):
+    """On seeded pairs over all seven kinds, coarse factors included, with
+    the factors presented and their steps built: presenting V (x) W calls
+    ``tensor_span`` zero times, each degree asked whose step is not yet
+    built calls it once and every other ask none, and the presented rows
+    are the block rows of the definition less those of degree >= 0 in
+    C(V (x) W), in order."""
+    built = []
+    real = spaces.tensor_span
+    monkeypatch.setattr(spaces, "tensor_span", lambda a, b: built.append(1) or real(a, b))
+    pairs = _closed_form_pairs(271828, 40)
+    kinds = {(type(s).__name__, type(s.diffeology).__name__) for pair in pairs for s in pair}
+    assert len(kinds) == 7, kinds
+    dropped = 0
+    for v, w in pairs:
+        top = max((d for d, _ in presentation(v).supports + presentation(w).supports),
+                  default=-1)
+        for e in range(-1, top + 2):
+            presentation(v).filtration_step(e), presentation(w).filtration_step(e)
+        built.clear()
+        pres = presentation(tensor_product(v, w))
+        assert built == []
+        keys = set()
+        for e in [top + 1] + list(range(-1, top + 2)) * 2:
+            before = len(built)
+            key = max((d for d, _ in pres.supports if d <= e), default=-1)
+            pres.filtration_step(e)
+            assert len(built) - before == (key not in keys), (v.describe(), w.describe(), e)
+            keys.add(key)
+        coarse = _reference_tensor_step(v, w, -1)
+        expected = [(d, s) for d, s in block_rows(v, w)
+                    if d < 0 or not coarse.contains_support(s)]
+        assert list(pres.supports) == expected, (v.describe(), w.describe())
+        dropped += sum(1 for _ in block_rows(v, w)) - len(expected)
+    assert dropped > 0
 
 
 def test_presenting_a_product_eliminates_nothing_over_its_coordinates(monkeypatch):
@@ -401,7 +432,7 @@ def test_tensor_dual_iso_certifies_a_held_product_on_every_call(monkeypatch):
 
     monkeypatch.setattr(Subspace, "contains_support", counted)
     assert tensor_dual_iso(v, w).tensor_dual.base is t
-    assert tested == [row for _, row in _tensor_rows(v, w)] and tested
+    assert tested == [row for _, row in block_rows(v, w)] and tested
 
 
 def test_tensor_dual_iso_rejects_a_wrong_formula_on_every_call(left_block_rows_only):
@@ -548,6 +579,12 @@ def test_tensor_of_maps_rejects_non_smooth_factor():
     bad = LinearMap(make_coarse(2), make_fine(1), frac_matrix([[1, 0]]))
     with pytest.raises(DiffeolinError):
         tensor_of_maps(bad, identity_map(make_fine(1)))
+
+
+def test_inverse_map_rejects_a_singular_map():
+    f = LinearMap(make_fine(2), make_fine(2), frac_matrix([[1, 2], [2, 4]]))
+    with pytest.raises(DiffeolinError, match="not invertible"):
+        inverse_map(f)
 
 
 def test_tensor_of_maps_functoriality():
