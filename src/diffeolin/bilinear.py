@@ -72,7 +72,7 @@ class BilinearForm:
         ``first_outside`` on the presented rows (d, r) of ``product``, the
         block rows of its definition, each image mapped on ints through the
         columns of the matrix, as ``LinearMap`` maps supports."""
-        _, columns = integer_columns(self.matrix, self.product.dim)
+        columns = integer_columns(self.matrix, self.product.dim)
         rows = ((d, image_support(columns, s)) for d, s in presentation(self.product).supports)
         return Verdict.SMOOTH if first_outside(self.codomain, rows) is None else Verdict.NOT_SMOOTH
 

@@ -9,8 +9,8 @@ combination of smooth functionals pairs smoothly with every plot of the
 base.  So V* is fine R^(dim V*) in those coordinates: ``DualSpace`` is a
 ``DiffSpace`` with the fine descriptor, and presentations, plot membership,
 map smoothness, tensor products and duals serve it like any other space.
-Each space keeps its dual (``spaces.DiffSpace._dual``) while it is held.
-In particular V** is fine R^(dim V*), which differs from V unless V is fine.
+The annihilator is kept on the top step, so a dual asked again is only a
+new wrapper.  V** is fine R^(dim V*), which differs from V unless V is fine.
 """
 
 from __future__ import annotations
@@ -42,13 +42,14 @@ from .spaces import (
     make_fine,
     presentation,
     row_plot,
+    singular_span,
 )
 
 
 def diffeological_dual(v: DiffSpace) -> DualSpace:
-    """Smooth linear functionals on v; dim = dim v - dim S(v).  Built on
-    first use and kept on v while it is held anywhere."""
-    return v._dual()
+    """Smooth linear functionals on v; dim = dim v - dim S(v).  A new wrapper
+    on each call, over the annihilator that S(v) keeps."""
+    return DualSpace(v, singular_span(v).annihilator())
 
 
 # A DualSpace is itself fine R^(dim V*), so the engine no longer calls this;
@@ -78,8 +79,8 @@ class LinearMap:
                 )
 
     @cached_property
-    def _integer_columns(self) -> tuple[int, tuple[Support, ...]]:
-        """(L, supports of the columns of L * matrix), built on first use."""
+    def _integer_columns(self) -> tuple[Support, ...]:
+        """Column supports of a positive multiple of the matrix, built on first use."""
         return integer_columns(self.matrix, self.domain.dim)
 
     def apply(self, v: Vector) -> Vector:
@@ -104,7 +105,7 @@ def identity_map(space: DiffSpace) -> LinearMap:
     """The identity, handed its unit columns: ``integer_columns`` would scan
     all n^2 entries of the matrix to find them."""
     f = LinearMap(space, space, identity(space.dim))
-    object.__setattr__(f, "_integer_columns", (1, tuple(((j, 1),) for j in range(space.dim))))
+    object.__setattr__(f, "_integer_columns", tuple(((j, 1),) for j in range(space.dim)))
     return f
 
 
@@ -137,7 +138,7 @@ def check_smooth_linear(f: LinearMap) -> SmoothnessReport:
     is shown only by non-smooth set maps into C, so the rows are then read
     again at max(d, 0), and the first failing there is the witness."""
     rows = presentation(f.domain).supports
-    _, columns = f._integer_columns
+    columns = f._integer_columns
     # Rows as (degree tested, image support, degree presented, support).
     failure = first_outside(f.codomain, ((d, image_support(columns, s), d, s) for d, s in rows))
     if failure is None:

@@ -124,37 +124,31 @@ def kron_vector(a: Vector, b: Vector) -> Vector:
 def integer_family(family: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
     """The vectors times the lcm of all their denominators, as ints."""
     flat = [x for value in family for x in value]
-    entries = iter(_dense(len(flat), _scaled_support(flat)[1]))
+    entries = iter(_dense(len(flat), integer_support(flat)))
     return tuple(tuple(next(entries) for _ in value) for value in family)
-
-
-def _scaled_support(v: Sequence | dict) -> tuple[int, Support]:
-    """(L, support of L * v), L the lcm of the denominators of v."""
-    items = v.items() if isinstance(v, dict) else enumerate(v)
-    support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
-               for j, x in items if x is not ZERO and x]
-    scale = lcm(*[x.denominator for _, x in support])
-    if scale == 1:
-        return 1, [(j, x.numerator) for j, x in support]
-    return scale, [(j, x.numerator * (scale // x.denominator)) for j, x in support]
 
 
 def integer_support(v: Sequence | dict) -> Support:
     """The support of v, given densely or as an {index: entry} mapping: its
     nonzero entries times the lcm of their denominators."""
-    return _scaled_support(v)[1]
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
+               for j, x in items if x is not ZERO and x]
+    scale = lcm(*[x.denominator for _, x in support])
+    if scale == 1:
+        return [(j, x.numerator) for j, x in support]
+    return [(j, x.numerator * (scale // x.denominator)) for j, x in support]
 
 
-def integer_columns(m: Matrix, n_cols: int) -> tuple[int, tuple[Support, ...]]:
-    """(L, columns): L the lcm of the denominators of m, and the support of
-    each of the n_cols columns of L * m.  The width is passed in because a
-    matrix with no rows does not show it."""
-    den, flat = _scaled_support([x for row in m for x in row])
+def integer_columns(m: Matrix, n_cols: int) -> tuple[Support, ...]:
+    """The support of each of the n_cols columns of L * m, L the lcm of the
+    denominators of m: the columns of one positive multiple of m.  The width
+    is passed in because a matrix with no rows does not show it."""
     columns: list[Support] = [[] for _ in range(n_cols)]
-    for k, a in flat:
+    for k, a in integer_support([x for row in m for x in row]):
         i, j = divmod(k, n_cols)
         columns[j].append((i, a))
-    return den, tuple(columns)
+    return tuple(columns)
 
 
 def image_support(columns: Sequence[Support], support: Support) -> Support:
@@ -453,7 +447,7 @@ class Subspace:
 
     def map_by(self, m: Matrix) -> "Subspace":
         """Image under the linear map with the given matrix (rows -> m @ row)."""
-        _, columns = integer_columns(m, self.ambient_dim)
+        columns = integer_columns(m, self.ambient_dim)
         return Subspace.from_supports(len(m), [image_support(columns, s) for s in self.supports])
 
     @cached_property

@@ -175,8 +175,6 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    space: str
-    functional: tuple[Fraction, ...]
     map_verdict: str
     records: tuple[TrialRecord, ...]
     skipped: bool = False
@@ -229,7 +227,7 @@ def cross_validate(
     verdict = is_smooth_linear(functional_map).value
 
     if presentation(space).filtration_step(-1).dim:
-        return AgreementReport(space.describe(), phi, verdict, (), skipped=True)
+        return AgreementReport(verdict, (), skipped=True)
 
     rng = random.Random(seed)
 
@@ -267,4 +265,4 @@ def cross_validate(
                 composed.is_smooth(),
             )
         )
-    return AgreementReport(space.describe(), phi, verdict, tuple(records))
+    return AgreementReport(verdict, tuple(records))

@@ -25,7 +25,6 @@ by the matrix (``hom``), and the block rows of V (x) W mapped (``bilinear``).
 from __future__ import annotations
 
 import enum
-import weakref
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,7 +188,7 @@ class Pushforward:
     def columns(self) -> tuple[Support, ...]:
         """The supports of the columns of a positive multiple of the matrix,
         which map a support of the base to the support of its image."""
-        return integer_columns(self.matrix, self.base.dim)[1]
+        return integer_columns(self.matrix, self.base.dim)
 
 
 Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]
@@ -197,6 +196,10 @@ Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]
 
 @dataclass(frozen=True)
 class DiffSpace:
+    """R^dim with a diffeology.  Equality is structural, equal descriptor trees:
+    two descriptors of one flag give unequal spaces, and that they carry one
+    diffeology is an isomorphism (the identity smooth both ways)."""
+
     dim: int
     diffeology: Descriptor
 
@@ -224,25 +227,14 @@ class DiffSpace:
     def _presentation(self) -> Presentation:
         return _build_presentation(self)
 
-    def _dual(self) -> DualSpace:
-        """The dual, kept on the space for as long as anything holds it.  The
-        dual names the space as its base, so a strong memo would tie each
-        space and its dual into a cycle that only the collector frees."""
-        ref = self.__dict__.get("_dual_ref")
-        dual = ref() if ref is not None else None
-        if dual is None:
-            dual = DualSpace(self, singular_span(self).annihilator())
-            object.__setattr__(self, "_dual_ref", weakref.ref(dual))
-        return dual
-
 
 @dataclass(frozen=True, init=False)
 class DualSpace(DiffSpace):
     """The diffeological dual of ``base`` (``hom.diffeological_dual``):
     smooth linear functionals with the functional diffeology, which is fine
     R^(dim V*) in coordinates over ``annihilator_basis`` (rows, in RREF over
-    the base coordinates).  Built by ``DiffSpace._dual``, which keeps it on
-    the base while it is held."""
+    the base coordinates): the annihilator kept on the base's top step, so
+    a new wrapper for the same base shares it."""
 
     base: DiffSpace
     annihilator_basis: Subspace
@@ -325,14 +317,13 @@ class Presentation:
     positive integer multiple of it: membership, a witness plot and
     ``smooth_hom_basis`` read nothing else.  ``step(e)`` is the
     constructor's closed form of F_e, at -1 and at each presented degree,
-    called on first use and kept in ``_steps``.
+    called on first use and kept in ``_steps`` under every degree asked.
     """
 
     ambient_dim: int
     supports: tuple[tuple[int, Support], ...]
     step: Callable[[int], Subspace] = field(repr=False)
     _steps: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
-    _asked: dict[int, Subspace] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def _degrees(self) -> list[int]:
@@ -347,10 +338,10 @@ class Presentation:
                 for d, s in self.supports if d <= degree]
 
     def filtration_step(self, degree: int) -> Subspace:
-        """F_degree as a subspace.  Steps are keyed by the largest presented
+        """F_degree as a subspace.  A step is keyed by the largest presented
         degree <= ``degree`` (or -1), so each distinct step is built once;
-        each degree asked finds its key once, by bisection."""
-        step = self._asked.get(degree)
+        each degree asked finds that key once, by bisection, and keeps it."""
+        step = self._steps.get(degree)
         if step is None:
             degrees = self._degrees
             i = bisect(degrees, degree)
@@ -358,7 +349,7 @@ class Presentation:
             step = self._steps.get(key)
             if step is None:
                 step = self._steps[key] = self.step(key)
-            self._asked[degree] = step
+            self._steps[degree] = step
         return step
 
 

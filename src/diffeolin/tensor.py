@@ -24,9 +24,9 @@ certifying a product builds no Fraction.  ``tensor_product(v, w)`` is one
 space per live factor pair: a memo on ``v`` maps ``id(w)`` to a weak
 reference to the product, and the product's death removes the entry (the
 product holds ``w``, so the key is not reused while it lives).  Callers of
-one pair share its presentation and dual.  ``tensor_dual_iso`` certifies
-the closed-form top step against the presented block rows on every call
-and is the one runtime check of it.
+one pair share its presentation and its dual's annihilator.
+``tensor_dual_iso`` certifies the closed-form top step against the
+presented block rows on every call and is the one runtime check of it.
 """
 
 from __future__ import annotations

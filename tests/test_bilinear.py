@@ -425,6 +425,26 @@ def test_apply_is_the_induced_matrix_on_the_kronecker_product():
             assert all(type(x) is Fraction for x in b.apply(u, w))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda v, z: BilinearForm(v, v, z, ((1, 0, 0, 1),)), "matrix rows != codomain dimension"),
+    (lambda v, z: BilinearForm(v, v, z, ((1, 0, 0), (0, 0, 1))),
+     "matrix columns != left dimension"),
+    (lambda v, z: form_from_flat(v, v, z, [1] * 7), "flat coefficient length mismatch"),
+    (lambda v, z: CurriedMap(v, z, (((1, 0), (0, 1)),)), "one block per domain basis vector"),
+    (lambda v, z: CurriedMap(v, z, (((1, 0),), ((0, 1),))), "block rows != codomain dimension"),
+    (lambda v, z: CurriedMap(v, z, (((1, 0), (0,)), ((0, 1), (1, 0)))),
+     "block columns != domain dimension"),
+])
+def test_forms_and_curried_maps_reject_matrices_of_the_wrong_shape(build, message):
+    """On R^2 x R^2 -> R^2 a form has 2 rows of 4 entries, 8 flat
+    coefficients, and a curried map 2 blocks of 2 x 2."""
+    v, z = make_fine(2), make_fine(2)
+    with pytest.raises(DimensionMismatchError, match=message):
+        build(v, z)
+    assert uncurry(CurriedMap(v, z, (((1, 0), (0, 1)), ((0, 1), (1, 0))))) == form_from_flat(
+        v, v, z, [1, 0, 0, 1, 0, 1, 1, 0])
+
+
 @pytest.mark.parametrize("u, w", [([1], [1, 1, 1, 1]), ([1, 1, 1, 1], [1]), ([1, 1], [1]),
                                   ([1, 1, 1], [1, 1])])
 def test_apply_rejects_arguments_of_the_wrong_length(u, w):

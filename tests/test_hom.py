@@ -133,8 +133,8 @@ def test_identity_map_carries_the_columns_of_its_matrix(monkeypatch):
             patch.setattr(hom, "integer_columns", refuse)
             f = identity_map(v)
             assert is_smooth_linear(f) is Verdict.SMOOTH
-        (den, columns), (ref_den, ref_columns) = f._integer_columns, integer_columns(identity(n), n)
-        assert den == ref_den and list(map(list, columns)) == list(map(list, ref_columns))
+        columns, ref_columns = f._integer_columns, integer_columns(identity(n), n)
+        assert list(map(list, columns)) == list(map(list, ref_columns))
         assert f.apply(tuple(Fraction(j + 1, 2) for j in range(n))) == tuple(
             Fraction(j + 1, 2) for j in range(n))
 
@@ -161,6 +161,25 @@ def test_compose_through_zero_dimensional_spaces():
                   for _ in range(c))
         composite = LinearMap(fine[b], fine[c], f).compose(LinearMap(fine[a], fine[b], g))
         assert composite.matrix == matmul(f, g)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (((1, 1, 1),), "matrix has 1 rows, codomain dimension is 2"),
+    (((1, 1, 1), (1, 1, 1), (1, 1, 1)), "matrix has 3 rows"),
+    (((1, 1, 1), (1, 1)), "matrix row length 2 != domain dimension 3"),
+    (((1, 1, 1), (1, 1, 1, 1)), "matrix row length 4"),
+])
+def test_a_map_rejects_a_matrix_of_the_wrong_shape(matrix, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        LinearMap(make_fine(3), make_fine(2), matrix)
+
+
+def test_compose_rejects_maps_that_do_not_meet():
+    f = LinearMap(make_fine(3), make_fine(2), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(DimensionMismatchError, match="composition dimension mismatch"):
+        f.compose(f)
+    assert f.compose(LinearMap(make_fine(2), make_fine(3), ((1, 0), (0, 1), (1, 1)))).matrix == (
+        (1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 1), ()])

@@ -179,6 +179,14 @@ def test_matvec_and_matmul_reject_mismatched_shapes():
     assert matvec((), vector([1, 2])) == ()
 
 
+def test_invert_and_from_rows_reject_mismatched_shapes():
+    with pytest.raises(ValueError, match="matrix is not square"):
+        invert(matrix([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="row length 2 != ambient dim 3"):
+        Subspace.from_rows(3, [(1, 0, 0), (0, 1)])
+    assert invert(matrix([[2]])) == matrix([[Fraction(1, 2)]])
+
+
 def test_identity_fills_rows_of_the_shared_zero():
     """``identity`` equals its concatenated definition, and every zero entry
     is the shared ``ZERO``."""

@@ -54,6 +54,15 @@ def test_error_positions():
         parse_expr("3 & x")
     assert err.value.position == 2
 
+    # A factor that no operator joins to the last, and an operator with no
+    # factor before it.
+    with pytest.raises(ParseError, match="unexpected token 'x'") as err:
+        parse_expr("x x")
+    assert err.value.position == 2 and "end of input" in err.value.expected
+    with pytest.raises(ParseError, match="unexpected token '\\*'") as err:
+        parse_expr("*x")
+    assert err.value.position == 0 and "abs(x)" in err.value.expected
+
 
 def test_degree_cap():
     assert parse_expr("x^64") == FunctionExpr.monomial(64)

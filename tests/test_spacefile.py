@@ -51,10 +51,11 @@ def test_floats_rejected():
         load(doc)
 
 
-@pytest.mark.parametrize("entry", ["0.5", "1e3", "1e-10000000", "1_000", " 1", "1/", "/2", "1/0"])
+@pytest.mark.parametrize("entry", [True, "0.5", "1e3", "1e-10000000", "1_000", " 1", "1/", "/2",
+                                   "1/0"])
 def test_rational_strings_follow_the_documented_grammar(entry):
-    """Only integers and "p/q" strings are rationals: decimals, exponents,
-    underscores and padding are rejected before any conversion."""
+    """Only integers and "p/q" strings are rationals: booleans, decimals,
+    exponents, underscores and padding are rejected before any conversion."""
     doc = {
         "spaces": {"f": {"dim": 1, "diffeology": "fine"}},
         "maps": {"m": {"from": "f", "to": "f", "matrix": [[entry]]}},
@@ -88,7 +89,24 @@ def test_matrix_shape_validated():
         },
         "maps": {"m": {"from": "a", "to": "b", "matrix": [[1]]}},
     }
-    with pytest.raises(SpaceFileError):
+    with pytest.raises(SpaceFileError, match="each matrix row needs 2 entries"):
+        load(doc)
+    doc["maps"]["m"]["matrix"] = [[1, 0], [0, 1]]
+    with pytest.raises(SpaceFileError, match="matrix needs 1 rows"):
+        load(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "top level must be an object"),
+    ({"spaces": {"s": "fine"}}, "space 's' must be an object"),
+    ({"spaces": {"f": {"dim": 1, "diffeology": "fine"}}, "maps": {"m": ["f", "f"]}},
+     "map 'm' must be an object"),
+    ({"spaces": {"g": {"dim": 1, "diffeology": {"generated": [[1]]}}}},
+     "generator 0 of space 'g': expressions must be strings"),
+])
+def test_document_structure_validated(doc, message):
+    """Each level of the document has the JSON type the format names."""
+    with pytest.raises(SpaceFileError, match=message):
         load(doc)
 
 

@@ -52,6 +52,12 @@ def test_constructor_examples():
     assert singular_span(make_coarse(2)).dim == 2
 
 
+def test_a_space_has_a_nonnegative_dimension():
+    with pytest.raises(ValueError, match="dimension must be >= 0"):
+        DiffSpace(-1, Fine())
+    assert singular_span(DiffSpace(0, Fine())).dim == 0
+
+
 def test_constructor_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         make_generated(3, [kink_plot(2, 0)])
@@ -649,28 +655,39 @@ def test_sum_steps_need_no_elimination_over_the_sum(monkeypatch):
                            else Subspace.full(n))
 
 
+def _built_steps(space) -> list[int]:
+    """The dimensions of the distinct step objects the presentation of
+    ``space`` has built, ascending."""
+    steps = {id(s): s for s in presentation(space)._steps.values()}
+    return sorted(s.dim for s in steps.values())
+
+
 def test_steps_are_built_only_when_asked():
     """Presenting a generated space, a sum or a pushforward builds no step,
     and a query at degree e builds only the step of its key: the largest
-    presented degree <= e.  A pushforward eliminates its own rows and never
-    reads its base's steps."""
+    presented degree <= e, once however many degrees share it.  A
+    pushforward eliminates its own rows and never reads its base's steps."""
     g = make_generated(3, [plot_of("abs(x)", "0", "abs(x)*x^2"), kink_plot(3, 1, 5)])
     h = make_generated(2, [kink_plot(2, 0, 1)])
     total = direct_sum(g, h)
     hat = hat_dual(g, ((1, 1, 0), (0, 1, 0), (0, 0, 1)))
-    for space in (g, total, hat):
-        assert presentation(space)._steps == {}
-    assert presentation(h)._steps == {}
-    presentation(g).filtration_step(4)
-    assert set(presentation(g)._steps) == {2}
+    for space in (g, h, total, hat):
+        assert _built_steps(space) == []
+    step = presentation(g).filtration_step(4)
+    assert presentation(g).filtration_step(2) is step is presentation(g).filtration_step(3)
+    assert _built_steps(g) == [2]
     presentation(total).filtration_step(1)
-    assert set(presentation(total)._steps) == {1}
-    assert set(presentation(g)._steps) == {0, 2}
-    assert set(presentation(h)._steps) == {1}
+    assert _built_steps(total) == [2]
+    assert _built_steps(g) == [1, 2]
+    assert _built_steps(h) == [1]
+    for e in range(5):
+        presentation(g).filtration_step(e)
+    assert _built_steps(g) == [1, 2]
     presentation(hat).filtration_step(-1)
     presentation(hat).filtration_step(7)
-    assert set(presentation(hat)._steps) == {-1, 5}
-    assert set(presentation(g)._steps) == {0, 2}
+    presentation(hat).filtration_step(6)
+    assert _built_steps(hat) == [0, 3]
+    assert _built_steps(g) == [1, 2]
 
 
 def test_memos_do_not_keep_spaces_alive():

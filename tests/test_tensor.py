@@ -400,7 +400,8 @@ def test_tensor_dual_iso_rejects_a_wrong_block_formula(left_block_rows_only):
 
 def test_tensor_dual_iso_presents_the_held_product_once(monkeypatch):
     """While the caller holds V (x) W, the iso certifies that product: it is
-    presented once, and the certificate's dual is the held product's."""
+    presented once, and the certificate's dual is the held product's dual,
+    a new wrapper over the annihilator that the product keeps."""
     presented = []
     real = spaces._tensor_presentation
 
@@ -414,7 +415,8 @@ def test_tensor_dual_iso_presents_the_held_product_once(monkeypatch):
     dual = diffeological_dual(t)
     iso = tensor_dual_iso(v, w)
     assert presented == [(v, w)]
-    assert iso.tensor_dual is dual and iso.tensor_dual.base is t
+    assert iso.tensor_dual == dual and iso.tensor_dual.base is t
+    assert iso.tensor_dual.annihilator_basis is dual.annihilator_basis
     assert tensor_dual_iso(v, w).tensor_dual.base is t and len(presented) == 1
 
 
