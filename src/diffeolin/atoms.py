@@ -14,23 +14,24 @@ exact.  Smoothness of an element is decidable: it is smooth iff the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
-    """A basis function: x^degree if is_abs is False, else |x|*x^degree."""
+class Atom(namedtuple("Atom", "is_abs degree")):
+    """x^degree if is_abs is False, else |x|*x^degree.  A tuple, so that a
+    ``FunctionExpr``'s terms merge, sort and hash in C; equals ``(is_abs, degree)``."""
 
-    is_abs: bool
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"atom degree must be >= 0, got {self.degree}")
+    def __new__(cls, is_abs: bool, degree: int) -> "Atom":
+        if degree < 0:
+            raise ValueError(f"atom degree must be >= 0, got {degree}")
+        return tuple.__new__(cls, (is_abs, degree))
 
     def evaluate(self, t: Fraction) -> Fraction:
         value = t**self.degree
@@ -164,7 +165,7 @@ class FunctionExpr:
         return {a.degree: c for a, c in self._terms if a.is_abs}
 
     def is_smooth(self) -> bool:
-        return not self.singular_residue()
+        return not any(atom.is_abs for atom, _ in self._terms)
 
     def __repr__(self) -> str:
         from .exprparse import format_expr

@@ -309,7 +309,7 @@ def _cmd_verify(args, out):
         result={
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail,
-                 "elapsed": round(r.elapsed, 4)}
+                 "elapsed": round(r.elapsed, 6)}
                 for r in results
             ],
         },

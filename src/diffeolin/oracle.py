@@ -17,14 +17,16 @@ with top the largest of these exponents (at least 0; linear in p, so taken at
 the ends of the sweep).  All values share that denominator, so the growth
 test compares the integers N_p and only the reported value becomes a float.
 
-Each order computes only the N_p that its verdict reads, and reaches the
-verdict of the full sweep.  If every n_D is 0, so is every N_p, and no step
-is usable.  Otherwise the test reads N_p in sweep order and stops at the
-first confirming step, as a full scan does.  With one nonzero n_D, N_p =
-|n_D| << (top - D - p*(D - k)) is nonzero, and a step (p up by s >= 1)
-multiplies it by 2^(s*(k - D)): for k <= D no step grows by 3/2, for k > D
-each does, so the run starts at the first value and is confirmed at the first
-i >= AGREEMENT_POLICY with 2^((k - D)*(p_i - p_0)) >= GROWTH_THRESHOLD.
+Each order reads only the N_p its verdict needs, and builds top, p -> N_p and
+the denominator only if it reads one.  A lone n_D with k > D grows 2^(k - D)
+a step: the run is confirmed at the first i >= AGREEMENT_POLICY with
+2^((k - D)*(p_i - p_0)) >= GROWTH_THRESHOLD.  With a D < k, N_p is read up to
+the confirming step.  Else, with D0 the least D, the ratio of the D term to the
+D0 term, (n_D / n_D0) * 2^((D0 - D)(p + 1)), falls in p: once the bound 6 *
+sum_{D != D0} |n_D| * 2^((D0 - D)(p + 1)) <= |n_D0| holds, every later value is
+within a sixth of the D0 term and every later step grows by at most (7/6)/(5/6)
+* 2^(k - D0) <= 7/5 < 3/2.  A hit at i needs a 3/2 step into i, so the values
+up to where the bound first holds (none if at p_0) decide, for any policy.
 """
 
 from __future__ import annotations
@@ -89,23 +91,42 @@ def _unit_sum(degree: int, is_abs: bool, order: int) -> int:
                * (abs(order - 2 * j) if is_abs else 1) for j in range(order + 1))
 
 
+def _stencil_sums(scaled, order: int) -> list[tuple[int, int]]:
+    """The nonzero n_D of the terms (atom, c*q) at ``order``, as (D, n_D)."""
+    sums: dict[int, int] = {}
+    for (is_abs, degree), n in scaled:
+        u = _unit_sum(degree, is_abs, order)
+        if u:
+            total = degree + is_abs
+            sums[total] = sums.get(total, 0) + n * u
+    return [(total, n) for total, n in sums.items() if n]
+
+
 def _differences(scaled, q: int, order: int) -> tuple[list, Callable[[int], int], int]:
     """Exact |order-th divided differences| of the terms (atom, c*q) over q:
     the nonzero n_D as (D, n_D), the function p -> N_p, computed on call, and
     one positive denominator, the difference at 2^-p being N_p / denominator."""
-    sums: dict[int, int] = {}
-    for atom, n in scaled:
-        u = _unit_sum(atom.degree, atom.is_abs, order)
-        if u:
-            total = atom.degree + atom.is_abs
-            sums[total] = sums.get(total, 0) + n * u
-    terms = [(total, n) for total, n in sums.items() if n]
+    terms = _stencil_sums(scaled, order)
     ends = (HALF_WIDTH_EXPONENTS[0], HALF_WIDTH_EXPONENTS[-1])
     top = max([0] + [total + p * (total - order) for total, _ in terms for p in ends])
 
     def value(p: int) -> int:
         return abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
     return terms, value, q << top
+
+
+def _reads(terms, order: int) -> int:
+    """How many N_p, in sweep order, decide ``order`` (see the module docstring)."""
+    if not terms:
+        return 0
+    (d0, n0), *rest = sorted(terms)
+    if d0 < order:
+        return len(HALF_WIDTH_EXPONENTS)
+    n0, d1 = abs(n0), max(terms)[0]
+    for i, p in enumerate(HALF_WIDTH_EXPONENTS):  # the bound times 2^((d1 - d0)(p + 1))
+        if 6 * sum(abs(n) << (d1 - d) * (p + 1) for d, n in rest) <= n0 << (d1 - d0) * (p + 1):
+            return i + 1 if i else 0
+    return len(HALF_WIDTH_EXPONENTS)
 
 
 def _rounded(numerator: int, denominator: int) -> float:
@@ -146,17 +167,20 @@ def classify(f: FunctionExpr) -> Classification:
     q = math.lcm(*[c.denominator for _, c in f.terms])
     scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in f.terms]
     top = max([atom.degree for atom, _ in f.terms], default=0) + 2
+    p = HALF_WIDTH_EXPONENTS
     for order in range(1, top + 1):
-        terms, value, denominator = _differences(scaled, q, order)
-        if len(terms) == 1:  # one rate, read off as the module docstring says
-            rate, p = order - terms[0][0], HALF_WIDTH_EXPONENTS
+        terms = _stencil_sums(scaled, order)
+        hit, reads = None, _reads(terms, order)
+        if len(terms) == 1 and reads:  # one growing rate, read off as the module docstring says
+            rate, reads = order - terms[0][0], 0
             hit = next((i for i in range(max(AGREEMENT_POLICY, 1), len(p))
-                        if rate > 0 and 1 << rate * (p[i] - p[0]) >= GROWTH_THRESHOLD), None)
-        else:
-            hit = _diverges(map(value, HALF_WIDTH_EXPONENTS)) if terms else None
-        if hit is not None:
-            rounded = _rounded(value(HALF_WIDTH_EXPONENTS[hit]), denominator)
-            return Classification(order, order, HALF_WIDTHS[hit], rounded)
+                        if 1 << rate * (p[i] - p[0]) >= GROWTH_THRESHOLD), None)
+        if reads or hit is not None:
+            _, value, denominator = _differences(scaled, q, order)
+            hit = _diverges(map(value, p[:reads])) if reads else hit
+            if hit is not None:
+                return Classification(order, order, HALF_WIDTHS[hit],
+                                      _rounded(value(p[hit]), denominator))
     return Classification(None, top)
 
 

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffeolin import FunctionExpr, classify
-from diffeolin.atoms import abs_mono, mono
+from diffeolin.atoms import Atom, abs_mono, mono
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
@@ -152,6 +153,32 @@ def test_construction_on_random_term_lists():
 def test_degree_must_be_nonnegative():
     with pytest.raises(ValueError):
         mono(-1)
+    for make in (lambda: Atom(True, -2), lambda: abs_mono(-1)):
+        with pytest.raises(ValueError, match="atom degree must be >= 0"):
+            make()
+
+
+def test_atoms_keep_their_repr_order_and_hash():
+    assert repr(abs_mono(3)) == "Atom(is_abs=True, degree=3)"
+    assert repr(mono(0)) == "Atom(is_abs=False, degree=0)"
+    # Plain atoms first, then by degree.
+    shuffled = [abs_mono(1), mono(4), abs_mono(0), mono(0), mono(2)]
+    assert sorted(shuffled) == [mono(0), mono(2), mono(4), abs_mono(0), abs_mono(1)]
+    assert abs_mono(3) == Atom(True, 3) == (True, 3) and abs_mono(3) != mono(3)
+    assert hash(abs_mono(3)) == hash(Atom(True, 3)) == hash((True, 3))
+    assert (abs_mono(3).is_abs, abs_mono(3).degree) == (True, 3)
+
+
+def test_construction_merges_the_atoms_of_any_mapping():
+    terms = MappingProxyType({mono(1): 2, abs_mono(0): Fraction(1, 2)})
+    assert FunctionExpr(terms) == M(1, 2) + A(0, Fraction(1, 2))
+    assert FunctionExpr([(mono(2), 1), (Atom(False, 2), 2), (abs_mono(2), -1)]).terms == (
+        (mono(2), Fraction(3)), (abs_mono(2), Fraction(-1)))
+
+
+@given(expressions)
+def test_smooth_iff_no_singular_residue(f):
+    assert f.is_smooth() == (not f.singular_residue())
 
 
 @settings(max_examples=30)

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from diffeolin import cli
 from diffeolin.cli import main
+from diffeolin.verify import CheckResult
 
 
 @pytest.fixture
@@ -558,6 +560,16 @@ def test_verify_passes_on_bundled_file(run):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_verify_json_times_each_check_to_the_microsecond(run, monkeypatch):
+    # A check under 1 ms reads in steps of 1 us, not of 0.1 ms.
+    results = [CheckResult("fast", True, "ok", 0.000123456789),
+               CheckResult("slow", True, "ok", 1.2345678)]
+    monkeypatch.setattr(cli, "run_checks", lambda spaces: results)
+    code, out, _ = run("--json", "verify")
+    assert code == 0
+    assert [c["elapsed"] for c in json.loads(out)["result"]["checks"]] == [0.000123, 1.234568]
 
 
 def test_verify_json_is_stable(run):

@@ -1,8 +1,12 @@
 """Numeric smoothness classifier: pinned atom orders, determinism, agreement."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +338,57 @@ def test_vanishing_orders_compute_no_value(monkeypatch):
     assert classify(A(0)).failing_order == 2 and 1 not in counts
     assert classify(M(2, 7) + M(0, -1)).smooth
     assert not set(counts) & {3, 4}
+
+
+def test_oracle_agreement_reads_the_values_up_to_the_bound(monkeypatch):
+    # 21,793 values over the whole sweep of every order with terms; 4,117
+    # once an order without a growing term stops where the bound holds.
+    counts = _count_values(monkeypatch)
+    assert check_oracle_agreement()[0]
+    assert 3700 <= sum(counts.values()) <= 4530
+
+
+def test_an_order_reads_no_value_when_the_bound_holds_at_the_first_half_width(monkeypatch):
+    # At order 2, 7*x^2 + x^4 has n_2 = 7*8 and n_4 = 32: neither term grows,
+    # and at p = 2 already 6 * 32 * 2^-6 = 3 <= 56.  Order 4 has one rate, 0.
+    terms, _, _ = _differences([(mono(2), 7), (mono(4), 1)], 1, 2)
+    assert terms == [(2, 56), (4, 32)]
+    counts = _count_values(monkeypatch)
+    assert classify(M(2, 7) + M(4, 1)).smooth
+    assert counts == {}
+
+
+# Orders without a growing term whose sum crosses zero inside the sweep or
+# past it, so that the bound holds late or never; each reads up to the index
+# where the bound holds (11 values) or every value (19).
+@pytest.mark.parametrize("policy, threshold", [(3, 10), (5, 100), (2, 3)])
+@pytest.mark.parametrize("expr, reads", [
+    # At order 2 the difference is 2 - 2^22 * 4^-p: zero between p = 10 and
+    # 11, and the x^2 term six times the other from p = 12 on.
+    (M(2) + M(4, -2**21), 11),
+    # 2 - 2^61 * 4^-p crosses zero past the sweep: the bound never holds.
+    (M(2) + M(4, -2**60), 19),
+    # At p = 10 the other two terms are -9/20 and -1/20 of the x^2 term, so a
+    # bound with factor 2 would stop there and miss the run that policy 2,
+    # threshold 3 confirms at p = 11 (the step 0.5 -> 0.7625).
+    (M(2, 5) + A(2, -9 * 256) + M(4, -2**18), 11),
+], ids=["late", "never", "within-a-half"])
+def test_an_order_whose_sum_crosses_zero_reads_until_the_bound_holds(
+        monkeypatch, policy, threshold, expr, reads):
+    monkeypatch.setattr(oracle, "AGREEMENT_POLICY", policy)
+    monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
+    counts = _count_values(monkeypatch)
+    assert classify(expr) == _full_sweep_classify(expr)
+    assert counts[2] == reads
+
+
+def test_the_stencil_table_starts_empty():
+    # Unit sums are computed on first use, not as an eager table on import.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import diffeolin.oracle as o; print(o._unit_sum.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout
+    assert out == "0\n"
 
 
 def test_expressions_never_take_the_float_path(monkeypatch):
