@@ -175,7 +175,7 @@ def format_expr(expr: FunctionExpr) -> str:
     if not expr:
         return "0"
     parts = []
-    for atom, coeff in sorted(expr.terms, key=lambda t: (t[0].is_abs, t[0].degree)):
+    for atom, coeff in expr.terms:
         factors = []
         if atom.is_abs:
             factors.append("abs(x)")

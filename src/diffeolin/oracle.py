@@ -17,16 +17,16 @@ with top the largest of these exponents (at least 0; linear in p, so taken at
 the ends of the sweep).  All values share that denominator, so the growth
 test compares the integers N_p and only the reported value becomes a float.
 
-Each order reads only the N_p its verdict needs, and builds top, p -> N_p and
-the denominator only if it reads one.  A lone n_D with k > D grows 2^(k - D)
-a step: the run is confirmed at the first i >= AGREEMENT_POLICY with
-2^((k - D)*(p_i - p_0)) >= GROWTH_THRESHOLD.  With a D < k, N_p is read up to
-the confirming step.  Else, with D0 the least D, the ratio of the D term to the
-D0 term, (n_D / n_D0) * 2^((D0 - D)(p + 1)), falls in p: once the bound 6 *
-sum_{D != D0} |n_D| * 2^((D0 - D)(p + 1)) <= |n_D0| holds, every later value is
-within a sixth of the D0 term and every later step grows by at most (7/6)/(5/6)
-* 2^(k - D0) <= 7/5 < 3/2.  A hit at i needs a 3/2 step into i, so the values
-up to where the bound first holds (none if at p_0) decide, for any policy.
+Every order takes one path: its n_D are summed once, ``_reads`` says how
+many N_p decide it, and an order that reads any builds top, p -> N_p and the
+denominator and sweeps its values lazily, up to the confirming step.  With a
+D < k all of them may be needed.  Else, with D0 the least D, the ratio of the
+D term to the D0 term, (n_D / n_D0) * 2^((D0 - D)(p + 1)), falls in p: once
+the bound 6 * sum_{D != D0} |n_D| * 2^((D0 - D)(p + 1)) <= |n_D0| holds, every
+later value is within a sixth of the D0 term and every later step grows by at
+most (7/6)/(5/6) * 2^(k - D0) <= 7/5 < 3/2.  A hit at i needs a 3/2 step into
+i, so the values up to where the bound first holds (none if at p_0) decide,
+for any policy.
 """
 
 from __future__ import annotations
@@ -102,17 +102,16 @@ def _stencil_sums(scaled, order: int) -> list[tuple[int, int]]:
     return [(total, n) for total, n in sums.items() if n]
 
 
-def _differences(scaled, q: int, order: int) -> tuple[list, Callable[[int], int], int]:
-    """Exact |order-th divided differences| of the terms (atom, c*q) over q:
-    the nonzero n_D as (D, n_D), the function p -> N_p, computed on call, and
-    one positive denominator, the difference at 2^-p being N_p / denominator."""
-    terms = _stencil_sums(scaled, order)
+def _differences(terms, q: int, order: int) -> tuple[Callable[[int], int], int]:
+    """Exact |order-th divided differences| of the sums ``terms``, as (D, n_D),
+    over q: the function p -> N_p, computed on call, and one positive
+    denominator, the difference at 2^-p being N_p / denominator."""
     ends = (HALF_WIDTH_EXPONENTS[0], HALF_WIDTH_EXPONENTS[-1])
     top = max([0] + [total + p * (total - order) for total, _ in terms for p in ends])
 
     def value(p: int) -> int:
         return abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
-    return terms, value, q << top
+    return value, q << top
 
 
 def _reads(terms, order: int) -> int:
@@ -170,14 +169,10 @@ def classify(f: FunctionExpr) -> Classification:
     p = HALF_WIDTH_EXPONENTS
     for order in range(1, top + 1):
         terms = _stencil_sums(scaled, order)
-        hit, reads = None, _reads(terms, order)
-        if len(terms) == 1 and reads:  # one growing rate, read off as the module docstring says
-            rate, reads = order - terms[0][0], 0
-            hit = next((i for i in range(max(AGREEMENT_POLICY, 1), len(p))
-                        if 1 << rate * (p[i] - p[0]) >= GROWTH_THRESHOLD), None)
-        if reads or hit is not None:
-            _, value, denominator = _differences(scaled, q, order)
-            hit = _diverges(map(value, p[:reads])) if reads else hit
+        reads = _reads(terms, order)
+        if reads:
+            value, denominator = _differences(terms, q, order)
+            hit = _diverges(map(value, p[:reads]))
             if hit is not None:
                 return Classification(order, order, HALF_WIDTHS[hit],
                                       _rounded(value(p[hit]), denominator))

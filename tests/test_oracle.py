@@ -14,7 +14,7 @@ from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
 from diffeolin.oracle import (HALF_WIDTH_EXPONENTS, HALF_WIDTHS, MAX_ORDER, Classification,
-                              _differences, _unit_sum)
+                              _differences, _stencil_sums, _unit_sum)
 from diffeolin import oracle, verify
 from diffeolin.verify import check_oracle_agreement
 from diffeolin.hom import hat_dual
@@ -108,7 +108,7 @@ def _exact_differences(expr, order):
     its denominator."""
     q = math.lcm(*[c.denominator for _, c in expr.terms])
     scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in expr.terms]
-    _, value, denominator = _differences(scaled, q, order)
+    value, denominator = _differences(_stencil_sums(scaled, order), q, order)
     return list(map(value, HALF_WIDTH_EXPONENTS)), denominator
 
 
@@ -305,17 +305,18 @@ def test_classify_equals_the_full_sweep(monkeypatch, policy, threshold):
         assert classify(expr) == _full_sweep_classify(expr), expr
 
 
-def _count_values(monkeypatch):
-    """Count the N_p that classify computes, per order."""
+def _count_values(monkeypatch, key=lambda terms, order: order):
+    """Count the N_p that classify computes, per ``key(terms, order)``."""
     counts = {}
 
-    def counting(scaled, q, order):
-        terms, value, denominator = _differences(scaled, q, order)
+    def counting(terms, q, order):
+        value, denominator = _differences(terms, q, order)
+        at = key(terms, order)
 
         def counted(p):
-            counts[order] = counts.get(order, 0) + 1
+            counts[at] = counts.get(at, 0) + 1
             return value(p)
-        return terms, counted, denominator
+        return counted, denominator
 
     monkeypatch.setattr(oracle, "_differences", counting)
     return counts
@@ -341,18 +342,38 @@ def test_vanishing_orders_compute_no_value(monkeypatch):
 
 
 def test_oracle_agreement_reads_the_values_up_to_the_bound(monkeypatch):
-    # 21,793 values over the whole sweep of every order with terms; 4,117
-    # once an order without a growing term stops where the bound holds.
-    counts = _count_values(monkeypatch)
+    # Sweeping every order with terms reads 50,662 values.  The orders without
+    # a growing term stop where the bound holds: 1,153 values, not 45,733.
+    # The orders with one sweep up to the confirming step: 4,929 values.
+    counts = _count_values(monkeypatch, key=lambda terms, order: min(terms)[0] < order)
     assert check_oracle_agreement()[0]
-    assert 3700 <= sum(counts.values()) <= 4530
+    assert 1040 <= counts[False] <= 1270
+    assert 4440 <= counts[True] <= 5420
+
+
+def test_oracle_agreement_sums_each_probed_order_once(monkeypatch):
+    sums, orders = [0], [0]
+
+    def counting_sums(scaled, order):
+        sums[0] += 1
+        return _stencil_sums(scaled, order)
+
+    def counting_classify(f):
+        result = classify(f)
+        orders[0] += result.checked_order
+        return result
+
+    monkeypatch.setattr(oracle, "_stencil_sums", counting_sums)
+    monkeypatch.setattr(verify, "classify", counting_classify)
+    assert check_oracle_agreement()[0]
+    # One summation per probed order: 4,469.
+    assert sums[0] == orders[0] == 4469
 
 
 def test_an_order_reads_no_value_when_the_bound_holds_at_the_first_half_width(monkeypatch):
     # At order 2, 7*x^2 + x^4 has n_2 = 7*8 and n_4 = 32: neither term grows,
     # and at p = 2 already 6 * 32 * 2^-6 = 3 <= 56.  Order 4 has one rate, 0.
-    terms, _, _ = _differences([(mono(2), 7), (mono(4), 1)], 1, 2)
-    assert terms == [(2, 56), (4, 32)]
+    assert _stencil_sums([(mono(2), 7), (mono(4), 1)], 2) == [(2, 56), (4, 32)]
     counts = _count_values(monkeypatch)
     assert classify(M(2, 7) + M(4, 1)).smooth
     assert counts == {}

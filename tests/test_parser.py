@@ -91,6 +91,9 @@ def test_format_examples():
     assert format_expr(FunctionExpr.abs_monomial(1, Fraction(-1, 2))) == "-1/2*abs(x)*x"
     expr = FunctionExpr([(mono(0), 1), (abs_mono(3), 2)])
     assert format_expr(expr) == "1 + 2*abs(x)*x^3"
+    # Terms given out of order print in the stored order, and reparse.
+    expr = parse_expr("abs(x) + x^3 + 1")
+    assert format_expr(expr) == "1 + x^3 + abs(x)" and parse_expr(format_expr(expr)) == expr
 
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
