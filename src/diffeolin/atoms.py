@@ -90,16 +90,24 @@ class FunctionExpr:
         return FunctionExpr()
 
     @staticmethod
+    def _single(atom: Atom, coeff: Rational) -> "FunctionExpr":
+        """coeff times one atom, already in canonical form: no merge or sort."""
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        expr = object.__new__(FunctionExpr)
+        object.__setattr__(expr, "_terms", ((atom, c),) if c else ())
+        return expr
+
+    @staticmethod
     def constant(c: Rational) -> "FunctionExpr":
-        return FunctionExpr([(mono(0), c)])
+        return FunctionExpr._single(mono(0), c)
 
     @staticmethod
     def monomial(degree: int, coeff: Rational = 1) -> "FunctionExpr":
-        return FunctionExpr([(mono(degree), coeff)])
+        return FunctionExpr._single(mono(degree), coeff)
 
     @staticmethod
     def abs_monomial(degree: int, coeff: Rational = 1) -> "FunctionExpr":
-        return FunctionExpr([(abs_mono(degree), coeff)])
+        return FunctionExpr._single(abs_mono(degree), coeff)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

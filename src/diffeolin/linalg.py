@@ -36,7 +36,9 @@ matrix as integer columns and maps a support to the support of its image
 (``image_support``), and tensor block rows are shifted supports.  The rows
 of a form are supports too (``Subspace.supports``), and
 ``Subspace.from_supports`` spans a list of them.  A query on supports does
-no Fraction arithmetic.
+no Fraction arithmetic.  ``integer_support``, the one boundary where a
+vector's Fractions become ints, reads each entry once (``as_integer_ratio``);
+``determinant`` tells whether n supports span Q^n in one forward Bareiss pass.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ Matrix = tuple[Vector, ...]
 Support = Sequence[tuple[int, int]]
 
 # Unit, zero, RREF and Kronecker rows hold this one zero object, so
-# ``x is not ZERO and x`` skips their zeros without Fraction.__bool__, a
-# Python-level call; any other zero still tests false.
+# ``x is not ZERO`` skips their zeros without reading the entry; any other
+# zero reads a zero numerator.
 ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -130,14 +132,14 @@ def integer_family(family: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
 
 def integer_support(v: Sequence | dict) -> Support:
     """The support of v, given densely or as an {index: entry} mapping: its
-    nonzero entries times the lcm of their denominators."""
-    items = v.items() if isinstance(v, dict) else enumerate(v)
-    support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x))
-               for j, x in items if x is not ZERO and x]
-    scale = lcm(*[x.denominator for _, x in support])
-    if scale == 1:
-        return [(j, x.numerator) for j, x in support]
-    return [(j, x.numerator * (scale // x.denominator)) for j, x in support]
+    nonzero entries times the lcm of their denominators, each entry read once."""
+    items = v.items if isinstance(v, dict) else lambda: enumerate(v)
+    try:
+        ratios = [(j, x.as_integer_ratio()) for j, x in items() if x is not ZERO]
+    except AttributeError:  # an entry with no ratio of its own, such as "1/3"
+        return integer_support({j: Fraction(x) for j, x in items()})
+    scale = lcm(*[d for _, (n, d) in ratios if n])
+    return [(j, n * (scale // d)) for j, (n, d) in ratios if n]
 
 
 def integer_columns(m: Matrix, n_cols: int) -> tuple[Support, ...]:
@@ -212,6 +214,22 @@ def _dense(n: int, support: Support) -> list[int]:
     for j, x in support:
         row[j] = x
     return row
+
+
+def determinant(n: int, supports: Sequence[Support]) -> int:
+    """The determinant of n rows of Q^n given by supports, by one forward
+    fraction-free (Bareiss) pass: each step's entries are minors, so the
+    division by the previous pivot is exact.  Any number of rows reads 0
+    exactly when they do not span Q^n: a column finds no pivot."""
+    rows, prev, sign = [_dense(n, s) for s in supports], 1, 1
+    for _ in range(n):
+        k = next((i for i, r in enumerate(rows) if r[0]), None)
+        if k is None:
+            return 0
+        pivot, sign = rows.pop(k), -sign if k % 2 else sign
+        rows, prev = [[(pivot[0] * x - r[0] * y) // prev for x, y in zip(r[1:], pivot[1:])]
+                      for r in rows], pivot[0]
+    return sign * prev
 
 
 def rref(rows: Iterable[Sequence]) -> Matrix:

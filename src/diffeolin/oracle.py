@@ -135,8 +135,8 @@ def _rounded(numerator: int, denominator: int) -> float:
         return math.inf
 
 
-def _diverges(values: Iterable[int]) -> int | None:
-    """Index where a sustained divergent run is confirmed, else None.
+def _diverges(values: Iterable[int]) -> tuple[int, int] | None:
+    """(index, value) where a sustained divergent run is confirmed, else None.
 
     The values share one positive scale.  A run is ``AGREEMENT_POLICY`` or
     more consecutive usable (nonzero) steps each growing by 3/2, with total
@@ -148,7 +148,7 @@ def _diverges(values: Iterable[int]) -> int | None:
             if run_start is None:
                 run_start, v_start = i - 1, v_prev
             if i - run_start >= AGREEMENT_POLICY and v_cur >= GROWTH_THRESHOLD * v_start:
-                return i
+                return i, v_cur
         else:
             run_start = None
         v_prev = v_cur
@@ -174,8 +174,8 @@ def classify(f: FunctionExpr) -> Classification:
             value, denominator = _differences(terms, q, order)
             hit = _diverges(map(value, p[:reads]))
             if hit is not None:
-                return Classification(order, order, HALF_WIDTHS[hit],
-                                      _rounded(value(p[hit]), denominator))
+                return Classification(order, order, HALF_WIDTHS[hit[0]],
+                                      _rounded(hit[1], denominator))
     return Classification(None, top)
 
 

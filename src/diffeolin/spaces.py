@@ -39,6 +39,7 @@ from .linalg import (
     Support,
     Vector,
     block_sum,
+    determinant,
     image_support,
     integer_columns,
     integer_support,
@@ -92,7 +93,9 @@ class Plot:
         """Map degree d -> {coordinate: nonzero |x|*x^d coefficient}, d ascending."""
         by_degree: dict[int, dict[int, Fraction]] = {}
         for i, c in enumerate(self.components):
-            for d, x in c.singular_residue().items():
+            for (is_abs, d), x in reversed(c.terms):
+                if not is_abs:
+                    break
                 by_degree.setdefault(d, {})[i] = x
         return dict(sorted(by_degree.items()))
 
@@ -121,8 +124,10 @@ class Plot:
 
 def residue_supports(n: int, plot: Plot) -> Iterator[tuple[int, Support]]:
     """(d, support of the |x|*x^d residue row of ``plot``) by ascending d,
-    each built when reached: the rows a generated space on R^n presents for
-    the generator ``plot``, and those ``is_plot`` tests for a candidate."""
+    each scaled when reached: the rows a generated space on R^n presents for
+    the generator ``plot``, and those ``is_plot`` tests for a candidate.
+    ``Plot.residues`` reads them in one pass: atoms (is_abs, degree) sort abs
+    last, so each component's scan from the end stops at a smooth one."""
     if plot.target_dim != n:
         raise DimensionMismatchError(f"plot has {plot.target_dim} coordinates, space has dimension {n}")
     return ((d, integer_support(r)) for d, r in plot.residues().items())
@@ -180,15 +185,11 @@ class Pushforward:
         n = self.base.dim
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise DimensionMismatchError("pushforward matrix is not square of the base dimension")
-        # The columns span Q^n exactly when the matrix is invertible.
-        if Subspace.from_supports(n, self.columns).dim < n:
+        # Column supports of a positive multiple of the matrix: they map base
+        # supports to the supports of their images.
+        object.__setattr__(self, "columns", integer_columns(self.matrix, n))
+        if not determinant(n, self.columns):
             raise DiffeolinError("pushforward matrix is singular")
-
-    @cached_property
-    def columns(self) -> tuple[Support, ...]:
-        """The supports of the columns of a positive multiple of the matrix,
-        which map a support of the base to the support of its image."""
-        return integer_columns(self.matrix, self.base.dim)
 
 
 Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]

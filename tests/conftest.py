@@ -2,7 +2,7 @@
 of them import."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -67,6 +67,67 @@ def reference_nullspace(m, n_cols):
 def reference_contains(rows, v):
     """Membership of v in the row span of rows, by reference rank."""
     return len(reference_rref(list(rows) + [v])) == len(reference_rref(rows))
+
+
+def reference_integer_support(v):
+    """The support of v, densely or as an {index: entry} mapping, with each
+    entry tested for zero, checked for its type and read by its
+    ``.numerator`` and ``.denominator``: the reader that ``integer_support``
+    replaced with one ``as_integer_ratio()`` per entry."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    support = [(j, x if isinstance(x, (int, Fraction)) else Fraction(x)) for j, x in items if x]
+    scale = lcm(*[x.denominator for _, x in support])
+    return [(j, x.numerator * (scale // x.denominator)) for j, x in support]
+
+
+def reference_residue_supports(plot):
+    """(d, support of the |x|*x^d residue row) by ascending d, read from each
+    component's ``singular_residue`` dict, gathered per degree and sorted:
+    the path that ``spaces.residue_supports`` replaced with one pass."""
+    by_degree = {}
+    for i, c in enumerate(plot.components):
+        for d, x in c.singular_residue().items():
+            by_degree.setdefault(d, {})[i] = x
+    return [(d, reference_integer_support(r)) for d, r in sorted(by_degree.items())]
+
+
+def reference_determinant(rows):
+    """The determinant of a square matrix by Fraction elimination: the
+    product of the pivots, negated for each row swap."""
+    work, det = [list(map(Fraction, r)) for r in rows], Fraction(1)
+    for col in range(len(work)):
+        k = next((i for i in range(col, len(work)) if work[i][col]), None)
+        if k is None:
+            return 0
+        if k != col:
+            work[col], work[k], det = work[k], work[col], -det
+        det *= work[col][col]
+        for i in range(col + 1, len(work)):
+            f = work[i][col] / work[col][col]
+            work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return det
+
+
+def random_square(rng, n, how):
+    """An n x n rational matrix: random, or made singular by a zero column,
+    a duplicated (scaled) column or a column combined of the others (n >= 2)."""
+    def entry():
+        return Fraction(rng.choice([0, 0, 1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3]))
+
+    cols = [[entry() for _ in range(n)] for _ in range(n)]
+    if how == "zero column":
+        cols[rng.randrange(n)] = [Fraction(0)] * n
+    elif how == "duplicate column":
+        (i, j), c = rng.sample(range(n), 2), Fraction(rng.choice([1, -2, 3]))
+        cols[j] = [c * x for x in cols[i]]
+    elif how == "rank n-1":
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n - 1)]
+        cols[-1] = [sum((w * c[i] for w, c in zip(weights, cols)), Fraction(0)) for i in range(n)]
+        rng.shuffle(cols)
+    return tuple(tuple(c[i] for c in cols) for i in range(n))
+
+
+SINGULAR_SHAPES = ("zero column", "duplicate column", "rank n-1")
 
 
 def presented_rows(space):

@@ -150,9 +150,28 @@ def test_construction_on_random_term_lists():
         _assert_merges_as_the_reference(dict(terms))
 
 
+@pytest.mark.parametrize("make, atom", [
+    (lambda d, c: FunctionExpr.constant(c), lambda d: mono(0)),
+    (M, mono),
+    (A, abs_mono),
+])
+def test_single_terms_are_built_as_the_general_constructor_builds_them(make, atom):
+    """``constant``, ``monomial`` and ``abs_monomial`` skip the merge and
+    the sort; their one term is the general constructor's, zero dropped."""
+    for d in range(4):
+        for c in (0, 1, -3, True, Fraction(0), Fraction(-2, 7), Fraction(10**30, 3)):
+            f, general = make(d, c), FunctionExpr([(atom(d), c)])
+            assert f.terms == _reference_terms([(atom(d), c)])
+            assert f == general and hash(f) == hash(general)
+            assert all(type(k) is Fraction for _, k in f.terms)
+
+
 def test_degree_must_be_nonnegative():
     with pytest.raises(ValueError):
         mono(-1)
+    for make in (M, A):
+        with pytest.raises(ValueError, match="atom degree must be >= 0"):
+            make(-1)
     for make in (lambda: Atom(True, -2), lambda: abs_mono(-1)):
         with pytest.raises(ValueError, match="atom degree must be >= 0"):
             make()

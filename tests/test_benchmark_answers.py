@@ -3,7 +3,9 @@ an answer the benchmark grades (a return shape, a result field) fails here,
 not only in a benchmark run.  ``perfbench/workloads.py`` is imported as it
 is and only read."""
 
+import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -39,3 +41,29 @@ def test_every_benchmark_answer_of_pass_0_grades_ok(workloads, tmp_path, name, o
     graded = [(op.kind, workloads.grade(op.call(), op.expected)) for op in workload.passes[0]]
     assert len(graded) == ops
     assert [g for g in graded if g[1] != "ok"] == []
+
+
+def _sha256_prefix(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name, prefix", [("Tensor64", "28bdf37bbca50abc"),
+                                          ("PlotQueries", "350677c374a574cf")])
+def test_pass_0_at_full_size_answers_the_pinned_digest(workloads, tmp_path, name, prefix):
+    """At ``--size full`` and seed 1, the answers of pass 0 hash to the
+    digest that ``perfbench/run.py`` reports: a change to any answer text
+    fails here, not only in a benchmark run."""
+    workload = getattr(workloads, name)(diffeolin, 1, "full", str(tmp_path))
+    texts = [workloads.answer_text(op.call()) for op in workload.passes[0]]
+    assert _sha256_prefix("\n".join(texts)) == prefix
+
+
+def test_the_verify_document_answers_the_pinned_digest(workloads, capsys):
+    """``--json verify`` through the CLI, digested as the benchmark digests
+    it: every ``elapsed`` dropped, the exit code kept."""
+    import diffeolin.cli
+
+    code = diffeolin.cli.main(["--json", "verify"])
+    doc = json.loads(capsys.readouterr().out)
+    doc["exit_code"] = code
+    assert _sha256_prefix(workloads.verify_digest_text(doc)) == "6ffa21894721f825"

@@ -49,7 +49,14 @@ from diffeolin.linalg import (
 )
 from diffeolin.spaces import presentation
 
-from conftest import block_rows, constraint_hom_basis, presented_rows, ray
+from conftest import (
+    SINGULAR_SHAPES,
+    block_rows,
+    constraint_hom_basis,
+    presented_rows,
+    random_square,
+    ray,
+)
 
 
 def frac_matrix(rows):
@@ -691,6 +698,25 @@ def test_hat_dual_examples():
 def test_hat_dual_rejects_singular_matrix():
     with pytest.raises(DiffeolinError):
         hat_dual(make_fine(2), frac_matrix([[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("how", ("random",) + SINGULAR_SHAPES)
+def test_hat_dual_raises_on_every_singular_iso(how):
+    """Seeded isos up to 64 x 64: each one made singular is rejected, and a
+    random one exactly when elimination finds fewer than n independent rows."""
+    rng = random.Random(f"hat-dual-singular:{how}")
+    sizes = list(range(2, 9)) * 3 + [12, 33, 64]
+    rejected = 0
+    for n in sizes:
+        iso = random_square(rng, n, how)
+        singular = how in SINGULAR_SHAPES or Subspace.from_rows(n, iso).dim < n
+        rejected += singular
+        if singular:
+            with pytest.raises(DiffeolinError, match="pushforward matrix is singular"):
+                hat_dual(make_fine(n), iso)
+        else:
+            assert hat_dual(make_fine(n), iso).dim == n
+    assert 0 < rejected < len(sizes) if how == "random" else rejected == len(sizes)
 
 
 def test_hat_dual_wellposedness_examples():

@@ -13,9 +13,12 @@ from diffeolin.linalg import (
     Subspace,
     _annihilator_form,
     block_sum,
+    determinant,
     dot,
     identity,
     in_row_span,
+    integer_columns,
+    integer_support,
     invert,
     kron,
     kron_span,
@@ -33,7 +36,16 @@ from diffeolin.linalg import (
     vector,
 )
 
-from conftest import _pivot, reference_contains, reference_nullspace, reference_rref
+from conftest import (
+    SINGULAR_SHAPES,
+    _pivot,
+    reference_contains,
+    reference_determinant,
+    reference_integer_support,
+    reference_nullspace,
+    reference_rref,
+    random_square,
+)
 
 
 def test_rref_is_canonical():
@@ -467,3 +479,89 @@ def test_basis_entries_are_shared_fractions():
         assert all(x is ZERO for row in s.basis for x in row if not x)
         entries = [x for row in s.basis for x in row if x]
         assert len({id(x) for x in entries}) == len(set(entries))
+
+
+# --- one read per entry, and the forward-only determinant --------------------
+
+ZEROS = (ZERO, Fraction(0), Fraction(0, 7), 0, 0.0, -0.0, False)
+
+
+def _support_entry(rng, kind):
+    """One entry of the named kind, zero about a third of the time."""
+    if rng.random() < 0.3:
+        return rng.choice(ZEROS)
+    if kind == "ints":
+        return rng.randint(-10**6, 10**6) or 1
+    if kind == "bools":
+        return True
+    if kind == "fractions":
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+    if kind == "floats":
+        return rng.choice([0.5, -0.125, 3.0, 1e-300, 0.1, -7.25e12])
+    if kind == "large-denominators":
+        return Fraction(rng.randint(-10**40, 10**40) or 1, rng.randint(1, 10**40))
+    if kind == "strings":
+        # No ratio of their own: read through Fraction.
+        return rng.choice(["1/3", "-2/7", "5"])
+    return _support_entry(rng, rng.choice(["ints", "bools", "fractions", "floats",
+                                           "large-denominators", "strings"]))
+
+
+@pytest.mark.parametrize("kind", ["ints", "bools", "fractions", "floats", "large-denominators",
+                                  "mixed"])
+def test_integer_support_reads_each_entry_as_the_reference_does(kind):
+    """One ``as_integer_ratio()`` per entry gives the support that testing,
+    type-checking and reading numerator and denominator gave, densely, as
+    a tuple and as a mapping, every zero skipped and every entry an int."""
+    rng = random.Random(f"integer-support:{kind}")
+    for _ in range(300):
+        v = [_support_entry(rng, kind) for _ in range(rng.randint(0, 10))]
+        for given in (v, tuple(v), {j: x for j, x in enumerate(v) if rng.random() < 0.7}):
+            support = integer_support(given)
+            assert support == reference_integer_support(given)
+            assert all(type(x) is int and x for _, x in support)
+
+
+def test_integer_columns_are_the_columns_of_one_integer_multiple():
+    rng = random.Random("integer-columns")
+    for _ in range(100):
+        rows, n = rng.randint(0, 5), rng.randint(1, 6)
+        m = tuple(tuple(_support_entry(rng, "mixed") for _ in range(n)) for _ in range(rows))
+        flat = reference_integer_support([x for row in m for x in row])
+        assert integer_columns(m, n) == tuple(
+            [(k // n, a) for k, a in flat if k % n == j] for j in range(n))
+
+
+@pytest.mark.parametrize("how", ("random",) + SINGULAR_SHAPES)
+def test_determinant_is_nonzero_exactly_when_the_columns_span(how):
+    """On the integer columns that a pushforward keeps, n up to 64, the
+    Bareiss pass is nonzero exactly when elimination finds rank n, and the
+    singular shapes read 0."""
+    rng = random.Random(f"determinant-rank:{how}")
+    singular = how in SINGULAR_SHAPES
+    for n in list(range(2 if singular else 0, 9)) * 4 + [16, 33, 64]:
+        cols = integer_columns(random_square(rng, n, how), n)
+        full = Subspace.from_supports(n, cols).dim == n
+        assert (determinant(n, cols) != 0) == full
+        assert not (singular and full)
+
+
+def test_determinant_is_the_determinant():
+    """The last Bareiss pivot is the signed determinant, as Fraction
+    elimination computes it; without the exact division by the previous
+    pivot the pass would still find the rank, but not this value."""
+    rng = random.Random("determinant-value")
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rows = [[rng.choice([0, 0, 1, -1, 2, 3, -5, 7]) for _ in range(n)] for _ in range(n)]
+        supports = [[(j, x) for j, x in enumerate(r) if x] for r in rows]
+        assert determinant(n, supports) == reference_determinant(rows)
+
+
+def test_determinant_of_any_number_of_rows_is_zero_exactly_below_rank_n():
+    rng = random.Random("determinant-rows")
+    for _ in range(300):
+        n, k = rng.randint(0, 6), rng.randint(0, 9)
+        supports = [[(j, x) for j in range(n) if (x := rng.choice([0, 0, 0, 1, -1, 2]))]
+                    for _ in range(k)]
+        assert (determinant(n, supports) != 0) == (Subspace.from_supports(n, supports).dim == n)

@@ -344,11 +344,11 @@ def test_vanishing_orders_compute_no_value(monkeypatch):
 def test_oracle_agreement_reads_the_values_up_to_the_bound(monkeypatch):
     # Sweeping every order with terms reads 50,662 values.  The orders without
     # a growing term stop where the bound holds: 1,153 values, not 45,733.
-    # The orders with one sweep up to the confirming step: 4,929 values.
+    # The orders with one sweep up to the confirming step, whose value is
+    # read once: 4,111 values.
     counts = _count_values(monkeypatch, key=lambda terms, order: min(terms)[0] < order)
     assert check_oracle_agreement()[0]
-    assert 1040 <= counts[False] <= 1270
-    assert 4440 <= counts[True] <= 5420
+    assert counts == {False: 1153, True: 4111}
 
 
 def test_oracle_agreement_sums_each_probed_order_once(monkeypatch):
@@ -399,8 +399,11 @@ def test_an_order_whose_sum_crosses_zero_reads_until_the_bound_holds(
     monkeypatch.setattr(oracle, "AGREEMENT_POLICY", policy)
     monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
     counts = _count_values(monkeypatch)
-    assert classify(expr) == _full_sweep_classify(expr)
-    assert counts[2] == reads
+    result = classify(expr)
+    assert result == _full_sweep_classify(expr)
+    # A confirmed run ends the sweep at its confirming value, read once:
+    # within-a-half under policy 2, threshold 3 confirms at p = 11, the tenth.
+    assert counts[2] == (10 if result.failing_order == 2 else reads)
 
 
 def test_the_stencil_table_starts_empty():

@@ -27,16 +27,23 @@ from diffeolin import (
     separating_functional,
     singular_span,
 )
-from diffeolin.atoms import mono
+from diffeolin.atoms import abs_mono, mono
 from diffeolin.hom import LinearMap, check_smooth_linear, diffeological_dual, hat_dual, identity_map
 from diffeolin.linalg import (
     Subspace, dot, identity, integer_support, invert, matvec, vector)
 from diffeolin.oracle import classify
 from diffeolin.spaces import (
-    Coarse, DiffSpace, DualSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation)
+    Coarse, DiffSpace, DualSpace, Fine, Generated, Pushforward, SumOf, TensorOf, presentation,
+    residue_supports)
 from diffeolin.tensor import tensor_dual_iso, tensor_product
 
-from conftest import presented_rows, ray, reference_contains, reference_rref
+from conftest import (
+    presented_rows,
+    ray,
+    reference_contains,
+    reference_residue_supports,
+    reference_rref,
+)
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
@@ -797,3 +804,20 @@ def test_a_pushforward_is_presented_on_ints(monkeypatch):
         for degree in range(-1, 7):
             assert pres.filtration_step(degree) == Subspace.from_rows(hat.dim,
                                                                       pres.rows_up_to(degree))
+
+
+def test_residue_supports_gather_what_the_residue_dicts_gave():
+    """One pass over each component's sorted terms, stopping at its first
+    smooth atom from the end, gives the supports that each component's
+    ``singular_residue`` dict, gathered per degree and sorted, gave."""
+    rng = random.Random("residue-supports")
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        components = [FunctionExpr(
+            [((abs_mono if rng.random() < 0.5 else mono)(rng.randint(0, 6)),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 10**rng.randint(0, 15))))
+             for _ in range(rng.randint(0, 6))]) for _ in range(n)]
+        plot = Plot(components)
+        assert list(residue_supports(n, plot)) == reference_residue_supports(plot)
+    with pytest.raises(DimensionMismatchError, match="plot has 2 coordinates"):
+        residue_supports(3, Plot([A(0), M(1)]))
