@@ -40,9 +40,11 @@ from .verify import run_checks
 
 # Bounds on the work one command takes on, so that no input makes it hang:
 # the flattened unknowns of hom and tensor (dim V * dim W) and of bilinear
-# (dim V^2 * dim W), and the number of cross-validate trials.
+# (dim V^2 * dim W), the number of cross-validate trials, and the length of
+# the --iso text, 128 KiB, the most that Linux passes as one argument.
 MAX_UNKNOWNS = 1024
 MAX_TRIALS = 10_000
+MAX_ISO_CHARS = 131_072
 
 
 class InputError(ValueError):
@@ -234,6 +236,8 @@ def _cmd_check_plot(args, out):
 
 
 def _cmd_hat_dual(args, out):
+    if len(args.iso) > MAX_ISO_CHARS:
+        raise InputError(f"--iso has {len(args.iso)} characters, over the limit of {MAX_ISO_CHARS}")
     spaces = _load(args)
     space = spaces.space(args.space)
     iso = _parse_matrix_text(args.iso)

@@ -17,7 +17,8 @@ the nonzero entries of L times each RREF row), and builds Fraction rows
 only when ``basis`` is read.  The sum A (+) B, the tensor step
 A (x) R^m + R^n (x) B and the Kronecker product A (x) B of subspaces are
 read off their factors' forms with no elimination (``block_sum``,
-``tensor_span``, ``kron_span``), and so is each one's annihilator.  Any
+``tensor_span``, ``kron_span``), and so is each one's annihilator; one
+normalizer, ``_scaled_form``, forms the last two and each elimination.  Any
 other Ann A eliminates min(k, n - k) rows, k = dim A: A's rows with the
 column order reversed, or the n - k free vectors read off A's RREF.
 
@@ -294,18 +295,13 @@ Form = tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def _reduced_form(reduced: list[tuple[int, list[int]]]) -> Form:
-    """The form of ``_eliminate``'s output.  Each row is divided by its
-    content; the RREF row is then row / row[pivot] in lowest terms, so L is
-    the lcm of the pivot entries, and L // row[pivot] carries the sign of a
-    negative pivot."""
-    rows = []
-    for col, r in reduced:
-        g = gcd(*r)
-        rows.append((col, r if g == 1 else [x // g for x in r]))
-    den = lcm(*[r[col] for col, r in rows])
-    return (tuple(col for col, _ in rows), den,
-            tuple(tuple((j, x * (den // r[col])) for j, x in enumerate(r) if x)
-                  for col, r in rows))
+    """The form of ``_eliminate``'s output: the RREF row is row / row[pivot],
+    so with L the lcm of the pivot entries, row * (L // row[pivot]) is L
+    times it, the quotient carrying the sign of a negative pivot."""
+    den = lcm(*[r[col] for col, r in reduced])
+    return _scaled_form(tuple(col for col, _ in reduced), den,
+                        [tuple((j, x * (den // r[col])) for j, x in enumerate(r) if x)
+                         for col, r in reduced])
 
 
 def _scaled_form(pivots: tuple[int, ...], scale: int,
@@ -325,7 +321,7 @@ def _annihilator_form(n: int, form: Form) -> Form:
     at c and are eliminated.  Off the form of A's rows eliminated with the
     columns reversed, R_t ends at t, so w_c / L = e_c - sum_t (R_t[c] /
     R_t[t]) e_t leads at c and is 0 at the other free columns: the RREF of
-    Ann A, its L exact because that form divides each R_t by its content."""
+    Ann A, its L exact because that form's L is the least clearing R_t / L."""
     pivots, den, rows = form
     reverse = 2 * len(pivots) < n
     if reverse:

@@ -17,16 +17,20 @@ with top the largest of these exponents (at least 0; linear in p, so taken at
 the ends of the sweep).  All values share that denominator, so the growth
 test compares the integers N_p and only the reported value becomes a float.
 
-Every order takes one path: its n_D are summed once, ``_reads`` says how
-many N_p decide it, and an order that reads any builds top, p -> N_p and the
-denominator and sweeps its values lazily, up to the confirming step.  With a
-D < k all of them may be needed.  Else, with D0 the least D, the ratio of the
-D term to the D0 term, (n_D / n_D0) * 2^((D0 - D)(p + 1)), falls in p: once
-the bound 6 * sum_{D != D0} |n_D| * 2^((D0 - D)(p + 1)) <= |n_D0| holds, every
-later value is within a sixth of the D0 term and every later step grows by at
-most (7/6)/(5/6) * 2^(k - D0) <= 7/5 < 3/2.  A hit at i needs a 3/2 step into
-i, so the values up to where the bound first holds (none if at p_0) decide,
-for any policy.
+Every order takes one path: its n_D are summed once, ``_sweep`` says which
+N_p decide it, and an order that reads any builds top and p -> N_p and sweeps
+its values lazily, up to the confirming step.  With D0 the least D, the ratio
+of the D term to the D0 term, (n_D / n_D0) * 2^((D0 - D)(p + 1)), at least
+halves per step: once F * sum_{D != D0} |n_D| * 2^((D0 - D)(p + 1)) <= |n_D0|,
+this bound holds at every later p, the value within 1/F of the D0 term, which
+grows by 2^(k - D0) per step.  With no growing term (D0 >= k) and F = 6, each
+later step grows by at most (7/6)/(5/6) * 2^(k - D0) < 3/2.  A hit at i needs
+a 3/2 step into i, so the values up to where the bound first holds (none at
+p_0) decide, for any policy; such a sweep never reads past p = 20.  With one
+(D0 < k) and F = 7, every later value is nonzero and grows by at least
+2 * (6/7)/(8/7) = 3/2 a step: a run under way there, begun no higher, is
+confirmed in the least s >= AGREEMENT_POLICY steps with (3/2)^s >=
+GROWTH_THRESHOLD, however far past p = 20 a larger term masks the growing one.
 """
 
 from __future__ import annotations
@@ -49,12 +53,11 @@ from .spaces import Plot, generating_plots, make_fine, presentation
 MAX_ORDER = MAX_DEGREE + 2
 
 
-# The sweep of half-widths 2^-p, and the divergence test on it: a run of at
-# least AGREEMENT_POLICY consecutive steps, each growing by 3/2, with total
-# growth GROWTH_THRESHOLD.  Calibrated on the atom basis: a diverging order
-# grows by at least x2 per halving, a converging one settles to ratio 1.
+# The sweep of half-widths 2^-p starts at these; its divergence test is a run
+# of at least AGREEMENT_POLICY consecutive steps, each growing by 3/2, with
+# total growth GROWTH_THRESHOLD.  Calibrated on the atom basis: a diverging
+# order grows by at least x2 per halving, a converging one settles to ratio 1.
 HALF_WIDTH_EXPONENTS = tuple(range(2, 21))
-HALF_WIDTHS = tuple(2.0**-p for p in HALF_WIDTH_EXPONENTS)
 GROWTH_THRESHOLD = 10
 AGREEMENT_POLICY = 3
 
@@ -102,30 +105,34 @@ def _stencil_sums(scaled, order: int) -> list[tuple[int, int]]:
     return [(total, n) for total, n in sums.items() if n]
 
 
-def _differences(terms, q: int, order: int) -> tuple[Callable[[int], int], int]:
+def _differences(terms, order: int, sweep: Sequence[int]) -> tuple[Callable[[int], int], int]:
     """Exact |order-th divided differences| of the sums ``terms``, as (D, n_D),
-    over q: the function p -> N_p, computed on call, and one positive
-    denominator, the difference at 2^-p being N_p / denominator."""
-    ends = (HALF_WIDTH_EXPONENTS[0], HALF_WIDTH_EXPONENTS[-1])
+    on the exponents ``sweep``: the function p -> N_p, computed on call, and
+    top, the difference at 2^-p being N_p / (q << top)."""
+    ends = (sweep[0], sweep[-1])
     top = max([0] + [total + p * (total - order) for total, _ in terms for p in ends])
 
     def value(p: int) -> int:
         return abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
-    return value, q << top
+    return value, top
 
 
-def _reads(terms, order: int) -> int:
-    """How many N_p, in sweep order, decide ``order`` (see the module docstring)."""
-    if not terms:
-        return 0
+def _sweep(terms, order: int) -> range:
+    """The exponents p, in sweep order, whose N_p decide ``order`` for nonzero
+    ``terms``, by the module docstring's bound times 2^((d1 - d0)(p + 1))."""
     (d0, n0), *rest = sorted(terms)
-    if d0 < order:
-        return len(HALF_WIDTH_EXPONENTS)
-    n0, d1 = abs(n0), max(terms)[0]
-    for i, p in enumerate(HALF_WIDTH_EXPONENTS):  # the bound times 2^((d1 - d0)(p + 1))
-        if 6 * sum(abs(n) << (d1 - d) * (p + 1) for d, n in rest) <= n0 << (d1 - d0) * (p + 1):
-            return i + 1 if i else 0
-    return len(HALF_WIDTH_EXPONENTS)
+    n0, d1, grows = abs(n0), max(terms)[0], d0 < order
+    first, last = HALF_WIDTH_EXPONENTS[0], math.inf if grows else HALF_WIDTH_EXPONENTS[-1]
+    p, factor, steps = first, 7 if grows else 6, AGREEMENT_POLICY
+    while p < last:
+        if factor * sum(abs(n) << (d1 - d) * (p + 1) for d, n in rest) <= n0 << (d1 - d0) * (p + 1):
+            break
+        p += 1
+    if not grows:
+        return range(first, p + 1) if p > first else range(0)
+    while 3**steps < GROWTH_THRESHOLD * 2**steps:
+        steps += 1
+    return range(first, p + steps + 1)
 
 
 def _rounded(numerator: int, denominator: int) -> float:
@@ -166,16 +173,15 @@ def classify(f: FunctionExpr) -> Classification:
     q = math.lcm(*[c.denominator for _, c in f.terms])
     scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in f.terms]
     top = max([atom.degree for atom, _ in f.terms], default=0) + 2
-    p = HALF_WIDTH_EXPONENTS
     for order in range(1, top + 1):
         terms = _stencil_sums(scaled, order)
-        reads = _reads(terms, order)
-        if reads:
-            value, denominator = _differences(terms, q, order)
-            hit = _diverges(map(value, p[:reads]))
+        sweep = _sweep(terms, order) if terms else range(0)
+        if sweep:
+            value, shift = _differences(terms, order, sweep)
+            hit = _diverges(map(value, sweep))
             if hit is not None:
-                return Classification(order, order, HALF_WIDTHS[hit[0]],
-                                      _rounded(hit[1], denominator))
+                return Classification(order, order, 2.0 ** -sweep[hit[0]],
+                                      _rounded(hit[1], q << shift))
     return Classification(None, top)
 
 

@@ -2,8 +2,11 @@
 
 A space is a dimension plus a diffeology descriptor.  Plots are generator
 curves R -> R^n with coordinates in the atom algebra, so the only possible
-non-smooth behaviour is |x|*x^k kinks at the origin.  Every descriptor
-reduces to one normal form, the *presentation*: a flag of subspaces
+non-smooth behaviour is |x|*x^k kinks at the origin.  Each descriptor
+(fine, coarse, generated, sum, tensor, pushforward) is the one class that
+knows its kind: it names itself (``describe``), lists the plots of its
+definition (``plots``) and reduces to one normal form (``present``), the
+*presentation*: a flag of subspaces
 
     C = F_-1  <=  F_0  <=  F_1  <=  ...  <=  F_top = S(V)
 
@@ -29,7 +32,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .atoms import FunctionExpr
 from .linalg import (
@@ -146,38 +149,109 @@ def row_plot(row: Sequence, degree: int = 0) -> Plot:
 
 # --- diffeology descriptors ---------------------------------------------
 
-@dataclass(frozen=True)
-class Fine:
-    pass
+class Descriptor:
+    """A diffeology on R^n: ``describe(n)``, ``present(n)`` and ``plots()``."""
+
+    def plots(self) -> tuple[Plot, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
-class Coarse:
-    pass
+class Fine(Descriptor):
+    def describe(self, n: int) -> str:
+        return f"fine R^{n}"
+
+    def present(self, n: int) -> Presentation:
+        return Presentation(n, (), lambda e: Subspace.from_supports(n, ()))
 
 
 @dataclass(frozen=True)
-class Generated:
+class Coarse(Descriptor):
+    def describe(self, n: int) -> str:
+        return f"coarse R^{n}"
+
+    def present(self, n: int) -> Presentation:
+        return Presentation(n, tuple((-1, ((j, 1),)) for j in range(n)), lambda e: Subspace.full(n))
+
+
+@dataclass(frozen=True)
+class Generated(Descriptor):
     generators: tuple[Plot, ...]
 
     def __init__(self, generators: Sequence[Plot]):
         object.__setattr__(self, "generators", tuple(generators))
 
+    def describe(self, n: int) -> str:
+        return f"generated R^{n} ({len(self.generators)} generators)"
+
+    def present(self, n: int) -> Presentation:
+        return _spanned(n, tuple(row for g in self.generators for row in residue_supports(n, g)))
+
+    def plots(self) -> tuple[Plot, ...]:
+        return self.generators
+
 
 @dataclass(frozen=True)
-class SumOf:
+class SumOf(Descriptor):
     left: "DiffSpace"
     right: "DiffSpace"
 
+    def describe(self, n: int) -> str:
+        return f"({self.left.describe()}) (+) ({self.right.describe()})"
+
+    def present(self, n: int) -> Presentation:
+        lp, rp, shift = presentation(self.left), presentation(self.right), self.left.dim
+        return Presentation(
+            n, lp.supports + tuple((deg, [(shift + j, x) for j, x in s]) for deg, s in rp.supports),
+            lambda e: block_sum(lp.filtration_step(e), rp.filtration_step(e)))
+
+    def plots(self) -> tuple[Plot, ...]:
+        pad, v, w = (FunctionExpr.zero(),), self.left, self.right
+        return (tuple(Plot(p.components + pad * w.dim) for p in generating_plots(v))
+                + tuple(Plot(pad * v.dim + q.components) for q in generating_plots(w)))
+
 
 @dataclass(frozen=True)
-class TensorOf:
+class TensorOf(Descriptor):
     left: "DiffSpace"
     right: "DiffSpace"
 
+    def describe(self, n: int) -> str:
+        return f"({self.left.describe()}) (x) ({self.right.describe()})"
+
+    def present(self, n: int) -> Presentation:
+        """The block rows (d, r (x) e_j), then (d, e_i (x) r'), of the
+        definition of V (x) W, for the rows (d, r) of V and (d, r') of W, less
+        those of degree >= 0 whose unit factor lies in the other side's coarse
+        part C: e_j lies in C exactly when the RREF row of C at pivot j is
+        e_j.  The step F_e = F_e V (x) R^m + R^n (x) F_e W is ``tensor_span``
+        of the factors' steps, built on first ask."""
+        lp, rp, m = presentation(self.left), presentation(self.right), self.right.dim
+        units = [{p for p, s in zip(c.pivots, c.supports) if len(s) == 1}
+                 for c in (lp.filtration_step(-1), rp.filtration_step(-1))]
+        supports = ([(d, [(i * m + j, x) for i, x in s]) for d, s in lp.supports
+                     for j in range(m) if d < 0 or j not in units[1]]
+                    + [(d, [(i * m + k, x) for k, x in s]) for d, s in rp.supports
+                       for i in range(self.left.dim) if d < 0 or i not in units[0]])
+        return Presentation(n, tuple(supports),
+                            lambda e: tensor_span(lp.filtration_step(e), rp.filtration_step(e)))
+
+    def plots(self) -> tuple[Plot, ...]:
+        """p (x) e_j at the coordinates j::m, then e_i (x) q at i*m:(i+1)*m."""
+        n, m, zero = self.left.dim, self.right.dim, FunctionExpr.zero()
+        plots = []
+        for factor, places in ((self.left, [slice(j, None, m) for j in range(m)]),
+                               (self.right, [slice(i * m, (i + 1) * m) for i in range(n)])):
+            for p in generating_plots(factor):
+                for at in places:
+                    comps = [zero] * (n * m)
+                    comps[at] = p.components
+                    plots.append(Plot(comps))
+        return tuple(plots)
+
 
 @dataclass(frozen=True)
-class Pushforward:
+class Pushforward(Descriptor):
     base: "DiffSpace"
     matrix: Matrix
 
@@ -191,8 +265,15 @@ class Pushforward:
         if not determinant(n, self.columns):
             raise DiffeolinError("pushforward matrix is singular")
 
+    def describe(self, n: int) -> str:
+        return f"pushforward of {self.base.describe()}"
 
-Descriptor = Union[Fine, Coarse, Generated, SumOf, TensorOf, Pushforward]
+    def present(self, n: int) -> Presentation:
+        base = presentation(self.base)
+        return _spanned(n, tuple((deg, image_support(self.columns, s)) for deg, s in base.supports))
+
+    def plots(self) -> tuple[Plot, ...]:
+        return tuple(p.transform(self.matrix) for p in generating_plots(self.base))
 
 
 @dataclass(frozen=True)
@@ -209,24 +290,11 @@ class DiffSpace:
             raise ValueError("dimension must be >= 0")
 
     def describe(self) -> str:
-        d = self.diffeology
-        if isinstance(d, Fine):
-            return f"fine R^{self.dim}"
-        if isinstance(d, Coarse):
-            return f"coarse R^{self.dim}"
-        if isinstance(d, Generated):
-            return f"generated R^{self.dim} ({len(d.generators)} generators)"
-        if isinstance(d, SumOf):
-            return f"({d.left.describe()}) (+) ({d.right.describe()})"
-        if isinstance(d, TensorOf):
-            return f"({d.left.describe()}) (x) ({d.right.describe()})"
-        if isinstance(d, Pushforward):
-            return f"pushforward of {d.base.describe()}"
-        return repr(d)
+        return self.diffeology.describe(self.dim)
 
     @cached_property
     def _presentation(self) -> Presentation:
-        return _build_presentation(self)
+        return self.diffeology.present(self.dim)
 
 
 @dataclass(frozen=True, init=False)
@@ -271,37 +339,10 @@ def direct_sum(v: DiffSpace, w: DiffSpace) -> DiffSpace:
 
 
 def generating_plots(space: DiffSpace) -> tuple[Plot, ...]:
-    """Plots read off the definition of ``space``, not its presentation: the
-    generators of a generated space, each side's plots of a sum (zero-padded),
-    A*g for each plot g of a pushforward's base, and p (x) e_j and e_i (x) q
-    for plots p, q of a tensor's factors.  Fine and coarse spaces (duals are
-    fine) have none.  Without a coarse part, their residue rows span the
-    singular span."""
-    d = space.diffeology
-    if isinstance(d, Generated):
-        return d.generators
-    zero = FunctionExpr.zero()
-    if isinstance(d, SumOf):
-        left_pad, right_pad = [zero] * d.right.dim, [zero] * d.left.dim
-        return (tuple(Plot(list(p.components) + left_pad) for p in generating_plots(d.left))
-                + tuple(Plot(right_pad + list(q.components)) for q in generating_plots(d.right)))
-    if isinstance(d, Pushforward):
-        return tuple(p.transform(d.matrix) for p in generating_plots(d.base))
-    if isinstance(d, TensorOf):
-        n, m = d.left.dim, d.right.dim
-        plots = []
-        for p in generating_plots(d.left):
-            for j in range(m):
-                comps = [zero] * (n * m)
-                comps[j::m] = p.components
-                plots.append(Plot(comps))
-        for q in generating_plots(d.right):
-            for i in range(n):
-                comps = [zero] * (n * m)
-                comps[i * m:(i + 1) * m] = q.components
-                plots.append(Plot(comps))
-        return tuple(plots)
-    return ()
+    """Plots read off the definition of ``space``, not its presentation (fine
+    and coarse spaces, and so duals, have none).  Without a coarse part,
+    their residue rows span the singular span."""
+    return space.diffeology.plots()
 
 
 # --- presentations -------------------------------------------------------
@@ -360,59 +401,11 @@ def presentation(space: DiffSpace) -> Presentation:
     return space._presentation
 
 
-def _build_presentation(space: DiffSpace) -> Presentation:
-    """Spanning (degree, support) pairs per descriptor, with the closed form
-    of each step: constant for fine and coarse, the summands' steps side by
-    side for a sum (``block_sum``), ``_tensor_presentation`` for a tensor,
-    and the elimination of the supports of degree <= e for generated spaces
-    (residue rows) and pushforwards (the base's supports mapped by the
-    matrix on ints)."""
-    n = space.dim
-    d = space.diffeology
-    if isinstance(d, Fine):
-        return Presentation(n, (), lambda e: Subspace.from_supports(n, ()))
-    if isinstance(d, Coarse):
-        return Presentation(n, tuple((-1, ((j, 1),)) for j in range(n)),
-                            lambda e: Subspace.full(n))
-    if isinstance(d, SumOf):
-        lp, rp, shift = presentation(d.left), presentation(d.right), d.left.dim
-        return Presentation(
-            n, lp.supports + tuple((deg, [(shift + j, x) for j, x in s]) for deg, s in rp.supports),
-            lambda e: block_sum(lp.filtration_step(e), rp.filtration_step(e)))
-    if isinstance(d, TensorOf):
-        return _tensor_presentation(d.left, d.right)
-    if isinstance(d, Generated):
-        return _spanned(n, tuple(row for g in d.generators for row in residue_supports(n, g)))
-    if isinstance(d, Pushforward):
-        base = presentation(d.base)
-        return _spanned(n, tuple((deg, image_support(d.columns, s)) for deg, s in base.supports))
-    raise TypeError(f"no presentation for descriptor {type(d).__name__}")
-
-
 def _spanned(n: int, supports: tuple[tuple[int, Support], ...]) -> Presentation:
     """The presentation whose step F_e is the span of its supports of degree
     <= e, found by elimination."""
     return Presentation(n, supports,
                         lambda e: Subspace.from_supports(n, [s for k, s in supports if k <= e]))
-
-
-def _tensor_presentation(left: DiffSpace, right: DiffSpace) -> Presentation:
-    """The block rows (d, r (x) e_j), then (d, e_i (x) r'), of the definition
-    of V (x) W, for the rows (d, r) of V and (d, r') of W, less those of
-    degree >= 0 whose unit factor lies in the other side's coarse part C:
-    e_j lies in C exactly when the RREF row of C at pivot j is e_j.  The
-    step F_e = F_e V (x) R^m + R^n (x) F_e W is ``tensor_span`` of the
-    factors' steps, built on first ask."""
-    lp, rp = presentation(left), presentation(right)
-    n, m = left.dim, right.dim
-    units = [{p for p, s in zip(c.pivots, c.supports) if len(s) == 1}
-             for c in (lp.filtration_step(-1), rp.filtration_step(-1))]
-    supports = ([(d, [(i * m + j, x) for i, x in s]) for d, s in lp.supports
-                 for j in range(m) if d < 0 or j not in units[1]]
-                + [(d, [(i * m + k, x) for k, x in s]) for d, s in rp.supports
-                   for i in range(n) if d < 0 or i not in units[0]])
-    return Presentation(n * m, tuple(supports),
-                        lambda e: tensor_span(lp.filtration_step(e), rp.filtration_step(e)))
 
 
 def singular_span(space: DiffSpace) -> Subspace:

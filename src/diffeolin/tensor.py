@@ -11,7 +11,7 @@ R^n (x) S(W) at the top; pairs of singular generators only add
 |x|*|x| = x^2 terms, which are smooth (the test suite checks the residues of
 ``product_plot`` on generator pairs).  Like every other space, a product
 is presented by the block rows of its definition
-(``spaces._tensor_presentation``), and each step is built on first ask, in
+(``spaces.TensorOf.present``), and each step is built on first ask, in
 RREF from the factors' RREF steps (``linalg.tensor_span``), so any two
 spaces tensor with no elimination over the n*m coordinates.  The Kronecker
 product of RREF rows with pivots p and q is an RREF row with pivot

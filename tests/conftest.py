@@ -183,7 +183,7 @@ def left_block_rows_only(monkeypatch):
 @pytest.fixture(params=["no rows", "left rows only"])
 def wrong_bilinear_block_rows(request, monkeypatch):
     """A wrong tensor presentation: the rows that
-    ``spaces._tensor_presentation`` presents cut to none, or to the rows
+    ``spaces.TensorOf.present`` presents cut to none, or to the rows
     r (x) e_j of the left factor, without e_i (x) r'.  The steps stay
     right.  Forms are decided on these rows, and the smooth bilinear basis
     reads their degrees; only tensor products presented after the patch
@@ -192,10 +192,11 @@ def wrong_bilinear_block_rows(request, monkeypatch):
 
     import diffeolin.spaces as spaces
 
-    real = spaces._tensor_presentation
+    real = spaces.TensorOf.present
 
-    def cut(v, w):
-        pres = real(v, w)
+    def cut(tensor, n):
+        v, w = tensor.left, tensor.right
+        pres = real(tensor, n)
         rows = ()
         if request.param == "left rows only":
             coarse = pres.filtration_step(-1)
@@ -204,7 +205,7 @@ def wrong_bilinear_block_rows(request, monkeypatch):
                 if d < 0 or not coarse.contains_support(s))
         return spaces.Presentation(pres.ambient_dim, rows, pres.step)
 
-    monkeypatch.setattr(spaces, "_tensor_presentation", cut)
+    monkeypatch.setattr(spaces.TensorOf, "present", cut)
     return request.param
 
 
@@ -226,15 +227,12 @@ def transposed_pushforward(monkeypatch):
     import diffeolin.spaces as spaces
     from diffeolin.linalg import transpose
 
-    real = spaces._build_presentation
+    real = spaces.Pushforward.present
 
-    def transposed(space):
-        d = space.diffeology
-        if isinstance(d, spaces.Pushforward):
-            space = spaces.DiffSpace(space.dim, spaces.Pushforward(d.base, transpose(d.matrix)))
-        return real(space)
+    def transposed(pushforward, n):
+        return real(spaces.Pushforward(pushforward.base, transpose(pushforward.matrix)), n)
 
-    monkeypatch.setattr(spaces, "_build_presentation", transposed)
+    monkeypatch.setattr(spaces.Pushforward, "present", transposed)
 
 
 @pytest.fixture

@@ -87,18 +87,18 @@ def test_tensor_dual_iso_builds_the_product_once(run, monkeypatch):
     import diffeolin.tensor as tensor
 
     products, presented = [], []
-    real_product, real_presentation = tensor.tensor_product, spaces._tensor_presentation
+    real_product, real_presentation = tensor.tensor_product, spaces.TensorOf.present
 
     def counted_product(v, w):
         products.append(real_product(v, w))
         return products[-1]
 
-    def counted_presentation(v, w):
-        presented.append((v, w))
-        return real_presentation(v, w)
+    def counted_presentation(d, n):
+        presented.append((d.left, d.right))
+        return real_presentation(d, n)
 
     monkeypatch.setattr(tensor, "tensor_product", counted_product)
-    monkeypatch.setattr(spaces, "_tensor_presentation", counted_presentation)
+    monkeypatch.setattr(spaces.TensorOf, "present", counted_presentation)
     monkeypatch.setattr(cli, "tensor_product", counted_product)
     code, out, _ = run("tensor", "kink3_1", "fine2", "--dual-iso")
     assert code == 0 and "dim = 6, singular span dim = 2, dual dim = 4" in out
@@ -259,6 +259,19 @@ def test_oracle_finds_a_kink_past_order_8(run):
     code, out, _ = run("oracle", "abs(x)*x^7")
     assert code == 0
     assert out == "abs(x)*x^7: NonSmoothAt0(order 9)\n"
+
+
+@pytest.mark.parametrize("expr, order", [
+    ("abs(x)*x + 1000000*x^3", 3),
+    ("abs(x)*x + " + "9" * 4300 + "*x^3", 3),
+    ("abs(x) + " + "9" * 4300 + "*abs(x)*x^2", 2),
+], ids=["million", "4300-digits", "4300-digit-kink"])
+def test_oracle_reads_a_kink_masked_by_a_larger_term_at_its_own_order(run, expr, order):
+    """A larger term hides the growth of the least kink at its failing order
+    until p = 21 (a million), or p = 7,100 and 14,300 (a coefficient at the
+    parser's 4,300-digit limit); the sweep reads on to there."""
+    code, out, _ = run("oracle", expr)
+    assert code == 0 and out.endswith(f": NonSmoothAt0(order {order})\n")
 
 
 def test_cross_validate_samples_every_generator_whatever_the_trials(run):
@@ -503,6 +516,23 @@ def test_oversized_literals_and_exponent_strings_exit_2_at_once(run, tmp_path, a
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["human", "json"])
+def test_an_iso_text_past_128_kib_exits_2_before_parsing(run, mode):
+    """An --iso text may be as long as one argument Linux passes, 131,072
+    characters; one more is an input error, reported at once.  The padding
+    is JSON whitespace, so the text parses to the identity either way."""
+    iso = '[["1", "0"], ["0", "1"]]'
+    at_bound = iso + " " * (cli.MAX_ISO_CHARS - len(iso))
+    assert cli.MAX_ISO_CHARS == len(at_bound) == 131_072
+    code, out, _ = run(*mode, "hat-dual", "kink2_1", "--iso", at_bound)
+    assert code == 0 and out
+    start = time.perf_counter()
+    code, out, err = run(*mode, "hat-dual", "kink2_1", "--iso", at_bound + " ")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: --iso has 131073 characters, over the limit of 131072\n"
 
 
 DEEP = "[" * 100_000  # nesting past Python's recursion limit

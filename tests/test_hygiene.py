@@ -97,6 +97,25 @@ def test_no_module_imports_a_private_name_from_another(path):
     assert not private, f"{path.name} imports private names: " + ", ".join(private)
 
 
+# The descriptor classes, and the dual, which is a space with the fine one.
+DESCRIPTOR_KINDS = {"Fine", "Coarse", "Generated", "SumOf", "TensorOf", "Pushforward", "DualSpace"}
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_switches_on_the_kind_of_a_descriptor(path):
+    """Each descriptor is the only code that knows its kind: it describes,
+    presents and generates itself (``spaces.Descriptor``).  So no library
+    module calls ``isinstance`` or ``issubclass`` with a descriptor class or
+    ``DualSpace``, and a new kind is one class and a new question about
+    every kind one method."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    switches = [f"line {node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and len(node.args) == 2
+                and getattr(node.func, "id", None) in ("isinstance", "issubclass")
+                and DESCRIPTOR_KINDS & set(referenced_names(node.args[1]))]
+    assert not switches, f"{path.name} switches on a descriptor kind: " + ", ".join(switches)
+
+
 # The modules above linalg that decide membership: they hand vectors to
 # linalg, which alone knows how a vector becomes integers.
 LINALG_CLIENTS = ("spaces", "hom", "bilinear", "tensor")

@@ -1,5 +1,6 @@
 """Numeric smoothness classifier: pinned atom orders, determinism, agreement."""
 
+import functools
 import math
 import os
 import random
@@ -13,8 +14,8 @@ import pytest
 from diffeolin import FunctionExpr, classify, cross_validate
 from diffeolin.atoms import Atom, abs_mono, mono
 from diffeolin.exprparse import MAX_DEGREE
-from diffeolin.oracle import (HALF_WIDTH_EXPONENTS, HALF_WIDTHS, MAX_ORDER, Classification,
-                              _differences, _stencil_sums, _unit_sum)
+from diffeolin.oracle import (HALF_WIDTH_EXPONENTS, MAX_ORDER, Classification, _differences,
+                              _stencil_sums, _unit_sum)
 from diffeolin import oracle, verify
 from diffeolin.verify import check_oracle_agreement
 from diffeolin.hom import hat_dual
@@ -23,6 +24,7 @@ from diffeolin.tensor import tensor_product
 
 A = FunctionExpr.abs_monomial
 M = FunctionExpr.monomial
+HALF_WIDTHS = tuple(2.0**-p for p in HALF_WIDTH_EXPONENTS)
 
 
 # Regression: first computed with the oracle itself, then frozen.  A kink
@@ -108,8 +110,8 @@ def _exact_differences(expr, order):
     its denominator."""
     q = math.lcm(*[c.denominator for _, c in expr.terms])
     scaled = [(atom, c.numerator * (q // c.denominator)) for atom, c in expr.terms]
-    value, denominator = _differences(_stencil_sums(scaled, order), q, order)
-    return list(map(value, HALF_WIDTH_EXPONENTS)), denominator
+    value, top = _differences(_stencil_sums(scaled, order), order, HALF_WIDTH_EXPONENTS)
+    return list(map(value, HALF_WIDTH_EXPONENTS)), q << top
 
 
 def _assert_exact_differences(expr, order):
@@ -224,11 +226,17 @@ def test_classify_equals_the_fraction_reference():
 
 
 # The integer sweep classify ran before it stopped where its decision does:
-# all of an order's N_p, then the divergence scan over the stored list.  It
-# reads the test constants when called, so a monkeypatched pair reaches both.
-def _full_sweep_classify(f):
-    def differences(order):
-        q = math.lcm(*[c.denominator for _, c in f.terms])
+# all of an order's N_p, then the divergence scan over the stored list, for
+# each (AGREEMENT_POLICY, GROWTH_THRESHOLD) pair in ``policies`` (the values
+# do not depend on the pair).  An order without a growing term (every D >= k)
+# sweeps p = 2..20.  An order with one sweeps p = 2..119, longer by the bits
+# that the largest scaled coefficient has over the smallest, so that a term
+# that masks the growing one at p = 20 is outgrown inside the sweep.
+def _full_sweep_classify(f, policies):
+    q = math.lcm(*[c.denominator for _, c in f.terms])
+    sizes = [abs(c.numerator * (q // c.denominator)).bit_length() for _, c in f.terms]
+
+    def differences(order, exponents):
         sums = {}
         for atom, c in f.terms:
             u = _unit_sum(atom.degree, atom.is_abs, order)
@@ -237,36 +245,42 @@ def _full_sweep_classify(f):
                 sums[total] = sums.get(total, 0) + c.numerator * (q // c.denominator) * u
         terms = [(total, n) for total, n in sums.items() if n]
         top = max([0] + [total + p * (total - order)
-                         for total, _ in terms for p in HALF_WIDTH_EXPONENTS])
+                         for total, _ in terms for p in exponents])
         values = [abs(sum(n << (top - total - p * (total - order)) for total, n in terms))
-                  for p in HALF_WIDTH_EXPONENTS]
+                  for p in exponents]
         return values, q << top
 
-    def diverges(values):
+    def diverges(values, policy, threshold):
         run_start = None
         for i in range(1, len(values)):
             v_prev, v_cur = values[i - 1], values[i]
             if v_prev and v_cur and 2 * v_cur >= 3 * v_prev:
                 if run_start is None:
                     run_start = i - 1
-                if (i - run_start >= oracle.AGREEMENT_POLICY
-                        and v_cur >= oracle.GROWTH_THRESHOLD * values[run_start]):
+                if i - run_start >= policy and v_cur >= threshold * values[run_start]:
                     return i
             else:
                 run_start = None
         return None
 
     top = max([atom.degree for atom, _ in f.terms], default=0) + 2
+    found = {}
     for order in range(1, top + 1):
-        values, denominator = differences(order)
-        hit = diverges(values)
-        if hit is not None:
-            try:
-                value = float(Fraction(values[hit], denominator))
-            except OverflowError:
-                value = math.inf
-            return Classification(order, order, HALF_WIDTHS[hit], value)
-    return Classification(None, top)
+        grows = any(atom.degree + atom.is_abs < order and _unit_sum(atom.degree, atom.is_abs, order)
+                    for atom, _ in f.terms)
+        exponents = range(2, 120 + max(sizes) - min(sizes)) if grows else HALF_WIDTH_EXPONENTS
+        values, denominator = differences(order, exponents)
+        for pair in policies:
+            hit = None if pair in found else diverges(values, *pair)
+            if hit is not None:
+                try:
+                    value = float(Fraction(values[hit], denominator))
+                except OverflowError:
+                    value = math.inf
+                found[pair] = Classification(order, order, 2.0 ** -exponents[hit], value)
+        if len(found) == len(policies):
+            break
+    return {pair: found.get(pair, Classification(None, top)) for pair in policies}
 
 
 def _sweep_cases():
@@ -297,26 +311,68 @@ def _sweep_cases():
         yield FunctionExpr(terms)
 
 
-@pytest.mark.parametrize("policy, threshold", [(3, 10), (5, 100), (2, 3)])
+SWEEP_POLICIES = ((3, 10), (5, 100), (2, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def _full_sweeps():
+    """(case, its full sweep under every pair of SWEEP_POLICIES), computed
+    once for the three rows below."""
+    return [(expr, _full_sweep_classify(expr, SWEEP_POLICIES)) for expr in _sweep_cases()]
+
+
+@pytest.mark.parametrize("policy, threshold", SWEEP_POLICIES)
 def test_classify_equals_the_full_sweep(monkeypatch, policy, threshold):
     monkeypatch.setattr(oracle, "AGREEMENT_POLICY", policy)
     monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
-    for expr in _sweep_cases():
-        assert classify(expr) == _full_sweep_classify(expr), expr
+    for expr, reference in _full_sweeps():
+        assert classify(expr) == reference[policy, threshold], expr
+
+
+def test_the_failing_order_is_exact_on_skewed_coefficients():
+    """A growing term masked by a far larger one still fails at its own
+    order: on 3,000 seeded expressions of 2-5 atoms of degree <= 8 with
+    coefficients +-10^a / 10^b (a, b <= 15), each fails at its least residue
+    degree + 2, or is smooth without a residue."""
+    assert classify(A(1) + M(3, 10**6)).failing_order == 3
+    rng = random.Random(20150430)
+    for _ in range(3000):
+        expr = FunctionExpr([((abs_mono if rng.random() < 0.5 else mono)(rng.randint(0, 8)),
+                              Fraction(rng.choice((-1, 1)) * 10**rng.randint(0, 15),
+                                       10**rng.randint(0, 15)))
+                             for _ in range(rng.randint(2, 5))])
+        residue = expr.singular_residue()
+        assert classify(expr).failing_order == (min(residue) + 2 if residue else None), expr
+
+
+@pytest.mark.parametrize("policy, threshold", SWEEP_POLICIES + ((2, 2),))
+def test_a_masked_kink_reads_on_to_the_factor_7_bound(monkeypatch, policy, threshold):
+    """At order 3, abs(x)*x + 10^8*x^5 sums the terms T_2 and T_5 with T_5 /
+    T_2 = 4 * 10^9 * 2^(-3(p + 1)): 0.47 at p = 10 and 0.058 at p = 11.  The
+    step from p = 10 grows by 2 * 1.058 / 1.47 = 1.44 < 3/2, so a sweep that
+    stopped two steps after the factor-2 bound (p = 10) would miss the run
+    that policy 2, threshold 2 confirms at p = 13, two steps after the
+    factor-7 bound, and report order 5."""
+    monkeypatch.setattr(oracle, "AGREEMENT_POLICY", policy)
+    monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
+    expr = A(1) + M(5, 10**8)
+    result = classify(expr)
+    assert result.failing_order == 3
+    assert result == _full_sweep_classify(expr, [(policy, threshold)])[policy, threshold]
 
 
 def _count_values(monkeypatch, key=lambda terms, order: order):
     """Count the N_p that classify computes, per ``key(terms, order)``."""
     counts = {}
 
-    def counting(terms, q, order):
-        value, denominator = _differences(terms, q, order)
+    def counting(terms, order, sweep):
+        value, top = _differences(terms, order, sweep)
         at = key(terms, order)
 
         def counted(p):
             counts[at] = counts.get(at, 0) + 1
             return value(p)
-        return counted, denominator
+        return counted, top
 
     monkeypatch.setattr(oracle, "_differences", counting)
     return counts
@@ -400,7 +456,7 @@ def test_an_order_whose_sum_crosses_zero_reads_until_the_bound_holds(
     monkeypatch.setattr(oracle, "GROWTH_THRESHOLD", threshold)
     counts = _count_values(monkeypatch)
     result = classify(expr)
-    assert result == _full_sweep_classify(expr)
+    assert result == _full_sweep_classify(expr, [(policy, threshold)])[policy, threshold]
     # A confirmed run ends the sweep at its confirming value, read once:
     # within-a-half under policy 2, threshold 3 confirms at p = 11, the tenth.
     assert counts[2] == (10 if result.failing_order == 2 else reads)

@@ -376,6 +376,31 @@ def test_a_dual_describes_its_base():
         "dual of (dual of generated R^2 (1 generators)) (x) (fine R^1)")
 
 
+def test_every_kind_describes_itself_and_nests():
+    """Each descriptor names its kind, and a composite names its parts
+    through their own ``describe``: a sum, a tensor of a sum, a pushforward
+    and a dual of composites, each read whole."""
+    g2 = make_generated(2, [kink_plot(2, 0)])
+    total = direct_sum(make_fine(1), g2)
+    t = tensor_product(make_coarse(1), total)
+    hat = hat_dual(total, identity(3))
+    cases = [
+        (make_fine(2), "fine R^2"),
+        (make_coarse(3), "coarse R^3"),
+        (g2, "generated R^2 (1 generators)"),
+        (total, "(fine R^1) (+) (generated R^2 (1 generators))"),
+        (t, "(coarse R^1) (x) ((fine R^1) (+) (generated R^2 (1 generators)))"),
+        (hat, "pushforward of (fine R^1) (+) (generated R^2 (1 generators))"),
+        (diffeological_dual(t),
+         "dual of (coarse R^1) (x) ((fine R^1) (+) (generated R^2 (1 generators)))"),
+        (direct_sum(hat, diffeological_dual(hat)),
+         "(pushforward of (fine R^1) (+) (generated R^2 (1 generators))) (+) "
+         "(dual of pushforward of (fine R^1) (+) (generated R^2 (1 generators)))"),
+    ]
+    for space, text in cases:
+        assert space.describe() == text
+
+
 def test_is_plot_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatchError):
         is_plot(make_fine(2), plot_of("x"))

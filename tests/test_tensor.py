@@ -403,13 +403,13 @@ def test_tensor_dual_iso_presents_the_held_product_once(monkeypatch):
     presented once, and the certificate's dual is the held product's dual,
     a new wrapper over the annihilator that the product keeps."""
     presented = []
-    real = spaces._tensor_presentation
+    real = spaces.TensorOf.present
 
-    def counted(v, w):
-        presented.append((v, w))
-        return real(v, w)
+    def counted(d, n):
+        presented.append((d.left, d.right))
+        return real(d, n)
 
-    monkeypatch.setattr(spaces, "_tensor_presentation", counted)
+    monkeypatch.setattr(spaces.TensorOf, "present", counted)
     v, w = kink_space(3, 1), direct_sum(kink_space(2, 1), make_coarse(1))
     t = tensor_product(v, w)
     dual = diffeological_dual(t)

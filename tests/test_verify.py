@@ -8,7 +8,11 @@ import pytest
 
 from diffeolin import FunctionExpr, cli, verify
 from diffeolin.atoms import abs_mono, mono
-from diffeolin.spaces import presentation, singular_span
+from diffeolin.linalg import Subspace
+from diffeolin.oracle import Classification
+from diffeolin.spacefile import load_space_file
+from diffeolin.spaces import DualSpace, Generated, Verdict, make_fine, presentation, singular_span
+from diffeolin.tensor import hat_g
 from diffeolin.verify import _random_expression
 
 
@@ -76,4 +80,65 @@ def test_distributivity_fails_on_a_block_swapped_permutation(block_swapped_distr
     """With the V1 (x) V3 rows first, the map mixes up the two blocks, and
     on the first triple a presented row's image already leaves its step."""
     assert verify.check_distributivity() == (False, "forward map not Smooth at trial 0")
+    assert cli.main(["verify"]) == 1
+
+
+def test_space_file_anchors_fail_when_every_map_reads_smooth(monkeypatch):
+    """The bundled example functional is not smooth; a decision that calls
+    every map Smooth passes every pinned dual dimension and fails there."""
+    monkeypatch.setattr(verify, "is_smooth_linear", lambda f: Verdict.SMOOTH)
+    assert verify._check_anchors(load_space_file(cli._default_space_file())) == (
+        False, "map example_functional: expected NotSmooth")
+    assert cli.main(["verify"]) == 1
+
+
+def test_dual_dimensions_fail_on_a_kink_dual_one_dimension_short(monkeypatch):
+    """A dual of a generated space that loses one annihilator row is one
+    dimension short on every k-kink R^n with k < n; coarse and fine duals,
+    and the fine pairings, stay right."""
+    real = verify.diffeological_dual
+
+    def short(v):
+        dual = real(v)
+        if isinstance(v.diffeology, Generated):
+            return DualSpace(v, Subspace.from_supports(v.dim, dual.annihilator_basis.supports[1:]))
+        return dual
+
+    monkeypatch.setattr(verify, "diffeological_dual", short)
+    assert verify.check_dual_dimensions() == (False, (
+        "wrong dual dimensions: 1-kink R^2, 1-kink R^3, 2-kink R^3, 1-kink R^4, 2-kink R^4, "
+        "3-kink R^4, 1-kink R^5, 2-kink R^5, 3-kink R^5, 4-kink R^5"))
+    assert cli.main(["verify"]) == 1
+
+
+def test_bilinear_vanishing_fails_when_the_domain_reads_as_fine(monkeypatch):
+    """Read as fine, coarse R^n takes every bilinear form to the line:
+    n^2 of them."""
+    real = verify.smooth_bilinear_basis
+    monkeypatch.setattr(verify, "smooth_bilinear_basis", lambda v, w: real(make_fine(v.dim), w))
+    assert verify.check_bilinear_vanishing() == (False, "expected all zero, got [4, 9, 16]")
+    assert cli.main(["verify"]) == 1
+
+
+def test_non_isomorphisms_fail_when_hat_f_reads_as_hat_g(monkeypatch):
+    """On the coarse plane and the line, hat_g is an isomorphism (2 vs 2)
+    and hat_f is not (2 vs 0)."""
+    monkeypatch.setattr(verify, "hat_f", hat_g)
+    assert verify.check_non_isomorphisms() == (False, "hat_f comparison got 2 vs 2")
+    assert cli.main(["verify"]) == 1
+
+
+def test_oracle_agreement_fails_on_a_failing_order_one_late(monkeypatch):
+    """|x| first fails at order 2; an oracle one order late on every
+    non-smooth expression keeps every verdict but fails the atom basis."""
+    real = verify.classify
+
+    def late(f):
+        result = real(f)
+        if result.smooth:
+            return result
+        return Classification(result.failing_order + 1, result.checked_order + 1)
+
+    monkeypatch.setattr(verify, "classify", late)
+    assert verify.check_oracle_agreement() == (False, "|x|*x^0 failing order 3, expected 2")
     assert cli.main(["verify"]) == 1
